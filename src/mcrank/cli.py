@@ -1,9 +1,7 @@
 """Command-line interface.
 
 Subcommands: rank, evaluate, sweep-k, synth, predict. Exit codes: 0 on
-success, 1 on usage errors, 2 on data or validation errors. Worker
-parallelism for the evaluation pipeline is capped by MCRANK_THREADS
-(0 or unset means auto).
+success, 1 on usage errors, 2 on data or validation errors.
 """
 
 from __future__ import annotations

@@ -111,7 +111,7 @@ def load_candidate_sets(path: str | Path) -> dict[str, CandidateSet]:
             f"{path}: line 1: header must be user_id,item_id[,overall],"
             f"<criterion,...>, got {','.join(header)}")
     names = header[first_criterion:]
-    per_user: dict[str, list[tuple[str, list[float]]]] = {}
+    per_user: dict[str, dict[str, list[float]]] = {}
     for line, row in rows[1:]:
         if len(row) != len(header):
             raise ParseError(
@@ -119,13 +119,13 @@ def load_candidate_sets(path: str | Path) -> dict[str, CandidateSet]:
         vector = [_parse_float(path, line, names[i], cell)
                   for i, cell in enumerate(row[first_criterion:])]
         user, item = row[0], row[1]
-        seen = per_user.setdefault(user, [])
-        if any(existing == item for existing, _ in seen):
+        vectors = per_user.setdefault(user, {})
+        if item in vectors:
             raise ParseError(
                 f"{path}: line {line}: duplicate item {item!r} for user {user!r}")
-        seen.append((item, vector))
-    return {user: CandidateSet.from_pairs(user, pairs)
-            for user, pairs in per_user.items()}
+        vectors[item] = vector
+    return {user: CandidateSet.from_pairs(user, vectors.items())
+            for user, vectors in per_user.items()}
 
 
 def save_predictions(path: str | Path, criteria_names, rows) -> None:
@@ -143,28 +143,72 @@ def save_predictions(path: str | Path, criteria_names, rows) -> None:
 
 _CONFIG_KEYS = {"methods", "folds", "seed", "n_values", "relevance_threshold",
                 "protocol", "train"}
-_TRAIN_KEYS = {"latent_dim", "learning_rate", "reg", "epochs", "seed"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_list_of(check):
+    return lambda value: isinstance(value, list) and all(check(v) for v in value)
+
+
+_TRAIN_TYPES = {"latent_dim": (_is_int, "an integer"),
+                "learning_rate": (_is_number, "a number"),
+                "reg": (_is_number, "a number"),
+                "epochs": (_is_int, "an integer"),
+                "seed": (_is_int, "an integer")}
+
+
+def _config_value(doc: dict, key: str, default, check, expected: str,
+                  prefix: str = ""):
+    value = doc.get(key, default)
+    if not check(value):
+        raise ParseError(
+            f"config key {prefix + key!r} must be {expected}, got {value!r}")
+    return value
 
 
 def experiment_config_from_dict(doc: dict, *,
                                 dataset_path: str | None = None) -> ExperimentConfig:
+    """Build an ExperimentConfig, rejecting unknown keys and mistyped values.
+
+    Every ParseError names the offending key. Integers must be JSON
+    integers (no truncation of 2.7 to 2), and list-valued keys must be
+    JSON lists.
+    """
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ParseError(f"unknown experiment config keys: {sorted(unknown)}")
-    train_doc = doc.get("train", {})
-    unknown = set(train_doc) - _TRAIN_KEYS
+    train_doc = _config_value(doc, "train", {}, lambda v: isinstance(v, dict),
+                              "an object")
+    unknown = set(train_doc) - set(_TRAIN_TYPES)
     if unknown:
         raise ParseError(f"unknown train config keys: {sorted(unknown)}")
     defaults = ExperimentConfig(methods=(MethodSpec.pr(),))
+    train = {key: _config_value(train_doc, key, getattr(defaults.train, key),
+                                check, expected, "train.")
+             for key, (check, expected) in _TRAIN_TYPES.items()}
+    labels = _config_value(doc, "methods", ["pr"],
+                           _is_list_of(lambda v: isinstance(v, str)),
+                           "a list of method labels")
     return ExperimentConfig(
-        methods=tuple(MethodSpec.parse(s) for s in doc.get("methods", ["pr"])),
-        folds=int(doc.get("folds", defaults.folds)),
-        seed=int(doc.get("seed", defaults.seed)),
-        n_values=tuple(doc.get("n_values", defaults.n_values)),
-        relevance_threshold=float(doc.get("relevance_threshold",
-                                          defaults.relevance_threshold)),
-        protocol=Protocol.parse(doc.get("protocol", defaults.protocol.value)),
-        train=TrainConfig(**train_doc),
+        methods=tuple(MethodSpec.parse(s) for s in labels),
+        folds=_config_value(doc, "folds", defaults.folds, _is_int, "an integer"),
+        seed=_config_value(doc, "seed", defaults.seed, _is_int, "an integer"),
+        n_values=tuple(_config_value(doc, "n_values", list(defaults.n_values),
+                                     _is_list_of(_is_int), "a list of integers")),
+        relevance_threshold=float(_config_value(
+            doc, "relevance_threshold", defaults.relevance_threshold,
+            _is_number, "a number")),
+        protocol=Protocol.parse(_config_value(
+            doc, "protocol", defaults.protocol.value,
+            lambda v: isinstance(v, str), "a string")),
+        train=TrainConfig(**train),
         dataset_path=dataset_path,
     )
 

@@ -7,7 +7,7 @@ ratios over the plain Pareto-ranking baseline.
 
 Everything is deterministic given (dataset, config): users are processed
 in sorted order, folds by index, and all reductions happen in that fixed
-order regardless of worker parallelism.
+order.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -178,24 +176,6 @@ def build_candidates(
     return candidates, truths, skipped
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get("MCRANK_THREADS", "").strip()
-        threads = int(env) if env else 0
-    if threads < 0:
-        raise DomainError(f"thread count must be >= 0, got {threads}")
-    if threads == 0:
-        return os.cpu_count() or 1
-    return threads
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _cell_identity(spec: MethodSpec) -> tuple[str, float | None, str | None]:
     if spec.kind == "hybrid":
         return spec.label, spec.major.k, spec.sub.kind
@@ -228,8 +208,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
-                   threads: int | None = None) -> MetricsReport:
+def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
     """Cross-validated top-N evaluation of every configured method.
 
     The Pareto-ranking baseline is always evaluated (prepended when not
@@ -237,7 +216,6 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
     Per-fold cells compare within the fold; "avg" cells compare the
     fold-averaged values.
     """
-    threads = _resolve_threads(threads)
     methods = list(cfg.methods)
     if BASELINE_LABEL not in (m.label for m in methods):
         methods.insert(0, MethodSpec.pr())
@@ -260,15 +238,15 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
         users_skipped.append(len(skipped))
 
         for spec in methods:
-            def eval_user(user: str, _spec=spec) -> dict[int, tuple[float, float]]:
-                ranked = rank_candidates(cands[user], _spec)
+            per_user = []
+            for user in users:
+                ranked = rank_candidates(cands[user], spec)
+                truth = truths[user]
                 out = {}
                 for n in n_values:
                     ids = top_n(ranked, n).item_ids
-                    truth = truths[user]
                     out[n] = (f1(confusion(ids, truth)), ndcg(ids, truth))
-                return out
-            per_user = _parallel_map(eval_user, users, threads)
+                per_user.append(out)
             for n in n_values:
                 f1s = [r[n][0] for r in per_user]
                 nds = [r[n][1] for r in per_user]
@@ -337,8 +315,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
     return MetricsReport(metadata=metadata, cells=tuple(cells))
 
 
-def sweep_k(dataset: Dataset, k_values, cfg: ExperimentConfig,
-            threads: int | None = None) -> MetricsReport:
+def sweep_k(dataset: Dataset, k_values, cfg: ExperimentConfig) -> MetricsReport:
     """Evaluate a KD(k) variant per requested k, same protocol as run_experiment."""
     ks = [float(k) for k in k_values]
     if not ks:
@@ -349,7 +326,7 @@ def sweep_k(dataset: Dataset, k_values, cfg: ExperimentConfig,
     if len(set(ks)) != len(ks):
         raise DomainError(f"duplicate k values in sweep: {ks}")
     swept = replace(cfg, methods=tuple(MethodSpec.kd(k) for k in ks))
-    return run_experiment(dataset, swept, threads)
+    return run_experiment(dataset, swept)
 
 
 def synth_generate(users: int, items: int, n_criteria: int,

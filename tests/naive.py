@@ -3,10 +3,14 @@
 Deliberately written as plain double loops with no shared code with the
 library, so the two can cross-check each other. The k-dominance
 threshold uses exact rational arithmetic instead of the library's
-cross-multiplied float comparison.
+cross-multiplied float comparison. ``naive_fit`` is the per-record SGD
+loop that the library's level-scheduled ``fit`` must reproduce bit for
+bit.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def counts(a, b):
@@ -110,3 +114,63 @@ def hybrid_list(vectors, major_kind, k, sub_kind):
         majors = kd_list(vectors, k)
     subs = norm_sub(SUB_FNS[sub_kind](vectors), SUB_LOWER_BETTER[sub_kind])
     return [a + b for a, b in zip(majors, subs)]
+
+
+def naive_fit(records, n_criteria, latent_dim, learning_rate, reg, epochs, seed):
+    """Sequential biased-MF SGD, one record at a time, one criterion at a time.
+
+    Returns (global_means, user_biases, item_biases, user_factors,
+    item_factors, loss_history) with the library's array layout.
+    """
+    users = sorted({r.user_id for r in records})
+    items = sorted({r.item_id for r in records})
+    u_index = {u: i for i, u in enumerate(users)}
+    i_index = {t: i for i, t in enumerate(items)}
+    n_u, n_i, m, d = len(users), len(items), n_criteria, latent_dim
+    u_idx = np.array([u_index[r.user_id] for r in records], dtype=np.int64)
+    i_idx = np.array([i_index[r.item_id] for r in records], dtype=np.int64)
+    ratings = np.array([r.criteria for r in records], dtype=np.float64)
+
+    global_means = np.empty(m)
+    user_biases = np.zeros((m, n_u))
+    item_biases = np.zeros((m, n_i))
+    user_factors = np.empty((m, n_u, d))
+    item_factors = np.empty((m, n_i, d))
+    histories = []
+    lr = learning_rate
+    for c in range(m):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
+        r = ratings[:, c].copy()
+        mu = float(r.mean())
+        p = rng.normal(0.0, 0.05, size=(n_u, d))
+        q = rng.normal(0.0, 0.05, size=(n_i, d))
+        bu = np.zeros(n_u)
+        bi = np.zeros(n_i)
+
+        def mse():
+            pred = mu + bu[u_idx] + bi[i_idx] + np.einsum(
+                "nd,nd->n", p[u_idx], q[i_idx])
+            return float(np.mean((r - pred) ** 2))
+
+        history = [mse()]
+        for _ in range(epochs):
+            for t in rng.permutation(len(records)):
+                u = u_idx[t]
+                i = i_idx[t]
+                pu = p[u]
+                qi = q[i]
+                err = r[t] - (mu + bu[u] + bi[i] + pu @ qi)
+                bu[u] += lr * (err - reg * bu[u])
+                bi[i] += lr * (err - reg * bi[i])
+                pu_old = pu.copy()
+                pu += lr * (err * qi - reg * pu)
+                qi += lr * (err * pu_old - reg * qi)
+            history.append(mse())
+        global_means[c] = mu
+        user_biases[c] = bu
+        item_biases[c] = bi
+        user_factors[c] = p
+        item_factors[c] = q
+        histories.append(tuple(history))
+    return (global_means, user_biases, item_biases, user_factors,
+            item_factors, tuple(histories))

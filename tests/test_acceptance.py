@@ -196,8 +196,7 @@ def test_criterion_6_kd_monotone_in_k():
           f"{violations} violations in 100 sets")
 
 
-def test_criterion_7_end_to_end_determinism_and_budget(tmp_path, monkeypatch):
-    monkeypatch.setenv("MCRANK_THREADS", "1")
+def test_criterion_7_end_to_end_determinism_and_budget(tmp_path):
     data = tmp_path / "synth.csv"
     assert cli_main(["synth", "--users", "300", "--items", "80",
                      "--criteria", "4", "--density", "0.2",

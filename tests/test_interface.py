@@ -110,6 +110,14 @@ class TestLoadCandidateSets:
         with pytest.raises(ParseError, match="duplicate"):
             load_candidate_sets(path)
 
+    def test_duplicate_error_names_the_first_duplicate_line(self, tmp_path):
+        path = tmp_path / "dups.csv"
+        path.write_text("user_id,item_id,food\n"
+                        "u1,T1,4\nu2,T1,3\nu1,T2,5\nu2,T1,2\nu1,T1,1\n")
+        with pytest.raises(ParseError) as err:
+            load_candidate_sets(path)
+        assert str(err.value) == f"{path}: line 5: duplicate item 'T1' for user 'u2'"
+
 
 class TestExperimentConfig:
     def test_from_dict_defaults(self):
@@ -135,7 +143,7 @@ def tiny_report(seed=21):
         "n_values": [5, 10, 15, 20, 25, 30, 35, 40],
         "train": {"latent_dim": 2, "epochs": 2},
     })
-    return run_experiment(ds, cfg, threads=1)
+    return run_experiment(ds, cfg)
 
 
 class TestReportFiles:
@@ -291,6 +299,24 @@ class TestCliPipelines:
         cfg.write_text('{"frobnicate": 1}')
         assert run_cli("evaluate", "--input", data_file, "--config", str(cfg),
                        "--out", str(tmp_path / "r.json")) == 2
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"folds": "x"}, "'folds'"),
+        ({"n_values": ["a"]}, "'n_values'"),
+        ({"train": {"latent_dim": "a"}}, "'train.latent_dim'"),
+        ({"relevance_threshold": None}, "'relevance_threshold'"),
+        ({"folds": 2.7}, "'folds'"),
+        ({"methods": "pr"}, "'methods'"),
+    ])
+    def test_mistyped_config_value_is_a_data_error(self, data_file, tmp_path,
+                                                   capsys, doc, key):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("evaluate", "--input", data_file, "--config", str(cfg),
+                       "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert key in err
 
     def test_predict_feeds_rank(self, data_file, tmp_path, capsys):
         out = tmp_path / "predicted.csv"

@@ -144,7 +144,7 @@ class TestBuildCandidates:
 
 class TestRunExperiment:
     def test_pr_improvement_ratios_are_exactly_zero(self):
-        report = run_experiment(small_dataset(7), small_config(["pr"]), threads=1)
+        report = run_experiment(small_dataset(7), small_config(["pr"]))
         pr_cells = [c for c in report.cells if c.method == "pr"]
         assert pr_cells
         for cell in pr_cells:
@@ -153,7 +153,7 @@ class TestRunExperiment:
 
     def test_kd_zero_equals_pr_everywhere(self):
         report = run_experiment(small_dataset(8),
-                                small_config(["pr", "kd:0"]), threads=1)
+                                small_config(["pr", "kd:0"]))
         for cell in report.cells:
             if cell.method == "kd:0":
                 twin = report.cell("pr", cell.n, cell.fold)
@@ -163,15 +163,10 @@ class TestRunExperiment:
     def test_deterministic_given_seed(self):
         ds = small_dataset(9)
         cfg = small_config(["pr", "kd:0.5", "kd:0.5+pg"])
-        assert run_experiment(ds, cfg, threads=1) == run_experiment(ds, cfg, threads=1)
-
-    def test_parallel_equals_serial(self):
-        ds = small_dataset(10)
-        cfg = small_config(["pr", "kd:0.5+ar"])
-        assert run_experiment(ds, cfg, threads=1) == run_experiment(ds, cfg, threads=4)
+        assert run_experiment(ds, cfg) == run_experiment(ds, cfg)
 
     def test_baseline_added_when_missing(self):
-        report = run_experiment(small_dataset(11), small_config(["kd:0.5"]), threads=1)
+        report = run_experiment(small_dataset(11), small_config(["kd:0.5"]))
         methods = {c.method for c in report.cells}
         assert methods == {"pr", "kd:0.5"}
         assert report.metadata["methods"] == ["pr", "kd:0.5"]
@@ -179,7 +174,7 @@ class TestRunExperiment:
 
     def test_every_configured_cell_present(self):
         cfg = small_config(["pr", "kd:0.5", "kd:0.5+gd"])
-        report = run_experiment(small_dataset(12), cfg, threads=1)
+        report = run_experiment(small_dataset(12), cfg)
         folds = {str(f) for f in range(cfg.folds)} | {"avg"}
         expected = {(m.label, n, f) for m in cfg.methods
                     for n in cfg.n_values for f in folds}
@@ -188,7 +183,7 @@ class TestRunExperiment:
 
     def test_hybrid_cells_carry_k_and_sub(self):
         report = run_experiment(small_dataset(13),
-                                small_config(["kd:0.5+pg"]), threads=1)
+                                small_config(["kd:0.5+pg"]))
         cell = report.cell("kd:0.5+pg", 3)
         assert cell.k == 0.5 and cell.sub == "pg"
         assert report.cell("pr", 3).k is None
@@ -225,7 +220,7 @@ class TestRunExperiment:
 class TestSweepK:
     def test_k_zero_row_equals_pr(self):
         ds = small_dataset(15)
-        report = sweep_k(ds, [0.0], small_config(["pr"]), threads=1)
+        report = sweep_k(ds, [0.0], small_config(["pr"]))
         for cell in report.cells:
             if cell.method == "kd:0":
                 twin = report.cell("pr", cell.n, cell.fold)
@@ -233,7 +228,7 @@ class TestSweepK:
 
     def test_three_values_three_rows(self):
         ds = small_dataset(16)
-        report = sweep_k(ds, [0.0, 0.5, 1.0], small_config(["pr"]), threads=1)
+        report = sweep_k(ds, [0.0, 0.5, 1.0], small_config(["pr"]))
         assert {c.method for c in report.cells} == {"pr", "kd:0", "kd:0.5", "kd:1"}
 
     def test_kd_scores_nondecreasing_in_k_on_real_candidates(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from naive import naive_fit
 
 from mcrank import (
     Dataset,
@@ -38,6 +39,10 @@ def random_dataset(seed, users=12, items=10, m=3, density=0.7):
                    records=tuple(records))
 
 
+SINGLE_RECORD = Dataset(criteria_names=("a", "b", "c", "d"),
+                        records=(RatingRecord("u", "i", 4.0, (5.0, 4.0, 3.0, 2.0)),))
+
+
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -61,9 +66,7 @@ class TestFit:
             assert np.all(np.abs(pred - 3.0) <= 0.05)
 
     def test_single_record_fits_the_observation(self):
-        ds = Dataset(criteria_names=("a", "b", "c", "d"),
-                     records=(RatingRecord("u", "i", 4.0, (5.0, 4.0, 3.0, 2.0)),))
-        model = fit(ds, FAST)
+        model = fit(SINGLE_RECORD, FAST)
         pred = predict(model, "u", "i")
         assert np.all(np.abs(pred - np.array([5.0, 4.0, 3.0, 2.0])) <= 0.1)
 
@@ -114,6 +117,53 @@ class TestFit:
         rmse = float(np.sqrt(np.mean(errs)))
         sigma = np.std([v for r in ds.records for v in r.criteria])
         assert 0.5 * sigma < rmse < 2.0 * sigma
+
+
+def everything_user_dataset(m=2):
+    """Sparse data plus one user who rates every item: the longest chains."""
+    base = random_dataset(41, users=8, items=15, m=m, density=0.3)
+    rng = np.random.default_rng(43)
+    full = tuple(RatingRecord("u_all", f"i{i:02d}", 3.0,
+                              tuple(float(v) for v in rng.integers(1, 6, size=m)))
+                 for i in range(15))
+    return Dataset(criteria_names=base.criteria_names, records=base.records + full)
+
+
+def single_user_dataset(m=3):
+    records = tuple(RatingRecord("u", f"i{i:02d}", 3.0,
+                                 tuple(float((i + j) % 5 + 1) for j in range(m)))
+                    for i in range(12))
+    return Dataset(criteria_names=tuple(f"c{j}" for j in range(m)), records=records)
+
+
+def assert_matches_sequential_sgd(ds, cfg):
+    model = fit(ds, cfg)
+    means, ub, ib, uf, itf, history = naive_fit(
+        ds.records, ds.n_criteria, cfg.latent_dim, cfg.learning_rate,
+        cfg.reg, cfg.epochs, cfg.seed)
+    assert np.array_equal(model.global_means, means)
+    assert np.array_equal(model.user_biases, ub)
+    assert np.array_equal(model.item_biases, ib)
+    assert np.array_equal(model.user_factors, uf)
+    assert np.array_equal(model.item_factors, itf)
+    assert model.loss_history == history
+
+
+class TestFitMatchesSequentialSgd:
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("latent_dim", [1, 5, 16])
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_data(self, seed, epochs, latent_dim, m):
+        cfg = TrainConfig(latent_dim=latent_dim, epochs=epochs, seed=seed)
+        assert_matches_sequential_sgd(random_dataset(seed + 50, m=m), cfg)
+
+    @pytest.mark.parametrize("ds", [everything_user_dataset(), single_user_dataset(),
+                                    SINGLE_RECORD],
+                             ids=["user_rates_every_item", "single_user",
+                                  "single_record"])
+    def test_edge_shapes(self, ds):
+        assert_matches_sequential_sgd(ds, TrainConfig(latent_dim=5, epochs=3, seed=7))
 
 
 class TestPredict:
