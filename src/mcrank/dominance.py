@@ -1,9 +1,7 @@
 """Pairwise dominance predicates and per-pair comparison counts.
 
-Everything here is a pure function of two criteria vectors. Equality of
-criteria values is exact by default; ``equal_tol`` widens the equality
-band for predicted continuous ratings, which changes method semantics
-and is therefore off by default.
+Everything here is a pure function of two criteria vectors. Criteria
+values compare exactly, so near-equal predicted ratings count as unequal.
 """
 
 from __future__ import annotations
@@ -38,35 +36,21 @@ def _as_pair(a: Sequence[float], b: Sequence[float]) -> tuple[np.ndarray, np.nda
     return va, vb
 
 
-def dominance_counts(a: Sequence[float], b: Sequence[float], *,
-                     equal_tol: float = 0.0) -> DominanceCounts:
-    """Count criteria where ``a`` beats, ties, or trails ``b``.
-
-    With ``equal_tol`` > 0, values within the tolerance count as equal;
-    "better" then means exceeding by more than the tolerance.
-    """
+def dominance_counts(a: Sequence[float], b: Sequence[float]) -> DominanceCounts:
+    """Count criteria where ``a`` beats, ties, or trails ``b``."""
     va, vb = _as_pair(a, b)
-    if equal_tol < 0:
-        raise DomainError(f"equal_tol must be non-negative, got {equal_tol}")
-    if equal_tol:
-        diff = va - vb
-        n_b = int(np.count_nonzero(diff > equal_tol))
-        n_w = int(np.count_nonzero(diff < -equal_tol))
-    else:
-        n_b = int(np.count_nonzero(va > vb))
-        n_w = int(np.count_nonzero(va < vb))
+    n_b = int(np.count_nonzero(va > vb))
+    n_w = int(np.count_nonzero(va < vb))
     return DominanceCounts(n_b=n_b, n_e=va.size - n_b - n_w, n_w=n_w)
 
 
-def pareto_dominates(a: Sequence[float], b: Sequence[float], *,
-                     equal_tol: float = 0.0) -> bool:
+def pareto_dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     """True iff ``a`` is at least as good everywhere and strictly better somewhere."""
-    counts = dominance_counts(a, b, equal_tol=equal_tol)
+    counts = dominance_counts(a, b)
     return counts.n_w == 0 and counts.n_b >= 1
 
 
-def k_dominates(a: Sequence[float], b: Sequence[float], k: float, *,
-                equal_tol: float = 0.0) -> bool:
+def k_dominates(a: Sequence[float], b: Sequence[float], k: float) -> bool:
     """Relaxed dominance: ``a`` k-dominates ``b``.
 
     Requires at least one unequal criterion, and the better-count to
@@ -78,7 +62,7 @@ def k_dominates(a: Sequence[float], b: Sequence[float], k: float, *,
     kf = float(k)
     if not 0.0 <= kf <= 1.0:
         raise DomainError(f"relaxation factor k must lie in [0, 1], got {k}")
-    counts = dominance_counts(a, b, equal_tol=equal_tol)
+    counts = dominance_counts(a, b)
     m = counts.n_b + counts.n_e + counts.n_w
     if counts.n_e >= m:
         return False

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 
 from .core import CandidateSet, Dataset, MethodSpec, RatingRecord, validate_dataset
-from .errors import DatasetValidationError, ParseError
+from .errors import DatasetValidationError, DomainError, ParseError
 from .pipeline import ExperimentConfig, MetricsReport, Protocol, ReportCell
 from .predictor import TrainConfig
 
@@ -50,9 +50,8 @@ def _parse_float(path: Path, line: int, column: str, text: str) -> float:
         ) from exc
 
 
-def load_dataset(path: str | Path, *,
-                 scale: tuple[float, float] = (1.0, 5.0)) -> Dataset:
-    """Read and validate a rating CSV.
+def load_dataset(path: str | Path) -> Dataset:
+    """Read and validate a rating CSV on the fixed 1-5 scale.
 
     Raises ParseError with a line number on malformed rows, and
     DatasetValidationError listing every invariant violation at once.
@@ -74,8 +73,7 @@ def load_dataset(path: str | Path, *,
                          for i, cell in enumerate(row[3:]))
         records.append(RatingRecord(user_id=row[0], item_id=row[1],
                                     overall=overall, criteria=criteria))
-    dataset = Dataset(criteria_names=names, records=tuple(records),
-                      scale_min=scale[0], scale_max=scale[1])
+    dataset = Dataset(criteria_names=names, records=tuple(records))
     result = validate_dataset(dataset)
     if not result.ok:
         raise DatasetValidationError(result.violations)
@@ -224,7 +222,10 @@ def load_experiment_config(path: str | Path, *,
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: config must be a JSON object")
-    return experiment_config_from_dict(doc, dataset_path=dataset_path)
+    try:
+        return experiment_config_from_dict(doc, dataset_path=dataset_path)
+    except (ParseError, DomainError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 _CELL_FIELDS = ("method", "k", "sub", "n", "fold", "f1", "ndcg",

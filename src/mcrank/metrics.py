@@ -1,10 +1,9 @@
 """Relevance and ranking-quality metrics for top-N recommendation lists.
 
-The DCG discount is max(1, log2(j)) with 1-based positions, so the first
-two positions are undiscounted. That differs from the common log2(j + 1)
-convention, which is available via ``discount="log2p1"``. Gains default
-to the real rating (``gain="rating"``); ``gain="binary"`` uses the
-relevance flag instead.
+DCG follows Järvelin and Kekäläinen (2002): the gain of an item is
+2^rating - 1 and the discount at 1-based position j is max(1, log2(j)),
+so the first two positions are undiscounted. That is the only convention;
+the common log2(j + 1) discount is not offered.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DomainError, EvaluationError
+from .errors import EvaluationError
 
 DEFAULT_RELEVANCE_THRESHOLD = 3.0
 
@@ -92,26 +91,7 @@ def f1(counts: ConfusionCounts) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _gain_value(truth: GroundTruth, item_id: str, gain: str) -> float:
-    if gain == "rating":
-        rel = truth.rating(item_id)
-    elif gain == "binary":
-        rel = 1.0 if truth.is_relevant(item_id) else 0.0
-    else:
-        raise DomainError(f"unknown gain mode {gain!r}")
-    return 2.0 ** rel - 1.0
-
-
-def _discount(j: int, discount: str) -> float:
-    if discount == "unit-floor":
-        return max(1.0, math.log2(j))
-    if discount == "log2p1":
-        return math.log2(j + 1)
-    raise DomainError(f"unknown discount mode {discount!r}")
-
-
-def dcg(ranked: Sequence[str], truth: GroundTruth, *,
-        gain: str = "rating", discount: str = "unit-floor") -> float:
+def dcg(ranked: Sequence[str], truth: GroundTruth) -> float:
     """Discounted cumulative gain of one user's ranked list.
 
     Per-user value only; averaging across users happens in the pipeline.
@@ -120,13 +100,12 @@ def dcg(ranked: Sequence[str], truth: GroundTruth, *,
     if not items:
         raise EvaluationError("cannot compute dcg of an empty list")
     return sum(
-        _gain_value(truth, item, gain) / _discount(j, discount)
+        (2.0 ** truth.rating(item) - 1.0) / max(1.0, math.log2(j))
         for j, item in enumerate(items, start=1)
     )
 
 
 def ndcg(ranked: Sequence[str], truth: GroundTruth, *,
-         gain: str = "rating", discount: str = "unit-floor",
          ideal_pool: Iterable[str] | None = None) -> float:
     """DCG normalized by the ideal ordering's DCG.
 
@@ -141,7 +120,7 @@ def ndcg(ranked: Sequence[str], truth: GroundTruth, *,
         raise EvaluationError("cannot compute ndcg of an empty list")
     pool = list(ideal_pool) if ideal_pool is not None else items
     ideal = sorted(pool, key=lambda i: (-truth.rating(i), i))[:len(items)]
-    ideal_value = dcg(ideal, truth, gain=gain, discount=discount)
+    ideal_value = dcg(ideal, truth)
     if ideal_value == 0.0:
         return 1.0
-    return dcg(items, truth, gain=gain, discount=discount) / ideal_value
+    return dcg(items, truth) / ideal_value

@@ -222,8 +222,8 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
 
     splits = kfold_split(dataset, cfg.folds, cfg.seed)
     n_values = list(cfg.n_values)
-    # (label, n, fold) -> (mean f1, mean ndcg) over users
-    measured: dict[tuple[str, int, int], tuple[float, float]] = {}
+    # (label, n, fold or "avg") -> (mean f1, mean ndcg) over users
+    measured: dict[tuple[str, int, int | str], tuple[float, float]] = {}
     users_evaluated: list[int] = []
     users_skipped: list[int] = []
 
@@ -257,11 +257,10 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
                 )
 
     folds = cfg.folds
-    averaged: dict[tuple[str, int], tuple[float, float]] = {}
     for spec in methods:
         for n in n_values:
             vals = [measured[(spec.label, n, f)] for f in range(folds)]
-            averaged[(spec.label, n)] = (
+            measured[(spec.label, n, "avg")] = (
                 sum(v[0] for v in vals) / folds,
                 sum(v[1] for v in vals) / folds,
             )
@@ -270,7 +269,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
     for spec in methods:
         label, k, sub = _cell_identity(spec)
         for n in n_values:
-            for fold in range(folds):
+            for fold in [*range(folds), "avg"]:
                 f1v, ndv = measured[(label, n, fold)]
                 bf1, bnd = measured[(BASELINE_LABEL, n, fold)]
                 cells.append(ReportCell(
@@ -278,13 +277,6 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
                     f1=f1v, ndcg=ndv,
                     improvement_f1=_ratio(f1v, bf1),
                     improvement_ndcg=_ratio(ndv, bnd)))
-            f1v, ndv = averaged[(label, n)]
-            bf1, bnd = averaged[(BASELINE_LABEL, n)]
-            cells.append(ReportCell(
-                method=label, k=k, sub=sub, n=n, fold="avg",
-                f1=f1v, ndcg=ndv,
-                improvement_f1=_ratio(f1v, bf1),
-                improvement_ndcg=_ratio(ndv, bnd)))
 
     cfg_dict = config_to_dict(cfg)
     config_hash = hashlib.sha256(
@@ -316,16 +308,12 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
 
 
 def sweep_k(dataset: Dataset, k_values, cfg: ExperimentConfig) -> MetricsReport:
-    """Evaluate a KD(k) variant per requested k, same protocol as run_experiment."""
-    ks = [float(k) for k in k_values]
-    if not ks:
-        raise DomainError("sweep needs at least one k value")
-    for k in ks:
-        if not 0.0 <= k <= 1.0:
-            raise DomainError(f"relaxation factor k must lie in [0, 1], got {k}")
-    if len(set(ks)) != len(ks):
-        raise DomainError(f"duplicate k values in sweep: {ks}")
-    swept = replace(cfg, methods=tuple(MethodSpec.kd(k) for k in ks))
+    """Evaluate a KD(k) variant per requested k, same protocol as run_experiment.
+
+    ``MethodSpec.kd`` rejects a k outside [0, 1]; ``ExperimentConfig``
+    rejects an empty or duplicated k list.
+    """
+    swept = replace(cfg, methods=tuple(MethodSpec.kd(k) for k in k_values))
     return run_experiment(dataset, swept)
 
 

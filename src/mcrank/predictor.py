@@ -84,12 +84,6 @@ class PredictorModel:
     def n_criteria(self) -> int:
         return len(self.criteria_names)
 
-    def knows_user(self, user_id: str) -> bool:
-        return user_id in self._user_index
-
-    def knows_item(self, item_id: str) -> bool:
-        return item_id in self._item_index
-
 
 def fit(train: Dataset, cfg: TrainConfig) -> PredictorModel:
     """Train one biased-MF model per criterion with seeded SGD.

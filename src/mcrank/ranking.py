@@ -68,21 +68,22 @@ def average_ranks(values: np.ndarray, *, descending: bool) -> np.ndarray:
     """Fractional 1-based positions; tied values share the average position."""
     values = np.asarray(values, dtype=np.float64)
     n = values.size
-    order = np.argsort(-values if descending else values, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
+    order = (-values if descending else values).argsort(kind="stable")
     sorted_vals = values[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        # positions i+1 .. j+1 averaged
-        ranks[order[i:j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
+    # tie groups are runs in sorted order; run [s, e) spans positions
+    # s+1 .. e, whose average (s + e + 1) / 2 is exact in float64. Array
+    # methods, not np.* wrappers: most candidate sets are a few items long,
+    # so per-call overhead is the cost here.
+    run_start = np.ones(n + 1, dtype=bool)
+    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=run_start[1:n])
+    bounds = run_start.nonzero()[0]
+    starts, ends = bounds[:-1], bounds[1:]
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = ((starts + ends + 1) / 2.0).repeat(ends - starts)
     return ranks
 
 
-def pr_scores(c: CandidateSet, *, equal_tol: float = 0.0) -> ScoreVector:
+def pr_scores(c: CandidateSet) -> ScoreVector:
     """Pareto ranking: each item's score is how many others it dominates."""
     x = c.matrix
     n, m = x.shape
@@ -96,13 +97,8 @@ def pr_scores(c: CandidateSet, *, equal_tol: float = 0.0) -> ScoreVector:
         for j in range(m):
             a = x[s:s + rows, j][:, None]
             b = x[:, j][None, :]
-            if equal_tol:
-                diff = a - b
-                worse_any |= diff < -equal_tol
-                better_any |= diff > equal_tol
-            else:
-                worse_any |= a < b
-                better_any |= a > b
+            worse_any |= a < b
+            better_any |= a > b
         dom = ~worse_any & better_any
         # an identical other item is never dominated, so only true self
         # pairs need masking and they are already false (better_any is
@@ -111,7 +107,7 @@ def pr_scores(c: CandidateSet, *, equal_tol: float = 0.0) -> ScoreVector:
     return ScoreVector(out, Orientation.HIGHER_BETTER)
 
 
-def kd_scores(c: CandidateSet, k: float, *, equal_tol: float = 0.0) -> ScoreVector:
+def kd_scores(c: CandidateSet, k: float) -> ScoreVector:
     """k-dominance counting: how many others each item k-dominates.
 
     The relation can hold in both directions for one pair when k > 0;
@@ -131,13 +127,8 @@ def kd_scores(c: CandidateSet, k: float, *, equal_tol: float = 0.0) -> ScoreVect
         for j in range(m):
             a = x[s:s + rows, j][:, None]
             b = x[:, j][None, :]
-            if equal_tol:
-                diff = a - b
-                n_b += diff > equal_tol
-                n_e += np.abs(diff) <= equal_tol
-            else:
-                n_b += a > b
-                n_e += a == b
+            n_b += a > b
+            n_e += a == b
         # cross-multiplied threshold; n_e == m covers the self pairs
         dom = (n_e < m) & (n_b * (kf + 1.0) >= m - n_e)
         out[s:s + rows] = dom.sum(axis=1)
@@ -236,10 +227,7 @@ def hybrid_scores(c: CandidateSet, major: MethodSpec, sub: MethodSpec) -> ScoreV
     below one, strict major orderings are always preserved; the subsort
     only separates items the major left tied.
     """
-    if major.kind not in ("pr", "kd"):
-        raise DomainError(f"hybrid major must be pr or kd, got {major.kind!r}")
-    if sub.kind not in ("ar", "mr", "gd", "pg"):
-        raise DomainError(f"hybrid sub must be one of ar, mr, gd, pg, got {sub.kind!r}")
+    MethodSpec.hybrid(major, sub)  # rejects a wrong major or sub kind
     major_vec = method_scores(c, major)
     sub_vec = method_scores(c, sub)
     return ScoreVector(major_vec.scores + normalize_sub(sub_vec),

@@ -25,6 +25,8 @@ dyadic_k = st.integers(0, 16).map(lambda i: i / 16)
 class TestDominanceCounts:
     def test_mixed_pair(self):
         assert dominance_counts((4, 5, 3), (4, 4, 4)) == (1, 1, 1)
+        # comparisons are exact: near-equal continuous values are unequal
+        assert dominance_counts((4.0, 4.05), (4.04, 4.0)) == (1, 0, 1)
 
     def test_identical_vectors(self):
         assert dominance_counts((3, 3, 3), (3, 3, 3)) == (0, 3, 0)
@@ -42,12 +44,6 @@ class TestDominanceCounts:
         nb, ne, nw = dominance_counts(a, b)
         assert dominance_counts(b, a) == (nw, ne, nb)
         assert nb + ne + nw == len(a)
-
-    def test_equal_tol_widens_equality(self):
-        assert dominance_counts((4.0, 4.05), (4.04, 4.0)) == (1, 0, 1)
-        assert dominance_counts((4.0, 4.05), (4.04, 4.0), equal_tol=0.1) == (0, 2, 0)
-        with pytest.raises(DomainError):
-            dominance_counts((1,), (1,), equal_tol=-1)
 
 
 class TestParetoDominates:

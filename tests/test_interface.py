@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -318,6 +319,16 @@ class TestCliPipelines:
         assert "Traceback" not in err
         assert key in err
 
+    @pytest.mark.parametrize("doc", [{"folds": "x"}, {"folds": 1}])
+    def test_config_error_names_the_file(self, data_file, tmp_path, capsys, doc):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("evaluate", "--input", data_file, "--config", str(cfg),
+                       "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: " in err
+        assert "Traceback" not in err
+
     def test_predict_feeds_rank(self, data_file, tmp_path, capsys):
         out = tmp_path / "predicted.csv"
         assert run_cli("predict", "--input", data_file, "--out", str(out),
@@ -352,3 +363,17 @@ class TestCliPipelines:
 
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
+
+
+class TestBenchTracerHooks:
+    def test_every_traced_name_resolves(self, monkeypatch):
+        # the benchmark's traced run swaps layer functions by name; a
+        # renamed or removed one would fail it with a KeyError
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        import traced
+        from mcrank import ranking
+
+        original = ranking.method_scores
+        with traced.instrument(traced.Tracer("t")):
+            assert ranking.method_scores is not original
+        assert ranking.method_scores is original

@@ -107,16 +107,6 @@ class TestDcg:
         with pytest.raises(EvaluationError):
             dcg([], truth_for({"a": 1.0}))
 
-    def test_conventional_discount_option(self):
-        t = truth_for({"a": 1.0, "b": 3.0, "c": 5.0})
-        expected = 1.0 / 1.0 + 7.0 / math.log2(3) + 31.0 / 2.0
-        assert dcg(["a", "b", "c"], t, discount="log2p1") == \
-            pytest.approx(expected, abs=1e-12)
-
-    def test_binary_gain_option(self):
-        t = truth_for({"a": 5.0, "b": 1.0})
-        assert dcg(["a", "b"], t, gain="binary") == 1.0
-
     def test_moving_gain_earlier_never_decreases(self):
         t = truth_for({"lo": 1.0, "hi": 5.0, "z": 0.0}, universe={"lo", "hi", "z"})
         worse = dcg(["lo", "z", "hi"], t)

@@ -19,6 +19,7 @@ from mcrank import (
     MethodSpec,
     Orientation,
     ar_scores,
+    average_ranks,
     gain,
     gd_scores,
     hybrid_scores,
@@ -32,6 +33,7 @@ from mcrank import (
     rank_candidates,
     top_n,
 )
+from mcrank import ranking
 
 
 def identical_set(n, vector=(3.0, 3.0)):
@@ -128,6 +130,41 @@ class TestDegenerateSets:
         with pytest.raises(DomainError):
             top_n(ranked, 0)
 
+    def test_hybrid_rejects_wrong_part_kinds(self, five_candidates):
+        with pytest.raises(DomainError):
+            hybrid_scores(five_candidates, MethodSpec.ar(), MethodSpec.pr())
+        with pytest.raises(DomainError):
+            hybrid_scores(five_candidates, MethodSpec.pr(), MethodSpec.kd(0.5))
+
+
+class TestAverageRanks:
+    @staticmethod
+    def assert_matches_oracle(values):
+        values = [float(v) for v in values]
+        desc = average_ranks(np.array(values), descending=True).tolist()
+        asc = average_ranks(np.array(values), descending=False).tolist()
+        assert desc == naive.ranks_desc(values)
+        assert asc == naive.ranks_desc([-v for v in values])
+
+    @pytest.mark.parametrize("values", [
+        [3.0],
+        [2.0, 2.0, 2.0, 2.0],
+        [5.0, 4.0, 3.0, 4.0, 4.0],
+        [0.0, -0.0, 1.0, -0.0, -1.0],
+    ])
+    def test_edge_cases_match_oracle(self, values):
+        self.assert_matches_oracle(values)
+
+    def test_random_arrays_match_oracle(self):
+        rng = np.random.default_rng(67)
+        for trial in range(300):
+            n = int(rng.integers(1, 30))
+            if trial % 2:  # tie-heavy: a few distinct values
+                values = rng.integers(0, int(rng.integers(1, 4)) + 1, size=n) - 1.0
+            else:
+                values = rng.uniform(-2.0, 2.0, size=n)
+            self.assert_matches_oracle(values.tolist())
+
 
 class TestGain:
     def test_examples(self):
@@ -210,6 +247,33 @@ class TestOracleEquivalence:
                     got = hybrid_scores(c, major, MethodSpec(sub_kind)).tolist()
                     expected = naive.hybrid_list(vectors, major_kind, k, sub_kind)
                     assert got == pytest.approx(expected, abs=1e-12)
+
+
+CHUNKED_SPECS = {label: MethodSpec.parse(label)
+                 for label in ("pr", "kd:0.5", "gd", "pg")}
+
+
+class TestChunkedPairwise:
+    """Above about 2,048 candidates at M = 4 the pairwise methods work in
+    row chunks; a small cell budget sends small sets down that path."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_chunks_match_unchunked_and_oracle(self, monkeypatch, rows):
+        rng = np.random.default_rng(80 + rows)
+        for trial in range(30):
+            c = random_candidate_set(rng, min_n=10, max_n=20,
+                                     integer=trial % 2 == 0)
+            whole = {label: method_scores(c, spec).scores
+                     for label, spec in CHUNKED_SPECS.items()}
+            vectors = [tuple(row) for row in c.matrix]
+            with monkeypatch.context() as patch:
+                patch.setattr(ranking, "_CHUNK_CELLS", rows * c.n * c.n_criteria)
+                assert ranking._chunk_rows(c.n, c.n_criteria) == rows
+                for label, spec in CHUNKED_SPECS.items():
+                    got = method_scores(c, spec).scores
+                    assert np.array_equal(got, whole[label]), label
+                    assert got.tolist() == pytest.approx(
+                        METHOD_ORACLES[label](vectors), abs=1e-12), label
 
 
 class TestStructuralProperties:
