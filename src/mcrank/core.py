@@ -299,7 +299,8 @@ class MethodSpec:
     def label(self) -> str:
         """Canonical compact label; ``parse(label)`` round-trips."""
         if self.kind == "kd":
-            return f"kd:{self.k:g}"
+            text = f"{self.k:g}"
+            return f"kd:{text if float(text) == self.k else repr(self.k)}"
         if self.kind == "hybrid":
             return f"{self.major.label}+{self.sub.label}"
         return self.kind

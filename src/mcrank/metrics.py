@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import EvaluationError
 
 DEFAULT_RELEVANCE_THRESHOLD = 3.0
@@ -91,6 +93,16 @@ def f1(counts: ConfusionCounts) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def dcg_gain(rating: float) -> float:
+    """DCG gain of an item with the given true rating."""
+    return 2.0 ** rating - 1.0
+
+
+def dcg_discounts(n: int) -> list[float]:
+    """DCG discounts of positions 1..n."""
+    return [max(1.0, math.log2(j)) for j in range(1, n + 1)]
+
+
 def dcg(ranked: Sequence[str], truth: GroundTruth) -> float:
     """Discounted cumulative gain of one user's ranked list.
 
@@ -99,10 +111,8 @@ def dcg(ranked: Sequence[str], truth: GroundTruth) -> float:
     items = list(ranked)
     if not items:
         raise EvaluationError("cannot compute dcg of an empty list")
-    return sum(
-        (2.0 ** truth.rating(item) - 1.0) / max(1.0, math.log2(j))
-        for j, item in enumerate(items, start=1)
-    )
+    return sum(dcg_gain(truth.rating(item)) / d
+               for item, d in zip(items, dcg_discounts(len(items))))
 
 
 def ndcg(ranked: Sequence[str], truth: GroundTruth, *,
@@ -124,3 +134,42 @@ def ndcg(ranked: Sequence[str], truth: GroundTruth, *,
     if ideal_value == 0.0:
         return 1.0
     return dcg(items, truth) / ideal_value
+
+
+def prefix_means(gains: np.ndarray, hits: np.ndarray, lengths: np.ndarray,
+                 n_relevant: np.ndarray,
+                 n_values: Sequence[int]) -> list[tuple[float, float]]:
+    """Mean F1 and NDCG over users of the top-N prefix, for each N in order.
+
+    Row u is user u's ranked list, best first: ``gains[u, j]`` is the
+    ``dcg_gain`` of the item at position j + 1 and ``hits[u, j]`` says
+    whether it is one of the user's ``n_relevant[u]`` relevant items;
+    both are zero from column ``lengths[u]`` on. Every mean equals, bit
+    for bit, the mean over rows of ``f1(confusion(top, truth))`` and
+    ``ndcg(top, truth)``: sums run in order (``np.cumsum``, like ``sum``;
+    never the pairwise ``np.sum``), and the padding only adds +0.0.
+    """
+    users, width = gains.shape
+    if users == 0:
+        return [(0.0, 0.0)] * len(n_values)
+    disc = np.array(dcg_discounts(width))
+    dcg_at = np.cumsum(gains / disc, axis=1)
+    tp_at = np.cumsum(hits, axis=1)
+    padding = np.arange(width) >= lengths[:, None]
+    # padding sorts after every real gain, negative ones included
+    ideal_key = np.where(padding, -np.inf, gains)
+    out = []
+    for n in n_values:
+        w = min(n, width)
+        tp = tp_at[:, w - 1]
+        precision = tp / np.minimum(lengths, n)
+        recall = tp / np.maximum(n_relevant, 1)
+        f1s = np.divide(2.0 * precision * recall, precision + recall,
+                        out=np.zeros(users), where=tp > 0)
+        ideal_gains = np.where(padding[:, :w], 0.0,
+                               np.sort(ideal_key[:, :w], axis=1)[:, ::-1])
+        ideal = np.cumsum(ideal_gains / disc[:w], axis=1)[:, -1]
+        ndcgs = np.divide(dcg_at[:, w - 1], ideal, out=np.ones(users),
+                          where=ideal != 0.0)
+        out.append((sum(f1s.tolist()) / users, sum(ndcgs.tolist()) / users))
+    return out

@@ -21,7 +21,9 @@ import numpy as np
 
 from .core import CandidateSet, Dataset, MethodSpec, RatingRecord
 from .errors import DomainError, SplitError
-from .metrics import GroundTruth, confusion, f1, ndcg
+from .metrics import GroundTruth, dcg_gain, prefix_means
+# unused here, but bench/traced.py patches these names in this module
+from .metrics import confusion, f1, ndcg  # noqa: F401
 from .predictor import PredictorModel, TrainConfig, fit, predict_many
 from .ranking import rank_candidates, top_n
 
@@ -222,6 +224,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
 
     splits = kfold_split(dataset, cfg.folds, cfg.seed)
     n_values = list(cfg.n_values)
+    max_n = max(n_values, default=1)  # no list is read past max_n
     # (label, n, fold or "avg") -> (mean f1, mean ndcg) over users
     measured: dict[tuple[str, int, int | str], tuple[float, float]] = {}
     users_evaluated: list[int] = []
@@ -237,24 +240,30 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
         users_evaluated.append(len(users))
         users_skipped.append(len(skipped))
 
+        # only a rated candidate can have a nonzero gain or be relevant;
+        # any other candidate rates 0, and dcg_gain(0.0) is 0.0
+        rated_gain = [{i: dcg_gain(r) for i, r in truths[u].ratings.items()}
+                      for u in users]
+        relevant = [truths[u].relevant for u in users]
+        n_relevant = np.array([len(r) for r in relevant], dtype=np.int64)
+        lengths = np.array([min(cands[u].n, max_n) for u in users], dtype=np.int64)
+        shown = np.arange(int(lengths.max(initial=0))) < lengths[:, None]
+
         for spec in methods:
-            per_user = []
-            for user in users:
-                ranked = rank_candidates(cands[user], spec)
-                truth = truths[user]
-                out = {}
-                for n in n_values:
-                    ids = top_n(ranked, n).item_ids
-                    out[n] = (f1(confusion(ids, truth)), ndcg(ids, truth))
-                per_user.append(out)
-            for n in n_values:
-                f1s = [r[n][0] for r in per_user]
-                nds = [r[n][1] for r in per_user]
-                count = len(users)
-                measured[(spec.label, n, fold)] = (
-                    sum(f1s) / count if count else 0.0,
-                    sum(nds) / count if count else 0.0,
-                )
+            gains: list[float] = []
+            hits: list[bool] = []
+            for user, user_gain, user_relevant in zip(users, rated_gain, relevant):
+                ids = top_n(rank_candidates(cands[user], spec), max_n).item_ids
+                gains.extend([user_gain.get(i, 0.0) for i in ids])
+                hits.extend([i in user_relevant for i in ids])
+            ranked_gains = np.zeros(shown.shape)
+            ranked_gains[shown] = gains
+            ranked_hits = np.zeros(shown.shape, dtype=bool)
+            ranked_hits[shown] = hits
+            means = prefix_means(ranked_gains, ranked_hits, lengths,
+                                 n_relevant, n_values)
+            for n, mean in zip(n_values, means):
+                measured[(spec.label, n, fold)] = mean
 
     folds = cfg.folds
     for spec in methods:

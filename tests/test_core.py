@@ -7,6 +7,7 @@ from mcrank import (
     Dataset,
     DimensionError,
     DomainError,
+    ExperimentConfig,
     MethodSpec,
     RatingRecord,
     ScoredList,
@@ -150,9 +151,25 @@ class TestMethodSpec:
             MethodSpec.hybrid(MethodSpec.pr(), MethodSpec.kd(0.5))
 
     @pytest.mark.parametrize("label", ["pr", "ar", "mr", "gd", "pg",
-                                       "kd:0.5", "kd:0.5+pg", "pr+ar"])
+                                       "kd:0.5", "kd:0.5+pg", "pr+ar",
+                                       "kd:0", "kd:1", "kd:0.25",
+                                       "kd:0.1234567", "kd:0.1234567+ar"])
     def test_parse_label_round_trip(self, label):
         assert MethodSpec.parse(label).label == label
+
+    @pytest.mark.parametrize("k", [0.0, 0.25, 1.0, 0.1234567, 0.1234568,
+                                   1 / 3, 0.1, 1e-7, 0.9999999999])
+    def test_kd_label_round_trips_k(self, k):
+        # a k that six significant digits would round keeps its repr
+        spec = MethodSpec.kd(k)
+        assert MethodSpec.parse(spec.label).k == k
+        hybrid = MethodSpec.hybrid(spec, MethodSpec.pg())
+        assert MethodSpec.parse(hybrid.label) == hybrid
+
+    def test_k_values_equal_to_six_digits_are_distinct_methods(self):
+        cfg = ExperimentConfig(methods=(MethodSpec.parse("kd:0.1234567"),
+                                        MethodSpec.parse("kd:0.1234568")))
+        assert [m.label for m in cfg.methods] == ["kd:0.1234567", "kd:0.1234568"]
 
     def test_parse_rejects_garbage(self):
         for text in ["nope", "kd", "kd:2", "ar+pg", "kd:0.5+kd:0.5"]:

@@ -1,17 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 
 from mcrank import (
     ConfusionCounts,
     EvaluationError,
     GroundTruth,
+    ScoredList,
     confusion,
     dcg,
     f1,
     ndcg,
     relevance,
+    top_n,
 )
+from mcrank.metrics import dcg_gain, prefix_means
 
 
 def truth_for(ratings, threshold=3.0, universe=()):
@@ -152,3 +156,113 @@ class TestNdcg:
     def test_empty_list_rejected(self):
         with pytest.raises(EvaluationError):
             ndcg([], truth_for({"a": 1.0}))
+
+
+def random_user(rng, u):
+    """A ranked list with tied scores and its ground truth.
+
+    Items are rated or left unrated (rating 0 from the universe), some
+    ratings are non-integer or negative, and the threshold is sometimes 0,
+    where an unrated item still is not relevant.
+    """
+    n = int(rng.integers(1, 16))
+    items = [f"u{u}i{j:02d}" for j in range(n)]
+    kind = int(rng.integers(4))
+    if kind == 0:  # nothing rated: every gain is 0
+        ratings = {}
+    else:
+        rated = [i for i in items if rng.random() < 0.6]
+        values = {1: rng.integers(0, 6, len(rated)).astype(float),
+                  2: np.round(rng.uniform(0.0, 5.0, len(rated)), 2),
+                  3: rng.uniform(-1.0, 5.0, len(rated))}[kind]
+        ratings = dict(zip(rated, values.tolist()))
+    threshold = [0.0, 2.5, 3.0, 4.5][int(rng.integers(4))]
+    truth = GroundTruth(user_id=f"u{u}", ratings=ratings, threshold=threshold,
+                        universe=frozenset(items))
+    scores = rng.integers(0, 4, n).astype(float)
+    return ScoredList.from_pairs(zip(items, scores.tolist())), truth
+
+
+def per_list_means(ranked, truths, n_values):
+    """Mean f1(confusion(...)) and ndcg(...) of every top-N list."""
+    out = []
+    for n in n_values:
+        tops = [top_n(r, n).item_ids for r in ranked]
+        f1s = [f1(confusion(t, truth)) for t, truth in zip(tops, truths)]
+        nds = [ndcg(t, truth) for t, truth in zip(tops, truths)]
+        out.append((sum(f1s) / len(tops), sum(nds) / len(tops)))
+    return out
+
+
+def kernel_means(ranked, truths, n_values):
+    """prefix_means over the zero-padded top-max(N) rows of the lists."""
+    lists = [top_n(r, max(n_values)).item_ids for r in ranked]
+    lengths = np.array([len(ids) for ids in lists])
+    gains = np.zeros((len(lists), lengths.max()))
+    hits = np.zeros(gains.shape, dtype=bool)
+    for u, (ids, truth) in enumerate(zip(lists, truths)):
+        gains[u, :len(ids)] = [dcg_gain(truth.rating(i)) for i in ids]
+        hits[u, :len(ids)] = [i in truth.relevant for i in ids]
+    n_relevant = np.array([len(t.relevant) for t in truths])
+    return prefix_means(gains, hits, lengths, n_relevant, n_values)
+
+
+class TestPrefixMeans:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_per_list_metrics(self, seed):
+        rng = np.random.default_rng(seed)
+        ranked, truths = zip(*(random_user(rng, u)
+                               for u in range(int(rng.integers(1, 30)))))
+        n_values = sorted(rng.choice(np.arange(1, 21), size=int(rng.integers(1, 9)),
+                                     replace=False).tolist())
+        assert kernel_means(ranked, truths, n_values) == \
+            per_list_means(ranked, truths, n_values)
+
+    def test_cases_the_random_users_cover(self):
+        # the seeds above reach every edge case the kernel must match on
+        kinds = {"short": 0, "no relevant": 0, "all-zero gains": 0,
+                 "non-integer": 0, "negative gain": 0,
+                 "unrated at threshold 0": 0, "tie": 0}
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            users = [random_user(rng, u) for u in range(int(rng.integers(1, 30)))]
+            for r, t in users:
+                ratings = [t.rating(i) for i in r.item_ids]
+                kinds["short"] += len(r) < 20
+                kinds["no relevant"] += not t.relevant
+                kinds["all-zero gains"] += all(x == 0.0 for x in ratings)
+                kinds["non-integer"] += any(x != int(x) for x in ratings)
+                kinds["negative gain"] += any(x < 0.0 for x in ratings)
+                kinds["unrated at threshold 0"] += (
+                    t.threshold == 0.0 and len(t.ratings) < len(r))
+                kinds["tie"] += len(set(r.scores)) < len(r)
+        assert all(kinds.values()), kinds
+
+    def test_long_list(self):
+        # the one gain sits at position 1621, where np.log2 and math.log2
+        # first differ
+        items = [f"i{j:04d}" for j in range(1700)]
+        truth = truth_for({items[1620]: 5.0}, universe=items)
+        ranked = [ScoredList.from_pairs((i, 0.0) for i in items)]
+        n_values = [1620, 1621, 1700]
+        assert kernel_means(ranked, [truth], n_values) == \
+            per_list_means(ranked, [truth], n_values)
+
+    def test_no_users(self):
+        empty = np.zeros((0, 0))
+        out = prefix_means(empty, empty.astype(bool), np.zeros(0, dtype=int),
+                           np.zeros(0, dtype=int), [1, 5])
+        assert out == [(0.0, 0.0), (0.0, 0.0)]
+
+    def test_golden_rows(self):
+        # row 0: gains 1, 7, 31 worst first; row 1: one item, nothing relevant
+        t0 = truth_for({"a": 1.0, "b": 3.0, "c": 5.0})
+        t1 = truth_for({"z": 2.0})
+        gains = np.array([[1.0, 7.0, 31.0], [3.0, 0.0, 0.0]])
+        hits = np.array([[False, True, True], [False, False, False]])
+        (f1_1, nd_1), (f1_3, nd_3) = prefix_means(
+            gains, hits, np.array([3, 1]), np.array([2, 0]), [1, 3])
+        assert (f1_1, nd_1) == (0.0, 1.0)
+        assert f1_3 == f1(confusion(["a", "b", "c"], t0)) / 2
+        assert f1_3 == pytest.approx(0.4, abs=1e-12)
+        assert nd_3 == (ndcg(["a", "b", "c"], t0) + ndcg(["z"], t1)) / 2

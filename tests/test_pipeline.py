@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,18 @@ from mcrank import (
     SplitError,
     TrainConfig,
     build_candidates,
+    confusion,
+    f1,
     fit,
     kfold_split,
     method_scores,
+    ndcg,
     predict_many,
     rank_candidates,
     run_experiment,
     sweep_k,
     synth_generate,
+    top_n,
     validate_dataset,
 )
 
@@ -203,6 +209,43 @@ class TestRunExperiment:
             hybrid_ids = rank_candidates(cset, hybrid).item_ids
             for earlier, later in zip(hybrid_ids, hybrid_ids[1:]):
                 assert major_score[earlier] >= major_score[later]
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("threshold", [3.0, 0.0])
+    def test_every_cell_equals_per_list_evaluation(self, protocol, threshold):
+        # the oracle scores each (fold, method, user, N) list on its own
+        # with the per-list metrics; at threshold 0 an unrated candidate
+        # must still count as non-relevant
+        ds = small_dataset(15)
+        cfg = small_config(["kd:0.5", "ar", "mr", "gd", "kd:0.5+pg"],
+                           protocol=protocol, relevance_threshold=threshold,
+                           n_values=(1, 2, 3, 5, 8, 12, 40))
+        report = run_experiment(ds, cfg)
+        methods = [MethodSpec.parse(m) for m in report.metadata["methods"]]
+        per_fold = []
+        for fold, (train, test) in enumerate(kfold_split(ds, cfg.folds, cfg.seed)):
+            model = fit(train, replace(cfg.train, seed=cfg.train.seed + fold))
+            cands, truths, _ = build_candidates(model, test, protocol, train=train,
+                                                threshold=threshold)
+            users = sorted(cands)
+            means = {}
+            for spec in methods:
+                ranked = [rank_candidates(cands[u], spec) for u in users]
+                for n in cfg.n_values:
+                    tops = [top_n(r, n).item_ids for r in ranked]
+                    f1s = [f1(confusion(t, truths[u])) for t, u in zip(tops, users)]
+                    nds = [ndcg(t, truths[u]) for t, u in zip(tops, users)]
+                    means[(spec.label, n)] = (sum(f1s) / len(users),
+                                              sum(nds) / len(users))
+            per_fold.append(means)
+        for spec in methods:
+            for n in cfg.n_values:
+                for fold, means in enumerate(per_fold):
+                    cell = report.cell(spec.label, n, str(fold))
+                    assert (cell.f1, cell.ndcg) == means[(spec.label, n)]
+                avg = report.cell(spec.label, n)
+                assert avg.f1 == sum(m[(spec.label, n)][0] for m in per_fold) / cfg.folds
+                assert avg.ndcg == sum(m[(spec.label, n)][1] for m in per_fold) / cfg.folds
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -213,6 +213,46 @@ class TestNormalizeSub:
         assert lower.tolist() == [2 / 3, 1 / 3, 0.0]
 
 
+class TestHybridFloatLimit:
+    """``hybrid_scores`` is ``major + (n - rho) / n`` in float64, with a
+    major of at most n - 1 and half-integer ranks rho in [1, n]. Up to
+    n = 2**26 candidates adjacent ranks stay apart and no sum reaches the
+    next major; at 2**26 + 1 adjacent ranks under major n - 1 merge. The
+    limit is checked on scalars, so no array of size n is allocated."""
+
+    @staticmethod
+    def encode(major, rho, n):
+        n = np.float64(n)
+        return np.float64(major) + (n - np.float64(rho)) / n
+
+    def test_scalar_encoding_is_hybrid_scores(self):
+        rng = np.random.default_rng(5)
+        major_spec = MethodSpec.kd(0.5)
+        for _ in range(20):
+            c = random_candidate_set(rng, min_n=2)
+            for sub in (MethodSpec.ar(), MethodSpec.pg()):
+                major = method_scores(c, major_spec).scores
+                vec = method_scores(c, sub)
+                rho = average_ranks(vec.scores, descending=vec.orientation
+                                    is Orientation.HIGHER_BETTER)
+                got = hybrid_scores(c, major_spec, sub).scores.tolist()
+                assert got == [self.encode(a, r, c.n) for a, r in zip(major, rho)]
+
+    def test_holds_at_two_to_the_26(self):
+        n = 2 ** 26
+        ranks = ([1.0 + h / 2 for h in range(400)]
+                 + [n / 2 + h / 2 for h in range(400)]
+                 + [n - 199.5 + h / 2 for h in range(400)])
+        for major in (0, n // 2, n - 1):
+            values = [self.encode(major, r, n) for r in ranks]
+            assert all(a > b for a, b in zip(values, values[1:]))
+            assert values[0] < major + 1 and values[-1] == major
+
+    def test_adjacent_ranks_merge_one_candidate_later(self):
+        n = 2 ** 26 + 1
+        assert self.encode(n - 1, 1.0, n) == self.encode(n - 1, 1.5, n)
+
+
 METHOD_ORACLES = {
     "pr": lambda vs: naive.pr_list(vs),
     "kd:0.25": lambda vs: naive.kd_list(vs, 0.25),
