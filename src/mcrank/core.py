@@ -190,7 +190,7 @@ class CandidateSet:
         ids = tuple(str(i) for i, _ in pairs)
         if not pairs:
             raise DimensionError("candidate set must have at least one item")
-        mat = np.asarray([np.asarray(v, dtype=np.float64) for _, v in pairs])
+        mat = np.array([v for _, v in pairs], dtype=np.float64)
         return cls(user_id=user_id, item_ids=ids, matrix=mat)
 
     @property

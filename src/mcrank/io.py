@@ -27,14 +27,19 @@ def format_rating(value: float) -> str:
     return str(int(f)) if f.is_integer() else repr(f)
 
 
-def _read_rows(path: str | Path):
-    path = Path(path)
+def _read_text(path: Path) -> str:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    rows = [(i + 1, [cell.strip() for cell in row])
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_rows(path: str | Path):
+    path = Path(path)
+    reader = csv.reader(_read_text(path).splitlines())
+    rows = [(i + 1, list(map(str.strip, row)))
             for i, row in enumerate(reader) if row]
     if not rows:
         raise ParseError(f"{path}: no header (file is empty)")
@@ -114,8 +119,12 @@ def load_candidate_sets(path: str | Path) -> dict[str, CandidateSet]:
         if len(row) != len(header):
             raise ParseError(
                 f"{path}: line {line}: expected {len(header)} columns, got {len(row)}")
-        vector = [_parse_float(path, line, names[i], cell)
-                  for i, cell in enumerate(row[first_criterion:])]
+        cells = row[first_criterion:]
+        try:
+            vector = list(map(float, cells))
+        except ValueError:  # locate the bad cell
+            vector = [_parse_float(path, line, names[i], cell)
+                      for i, cell in enumerate(cells)]
         user, item = row[0], row[1]
         vectors = per_user.setdefault(user, {})
         if item in vectors:
@@ -215,9 +224,7 @@ def load_experiment_config(path: str | Path, *,
                            dataset_path: str | None = None) -> ExperimentConfig:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read: {exc}") from exc
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,10 +71,15 @@ class ExperimentConfig:
             raise DomainError(f"fold count must be >= 2, got {self.folds}")
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative, got {self.seed}")
+        if not self.n_values:
+            raise DomainError("n_values must hold at least one top-N length")
         if any(n < 1 for n in self.n_values):
             raise DomainError("top-N values must be positive")
         if len(set(self.n_values)) != len(self.n_values):
             raise DomainError("top-N values must be distinct")
+        if not math.isfinite(self.relevance_threshold):
+            raise DomainError(
+                f"relevance_threshold must be finite, got {self.relevance_threshold}")
         labels = [m.label for m in self.methods]
         if len(set(labels)) != len(labels):
             raise DomainError(f"duplicate ranking methods configured: {labels}")
@@ -224,7 +230,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
 
     splits = kfold_split(dataset, cfg.folds, cfg.seed)
     n_values = list(cfg.n_values)
-    max_n = max(n_values, default=1)  # no list is read past max_n
+    max_n = max(n_values)  # no list is read past max_n
     # (label, n, fold or "avg") -> (mean f1, mean ndcg) over users
     measured: dict[tuple[str, int, int | str], tuple[float, float]] = {}
     users_evaluated: list[int] = []

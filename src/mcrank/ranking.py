@@ -6,13 +6,15 @@ Dominance counting methods (pr, kd) and degree-of-dominance methods
 top of the list. ``rank_candidates`` hides the orientation difference
 and always returns a descending-is-better ScoredList.
 
-All pairwise scoring is vectorized and processed in row chunks so peak
-memory stays bounded for large candidate sets.
+All pairwise scoring is one vectorized pass over cache-sized row chunks,
+so peak memory stays bounded for large candidate sets, and a hybrid with
+a gd/pg subsort gets its major and its gains from the same pass.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +22,10 @@ import numpy as np
 from .core import CandidateSet, MethodSpec, ScoredList
 from .errors import DimensionError, DomainError
 
-# Rows per chunk are sized so one criterion pass over a chunk touches at
-# most this many (row, candidate) cells, keeping temporaries cache-sized.
-_CHUNK_CELLS = 1 << 24
+# Rows per chunk are sized so that one chunk's (rows, n) differences, taken
+# over all M criteria, number at most this many cells: 16 rows at n = 2,000,
+# M = 4, which keeps each (rows, n) temporary (256 KB as float64) in cache.
+_CHUNK_CELLS = 1 << 17
 
 
 class Orientation(enum.Enum):
@@ -53,15 +56,83 @@ def _chunk_rows(n: int, m: int) -> int:
     return max(1, _CHUNK_CELLS // max(1, n * m))
 
 
-def _pairwise_gains(x: np.ndarray, start: int, rows: int) -> np.ndarray:
-    """Gain of each chunk row over every candidate, shape (rows, n)."""
+@functools.lru_cache(maxsize=64)
+def _least_better(m: int, k: float) -> np.ndarray:
+    """Per count n_e of equal criteria, the least count n_b of better ones
+    with which one candidate k-dominates another.
+
+    The test is the threshold ``n_b * (k + 1) >= m - n_e`` with n_e < m,
+    which reads only (n_b, n_e) (Chan et al. 2006); identical vectors
+    (n_e = m, n_b = 0) get 1, so they never dominate. int8 counters hold
+    every count up to M = 127.
+    """
+    table = np.ones(m + 1, dtype=np.int8 if m <= 127 else np.int32)
+    for n_e in range(m):
+        table[n_e] = min(n_b for n_b in range(m - n_e + 1)
+                         if n_b * (k + 1.0) >= m - n_e)
+    table.flags.writeable = False
+    return table
+
+
+def _pairwise(c: CandidateSet, k: float | None = None,
+              sub: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Dominance counts and gd/pg scores of every candidate, in one pass.
+
+    ``k`` asks for how many others each candidate k-dominates (k = 0 is
+    Pareto dominance), ``sub`` for its ``"gd"`` or ``"pg"`` score; what is
+    not asked for comes back as zeros. Per row chunk and criterion a - b is
+    formed once: for finite values with gradual underflow, a - b > 0 iff
+    a > b and a - b == 0 iff a == b (an overflowed difference keeps its
+    sign), and max(a - b, 0) is the gain, summed in criterion order.
+    """
+    x = c.matrix
     n, m = x.shape
-    gains = np.zeros((rows, n), dtype=np.float64)
-    for j in range(m):
-        diff = x[start:start + rows, j][:, None] - x[:, j][None, :]
-        np.maximum(diff, 0.0, out=diff)
-        gains += diff
-    return gains
+    cols = np.ascontiguousarray(x.T)
+    chunk = _chunk_rows(n, m)
+    count, out, best_in = np.zeros(n), np.zeros(n), np.full(n, -np.inf)
+    diff = np.empty((min(chunk, n), n))
+    if k:
+        least = _least_better(m, k)
+        flag = np.empty(diff.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, n, chunk):
+            rows = min(chunk, n - s)
+            d = diff[:rows]
+            if k == 0:  # Pareto: no criterion worse and one better
+                worse, better = np.zeros((2, rows, n), dtype=bool)
+            elif k is not None:
+                n_b, n_e = np.zeros((2, rows, n), dtype=least.dtype)
+            if sub is not None:
+                gains = np.zeros((rows, n))
+            for j in range(m):
+                np.subtract(cols[j, s:s + rows, None], cols[j], out=d)
+                if k == 0:
+                    worse |= d < 0.0
+                    better |= d > 0.0
+                elif k is not None:
+                    n_b += np.greater(d, 0.0, out=flag[:rows]).view(np.int8)
+                    n_e += np.equal(d, 0.0, out=flag[:rows]).view(np.int8)
+                if sub is not None:
+                    gains += np.maximum(d, 0.0, out=d)
+            # self pairs are equal on every criterion, so never dominated;
+            # int32 row counts are exact below 2^31 candidates
+            if k is not None:
+                dom = better > worse if k == 0 else n_b >= least.take(n_e)
+                count[s:s + rows] = dom.sum(axis=1, dtype=np.int32)
+            # a self pair's gain is +0.0 and no gain is below it, so self
+            # pairs change no maximum; a lone candidate's pg is 0 - 0
+            if sub == "gd":
+                out[s:s + rows] = gains.sum(axis=1)
+            elif sub == "pg":
+                out[s:s + rows] = gains.max(axis=1)
+                np.maximum(best_in, gains.max(axis=0), out=best_in)
+        if sub == "pg":
+            out -= best_in
+    if sub is not None and not np.isfinite(out).all():
+        raise DomainError(
+            f"{sub} gains overflow for user {c.user_id!r}: n * M * (largest "
+            f"per-criterion spread) of its candidates must be finite")
+    return count, out
 
 
 def average_ranks(values: np.ndarray, *, descending: bool) -> np.ndarray:
@@ -85,26 +156,7 @@ def average_ranks(values: np.ndarray, *, descending: bool) -> np.ndarray:
 
 def pr_scores(c: CandidateSet) -> ScoreVector:
     """Pareto ranking: each item's score is how many others it dominates."""
-    x = c.matrix
-    n, m = x.shape
-    out = np.zeros(n, dtype=np.float64)
-    chunk = _chunk_rows(n, m)
-    for s in range(0, n, chunk):
-        rows = min(chunk, n - s)
-        worse_any = np.zeros((rows, n), dtype=bool)
-        better_any = np.zeros((rows, n), dtype=bool)
-        # accumulate per criterion: 2-D temporaries stay cache-friendly
-        for j in range(m):
-            a = x[s:s + rows, j][:, None]
-            b = x[:, j][None, :]
-            worse_any |= a < b
-            better_any |= a > b
-        dom = ~worse_any & better_any
-        # an identical other item is never dominated, so only true self
-        # pairs need masking and they are already false (better_any is
-        # false on the diagonal); no explicit diagonal fix needed
-        out[s:s + rows] = dom.sum(axis=1)
-    return ScoreVector(out, Orientation.HIGHER_BETTER)
+    return ScoreVector(_pairwise(c, k=0.0)[0], Orientation.HIGHER_BETTER)
 
 
 def kd_scores(c: CandidateSet, k: float) -> ScoreVector:
@@ -116,23 +168,7 @@ def kd_scores(c: CandidateSet, k: float) -> ScoreVector:
     kf = float(k)
     if not 0.0 <= kf <= 1.0:
         raise DomainError(f"relaxation factor k must lie in [0, 1], got {k}")
-    x = c.matrix
-    n, m = x.shape
-    out = np.zeros(n, dtype=np.float64)
-    chunk = _chunk_rows(n, m)
-    for s in range(0, n, chunk):
-        rows = min(chunk, n - s)
-        n_b = np.zeros((rows, n), dtype=np.int32)
-        n_e = np.zeros((rows, n), dtype=np.int32)
-        for j in range(m):
-            a = x[s:s + rows, j][:, None]
-            b = x[:, j][None, :]
-            n_b += a > b
-            n_e += a == b
-        # cross-multiplied threshold; n_e == m covers the self pairs
-        dom = (n_e < m) & (n_b * (kf + 1.0) >= m - n_e)
-        out[s:s + rows] = dom.sum(axis=1)
-    return ScoreVector(out, Orientation.HIGHER_BETTER)
+    return ScoreVector(_pairwise(c, k=kf)[0], Orientation.HIGHER_BETTER)
 
 
 def per_criterion_ranks(c: CandidateSet, m: int) -> np.ndarray:
@@ -171,16 +207,7 @@ def gain(a, b) -> float:
 
 def gd_scores(c: CandidateSet) -> ScoreVector:
     """Global detriment: accumulated gains over every other candidate."""
-    x = c.matrix
-    n, m = x.shape
-    out = np.zeros(n, dtype=np.float64)
-    chunk = _chunk_rows(n, m)
-    for s in range(0, n, chunk):
-        rows = min(chunk, n - s)
-        gains = _pairwise_gains(x, s, rows)
-        # gain against self is zero, so the self pair contributes nothing
-        out[s:s + rows] = gains.sum(axis=1)
-    return ScoreVector(out, Orientation.HIGHER_BETTER)
+    return ScoreVector(_pairwise(c, sub="gd")[1], Orientation.HIGHER_BETTER)
 
 
 def pg_scores(c: CandidateSet) -> ScoreVector:
@@ -188,22 +215,7 @@ def pg_scores(c: CandidateSet) -> ScoreVector:
 
     Defined as 0 for a single candidate (no other items to compare).
     """
-    x = c.matrix
-    n, m = x.shape
-    if n == 1:
-        return ScoreVector(np.zeros(1), Orientation.HIGHER_BETTER)
-    best_out = np.full(n, -np.inf)
-    best_in = np.full(n, -np.inf)
-    chunk = _chunk_rows(n, m)
-    for s in range(0, n, chunk):
-        rows = min(chunk, n - s)
-        gains = _pairwise_gains(x, s, rows)
-        # mask the self pairs out of both maxima
-        local = np.arange(s, s + rows)
-        gains[local - s, local] = -np.inf
-        best_out[s:s + rows] = np.maximum(best_out[s:s + rows], gains.max(axis=1))
-        best_in = np.maximum(best_in, gains.max(axis=0))
-    return ScoreVector(best_out - best_in, Orientation.HIGHER_BETTER)
+    return ScoreVector(_pairwise(c, sub="pg")[1], Orientation.HIGHER_BETTER)
 
 
 def normalize_sub(s: ScoreVector) -> np.ndarray:
@@ -228,10 +240,14 @@ def hybrid_scores(c: CandidateSet, major: MethodSpec, sub: MethodSpec) -> ScoreV
     only separates items the major left tied.
     """
     MethodSpec.hybrid(major, sub)  # rejects a wrong major or sub kind
-    major_vec = method_scores(c, major)
-    sub_vec = method_scores(c, sub)
-    return ScoreVector(major_vec.scores + normalize_sub(sub_vec),
-                       Orientation.HIGHER_BETTER)
+    if sub.kind in ("gd", "pg"):  # both parts from one pairwise pass
+        counts, gains = _pairwise(c, 0.0 if major.kind == "pr" else major.k,
+                                  sub.kind)
+        sub_vec = ScoreVector(gains, Orientation.HIGHER_BETTER)
+    else:
+        counts = method_scores(c, major).scores
+        sub_vec = method_scores(c, sub)
+    return ScoreVector(counts + normalize_sub(sub_vec), Orientation.HIGHER_BETTER)
 
 
 def method_scores(c: CandidateSet, spec: MethodSpec) -> ScoreVector:

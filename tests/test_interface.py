@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -237,10 +238,40 @@ class TestCliRank:
         assert run_cli("rank", "--input", "/does/not/exist.csv",
                        "--method", "pr") == 2
 
+    def test_overflowing_gains_are_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("user_id,item_id,a,b\n"
+                        "u9,T1,1e308,-1e308\nu9,T2,-1e308,1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("rank", "--input", str(path), "--predicted",
+                           "--method", "pg") == 2
+        captured = capsys.readouterr()
+        assert "'u9'" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_invalid_ratings_are_a_data_error(self, tmp_path):
         path = tmp_path / "invalid.csv"
         path.write_text("user_id,item_id,overall,food\nU1,T1,9,4\n")
         assert run_cli("rank", "--input", str(path), "--method", "pr") == 2
+
+
+@pytest.mark.parametrize("role", ["dataset", "predicted", "config"])
+def test_non_utf8_input_is_a_data_error(tmp_path, capsys, role):
+    data = tmp_path / "data.csv"
+    save_dataset(synth_generate(8, 6, 2, 0.6, seed=1), data)
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"methods": ["pr"], "folds": 2}')
+    bad = {"dataset": data, "predicted": data, "config": cfg}[role]
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    if role == "predicted":
+        argv = ["rank", "--input", str(data), "--predicted", "--method", "pr"]
+    else:
+        argv = ["evaluate", "--input", str(data), "--config", str(cfg),
+                "--out", str(tmp_path / "r.json")]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: not UTF-8" in err and "Traceback" not in err
 
 
 class TestCliPipelines:
@@ -318,6 +349,22 @@ class TestCliPipelines:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert key in err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"n_values": []}', "n_values"),
+        ('{"relevance_threshold": 1e999}', "relevance_threshold"),
+    ], ids=["empty-n_values", "infinite-threshold"])
+    def test_out_of_domain_config_value_is_a_data_error(self, data_file, tmp_path,
+                                                        capsys, text, key):
+        cfg = tmp_path / "domain.json"
+        cfg.write_text(text)
+        out = tmp_path / "r.json"
+        assert run_cli("evaluate", "--input", data_file, "--config", str(cfg),
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{cfg}: {key}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc", [{"folds": "x"}, {"folds": 1}])
     def test_config_error_names_the_file(self, data_file, tmp_path, capsys, doc):

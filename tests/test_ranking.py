@@ -1,3 +1,6 @@
+import functools
+import warnings
+
 import numpy as np
 import pytest
 import naive
@@ -289,12 +292,34 @@ class TestOracleEquivalence:
                     assert got == pytest.approx(expected, abs=1e-12)
 
 
-CHUNKED_SPECS = {label: MethodSpec.parse(label)
-                 for label in ("pr", "kd:0.5", "gd", "pg")}
+HYBRID_ORACLES = {
+    label: functools.partial(naive.hybrid_list, major_kind=major, k=k, sub_kind=sub)
+    for label, major, k, sub in (("pr+gd", "pr", None, "gd"),
+                                 ("pr+pg", "pr", None, "pg"),
+                                 ("kd:0.5+gd", "kd", 0.5, "gd"),
+                                 ("kd:0.5+pg", "kd", 0.5, "pg"),
+                                 ("kd:1+pg", "kd", 1.0, "pg"))
+}
+PAIRWISE_ORACLES = {
+    **{label: METHOD_ORACLES[label] for label in ("pr", "kd:0.5", "gd", "pg")},
+    **HYBRID_ORACLES,
+}
+
+
+def assert_pairwise_match_oracle(c, exact_gd=False):
+    """Scores equal the oracle's: exactly, except gd's order-dependent sum."""
+    vectors = [tuple(row) for row in c.matrix]
+    for label in PAIRWISE_ORACLES:
+        got = method_scores(c, MethodSpec.parse(label)).tolist()
+        expected = PAIRWISE_ORACLES[label](vectors)
+        if label == "gd" and not exact_gd:
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), label
+        else:
+            assert got == expected, label
 
 
 class TestChunkedPairwise:
-    """Above about 2,048 candidates at M = 4 the pairwise methods work in
+    """Above about 180 candidates at M = 4 the pairwise methods work in
     row chunks; a small cell budget sends small sets down that path."""
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -303,17 +328,65 @@ class TestChunkedPairwise:
         for trial in range(30):
             c = random_candidate_set(rng, min_n=10, max_n=20,
                                      integer=trial % 2 == 0)
-            whole = {label: method_scores(c, spec).scores
-                     for label, spec in CHUNKED_SPECS.items()}
-            vectors = [tuple(row) for row in c.matrix]
+            whole = {label: method_scores(c, MethodSpec.parse(label)).scores
+                     for label in PAIRWISE_ORACLES}
             with monkeypatch.context() as patch:
                 patch.setattr(ranking, "_CHUNK_CELLS", rows * c.n * c.n_criteria)
                 assert ranking._chunk_rows(c.n, c.n_criteria) == rows
-                for label, spec in CHUNKED_SPECS.items():
-                    got = method_scores(c, spec).scores
+                for label in PAIRWISE_ORACLES:
+                    got = method_scores(c, MethodSpec.parse(label)).scores
                     assert np.array_equal(got, whole[label]), label
-                    assert got.tolist() == pytest.approx(
-                        METHOD_ORACLES[label](vectors), abs=1e-12), label
+                assert_pairwise_match_oracle(c)
+
+    def test_more_criteria_than_int8_counts(self, monkeypatch):
+        # M = 130: one candidate beats another on all 130 criteria, a count
+        # an int8 counter would wrap to -126
+        rng = np.random.default_rng(130)
+        base = rng.integers(1, 5, size=130).astype(np.float64)
+        rows = [base, base + 1.0, np.where(np.arange(130) < 129, base + 1.0, base)]
+        rows += list(rng.integers(1, 6, size=(9, 130)).astype(np.float64))
+        c = CandidateSet(user_id="u", item_ids=tuple(f"i{j:02d}" for j in range(12)),
+                         matrix=np.array(rows))
+        assert pr_scores(c).tolist()[1] >= 2.0  # dominates rows 0 and 2
+        assert_pairwise_match_oracle(c)
+        monkeypatch.setattr(ranking, "_CHUNK_CELLS", 2 * c.n * c.n_criteria)
+        assert_pairwise_match_oracle(c)
+
+    @pytest.mark.parametrize("rows", [
+        [(5e-324, 0.0), (0.0, 5e-324), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0),
+         (-0.0, -0.0), (-5e-324, 5e-324)],
+        [(1e307, -1e307), (-1e307, 1e307), (np.nextafter(1e307, 0.0), 1e307),
+         (1e307, 1e307)],
+    ], ids=["subnormal-and-signed-zero", "near-1e307"])
+    def test_difference_comparisons_equal_direct_ones(self, rows):
+        # the kernels read a > b and a == b from a - b; the oracle compares
+        # directly. n * M * spread stays finite, so gd and pg are defined
+        for n in range(2, len(rows) + 1):
+            c = CandidateSet.from_pairs(
+                "u", [(f"i{j}", row) for j, row in enumerate(rows[:n])])
+            assert_pairwise_match_oracle(c, exact_gd=True)
+
+
+class TestGainOverflow:
+    """gd and pg are defined while n * M * (largest per-criterion spread)
+    is finite; a set whose gains overflow is rejected, naming its user."""
+
+    @pytest.mark.parametrize("label", ["gd", "pg", "pr+gd", "kd:0.5+pg"])
+    def test_overflowing_gains_are_rejected(self, label):
+        c = CandidateSet.from_pairs("u7", [("a", (1e308, -1e308)),
+                                           ("b", (-1e308, 1e308))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="'u7'"):
+                method_scores(c, MethodSpec.parse(label))
+
+    def test_dominance_alone_is_defined_on_any_finite_values(self):
+        c = CandidateSet.from_pairs("u7", [("a", (1e308, -1e308)),
+                                           ("b", (-1e308, -1e308))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pr_scores(c).tolist() == [1.0, 0.0]
+            assert kd_scores(c, 0.5).tolist() == [1.0, 0.0]
 
 
 class TestStructuralProperties:
