@@ -27,6 +27,10 @@ from .errors import DimensionError, DomainError
 # M = 4, which keeps each (rows, n) temporary (256 KB as float64) in cache.
 _CHUNK_CELLS = 1 << 17
 
+# From here up the spacing of float64 values is at least 2^-1022, the
+# smallest normal, so a difference of two such distinct values is normal.
+_EXACT_DIFF = 2.0 ** -970
+
 
 class Orientation(enum.Enum):
     HIGHER_BETTER = "higher_better"
@@ -81,43 +85,53 @@ def _pairwise(c: CandidateSet, k: float | None = None,
     ``k`` asks for how many others each candidate k-dominates (k = 0 is
     Pareto dominance), ``sub`` for its ``"gd"`` or ``"pg"`` score; what is
     not asked for comes back as zeros. Per row chunk and criterion a - b is
-    formed once: for finite values with gradual underflow, a - b > 0 iff
-    a > b and a - b == 0 iff a == b (an overflowed difference keeps its
-    sign), and max(a - b, 0) is the gain, summed in criterion order.
+    formed once, max(a - b, 0) is the gain, summed in criterion order, and
+    a > b, a == b are read as a - b > 0, a - b == 0. That reading is exact
+    whatever the floating-point mode when no nonzero value lies below
+    2^-970: then two distinct values are at least 2^-1022 apart, so their
+    difference is never subnormal and never flushed to zero (an overflowed
+    difference keeps its sign). A set with such a value compares a with b
+    directly for dominance.
     """
+    pareto = k == 0.0
+    kdom = k is not None and not pareto
     x = c.matrix
     n, m = x.shape
+    mag = np.abs(x)
+    direct = bool(((mag > 0.0) & (mag < _EXACT_DIFF)).any())
     cols = np.ascontiguousarray(x.T)
     chunk = _chunk_rows(n, m)
     count, out, best_in = np.zeros(n), np.zeros(n), np.full(n, -np.inf)
     diff = np.empty((min(chunk, n), n))
-    if k:
+    flag = np.empty(diff.shape, dtype=bool)
+    if kdom:
         least = _least_better(m, k)
-        flag = np.empty(diff.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, chunk):
             rows = min(chunk, n - s)
-            d = diff[:rows]
-            if k == 0:  # Pareto: no criterion worse and one better
+            d, f = diff[:rows], flag[:rows]
+            if pareto:  # no criterion worse and one better
                 worse, better = np.zeros((2, rows, n), dtype=bool)
-            elif k is not None:
+            elif kdom:
                 n_b, n_e = np.zeros((2, rows, n), dtype=least.dtype)
             if sub is not None:
                 gains = np.zeros((rows, n))
             for j in range(m):
-                np.subtract(cols[j, s:s + rows, None], cols[j], out=d)
-                if k == 0:
-                    worse |= d < 0.0
-                    better |= d > 0.0
-                elif k is not None:
-                    n_b += np.greater(d, 0.0, out=flag[:rows]).view(np.int8)
-                    n_e += np.equal(d, 0.0, out=flag[:rows]).view(np.int8)
+                a, b = cols[j, s:s + rows, None], cols[j]
+                np.subtract(a, b, out=d)
+                lhs, rhs = (a, b) if direct else (d, 0.0)
+                if pareto:
+                    worse |= np.less(lhs, rhs, out=f)
+                    better |= np.greater(lhs, rhs, out=f)
+                elif kdom:
+                    n_b += np.greater(lhs, rhs, out=f).view(np.int8)
+                    n_e += np.equal(lhs, rhs, out=f).view(np.int8)
                 if sub is not None:
                     gains += np.maximum(d, 0.0, out=d)
             # self pairs are equal on every criterion, so never dominated;
             # int32 row counts are exact below 2^31 candidates
-            if k is not None:
-                dom = better > worse if k == 0 else n_b >= least.take(n_e)
+            if pareto or kdom:
+                dom = better > worse if pareto else n_b >= least.take(n_e)
                 count[s:s + rows] = dom.sum(axis=1, dtype=np.int32)
             # a self pair's gain is +0.0 and no gain is below it, so self
             # pairs change no maximum; a lone candidate's pg is 0 - 0

@@ -306,14 +306,15 @@ PAIRWISE_ORACLES = {
 }
 
 
-def assert_pairwise_match_oracle(c, exact_gd=False):
-    """Scores equal the oracle's: exactly, except gd's order-dependent sum."""
+def assert_pairwise_match_oracle(c, gd_tol=None):
+    """Scores equal the oracle's: exactly, except gd's order-dependent sum,
+    which is compared with ``pytest.approx(**gd_tol)`` (default abs=1e-12)."""
     vectors = [tuple(row) for row in c.matrix]
     for label in PAIRWISE_ORACLES:
         got = method_scores(c, MethodSpec.parse(label)).tolist()
         expected = PAIRWISE_ORACLES[label](vectors)
-        if label == "gd" and not exact_gd:
-            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), label
+        if label == "gd":
+            assert got == pytest.approx(expected, **(gd_tol or {"abs": 1e-12})), label
         else:
             assert got == expected, label
 
@@ -355,16 +356,31 @@ class TestChunkedPairwise:
     @pytest.mark.parametrize("rows", [
         [(5e-324, 0.0), (0.0, 5e-324), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0),
          (-0.0, -0.0), (-5e-324, 5e-324)],
+        [(2.0 ** -1020, 0.0), (np.nextafter(2.0 ** -1020, 1.0), 0.0),
+         (0.0, 2.0 ** -1020), (2.0 ** -1020, 2.0 ** -1020)],
+        [(2.0 ** -970, 0.0), (np.nextafter(2.0 ** -970, 1.0), -0.0),
+         (-(2.0 ** -970), 2.0 ** -970), (0.0, np.nextafter(2.0 ** -970, 1.0))],
         [(1e307, -1e307), (-1e307, 1e307), (np.nextafter(1e307, 0.0), 1e307),
          (1e307, 1e307)],
-    ], ids=["subnormal-and-signed-zero", "near-1e307"])
-    def test_difference_comparisons_equal_direct_ones(self, rows):
-        # the kernels read a > b and a == b from a - b; the oracle compares
-        # directly. n * M * spread stays finite, so gd and pg are defined
+    ], ids=["subnormal-and-signed-zero", "subnormal-differences",
+            "least-normal-differences", "near-1e307"])
+    def test_comparisons_match_the_oracle_at_the_float_extremes(self, rows):
+        # the kernels read a > b and a == b from a - b unless a nonzero value
+        # lies below 2^-970; the oracle compares directly. n * M * spread
+        # stays finite, so gd and pg are defined
         for n in range(2, len(rows) + 1):
             c = CandidateSet.from_pairs(
                 "u", [(f"i{j}", row) for j, row in enumerate(rows[:n])])
-            assert_pairwise_match_oracle(c, exact_gd=True)
+            assert_pairwise_match_oracle(c, gd_tol={"abs": 0.0})
+
+    def test_differences_from_the_threshold_up_are_normal(self):
+        # a flush-to-zero mode reads a subnormal a - b as 0; from 2^-970 up
+        # the spacing of float64 values is the least normal, just below it
+        # the spacing is subnormal
+        x = ranking._EXACT_DIFF
+        least_normal = np.finfo(np.float64).smallest_normal
+        assert np.nextafter(x, np.inf) - x == least_normal
+        assert x - np.nextafter(x, 0.0) < least_normal
 
 
 class TestGainOverflow:
