@@ -15,10 +15,8 @@ from .core import (
     ScoredList,
     ValidationResult,
     Violation,
-    criteria_vector,
     validate_dataset,
 )
-from .dominance import DominanceCounts, dominance_counts, k_dominates, pareto_dominates
 from .errors import (
     DatasetValidationError,
     DimensionError,
@@ -43,11 +41,8 @@ from .pipeline import (
 )
 from .predictor import PredictorModel, TrainConfig, fit, load_model, predict, predict_many, save_model
 from .ranking import (
-    Orientation,
-    ScoreVector,
     ar_scores,
     average_ranks,
-    gain,
     gd_scores,
     hybrid_scores,
     kd_scores,

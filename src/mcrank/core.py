@@ -1,8 +1,8 @@
 """Core domain types: rating data, candidate sets, method specifications.
 
 All types here are immutable after construction and safe to share across
-threads. Criteria vectors are plain 1-D float arrays; ``criteria_vector``
-is the validating constructor used at API boundaries.
+threads. Criteria vectors are plain 1-D float arrays; ``CandidateSet``
+checks its (n, M) criteria matrix (2-D, non-empty, finite) when built.
 """
 
 from __future__ import annotations
@@ -17,22 +17,6 @@ from .errors import DimensionError, DomainError
 RANKING_KINDS = ("pr", "kd", "ar", "mr", "gd", "pg")
 MAJOR_KINDS = ("pr", "kd")
 SUB_KINDS = ("ar", "mr", "gd", "pg")
-
-
-def criteria_vector(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Validate and freeze one item's criteria ratings.
-
-    Returns a read-only 1-D float64 array. Rejects empty or non-finite
-    input; predicted (continuous) values are accepted as-is.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionError(f"criteria vector must be 1-D and non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DimensionError("criteria vector contains non-finite values")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)

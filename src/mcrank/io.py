@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from .core import CandidateSet, Dataset, MethodSpec, RatingRecord, validate_dataset
@@ -125,6 +126,12 @@ def load_candidate_sets(path: str | Path) -> dict[str, CandidateSet]:
         except ValueError:  # locate the bad cell
             vector = [_parse_float(path, line, names[i], cell)
                       for i, cell in enumerate(cells)]
+        # one test per row; finite cells whose sum overflows pass the loop
+        if not math.isfinite(sum(vector)):
+            for name, cell, value in zip(names, cells, vector):
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: line {line}: {name} value {cell!r} is not finite")
         user, item = row[0], row[1]
         vectors = per_user.setdefault(user, {})
         if item in vectors:

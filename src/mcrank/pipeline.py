@@ -346,6 +346,8 @@ def synth_generate(users: int, items: int, n_criteria: int,
         raise DomainError("users, items and criteria counts must be positive")
     if not 0.0 < density <= 1.0:
         raise DomainError(f"density must lie in (0, 1], got {density}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     d = 6
     u_fac = rng.normal(0.0, 1.0, size=(users, d))

@@ -85,6 +85,8 @@ class PredictorModel:
         return len(self.criteria_names)
 
 
+# A diverging run reports one TrainingError, not numpy's overflow warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def fit(train: Dataset, cfg: TrainConfig) -> PredictorModel:
     """Train one biased-MF model per criterion with seeded SGD.
 
@@ -96,7 +98,8 @@ def fit(train: Dataset, cfg: TrainConfig) -> PredictorModel:
     is applied as one gather, update and scatter over flat parameter
     tables. Records on one level share no user row and no item row, and
     each row still receives its updates in shuffled order, with the same
-    floating-point operations in the same order.
+    floating-point operations in the same order. A run whose loss goes
+    non-finite raises TrainingError at the end of that epoch.
     """
     if not train.records:
         raise TrainingError("cannot train on an empty dataset")
@@ -154,7 +157,7 @@ def fit(train: Dataset, cfg: TrainConfig) -> PredictorModel:
     history = [mse()]
     lr, reg = cfg.learning_rate, cfg.reg
     shuffled = np.empty(m * n_rec, dtype=np.int32)
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         for c, rng in enumerate(rngs):
             part = shuffled[c * n_rec:(c + 1) * n_rec]
             part[:] = rng.permutation(n_rec)
@@ -183,6 +186,10 @@ def fit(train: Dataset, cfg: TrainConfig) -> PredictorModel:
             start = end
         del users_o, items_o, ratings_o, means_o
         history.append(mse())
+        if not np.isfinite(history[-1]).all():
+            raise TrainingError(
+                f"training diverged: the loss is not finite after epoch {epoch}; "
+                f"lower learning_rate (now {lr!r})")
 
     return PredictorModel(
         criteria_names=train.criteria_names,

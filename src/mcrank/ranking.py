@@ -1,10 +1,11 @@
 """Scoring a candidate set under any ranking method.
 
-Dominance counting methods (pr, kd) and degree-of-dominance methods
-(gd, pg) produce higher-is-better scores; rank aggregation methods
-(ar, mr) produce lower-is-better rank values where position one is the
-top of the list. ``rank_candidates`` hides the orientation difference
-and always returns a descending-is-better ScoredList.
+Every scorer returns a fresh float64 array aligned with the candidate
+order. Dominance counting methods (pr, kd), degree-of-dominance methods
+(gd, pg) and hybrids produce higher-is-better scores; rank aggregation
+methods (ar, mr) produce positions, where position one is the top of the
+list and lower wins. ``rank_candidates`` negates those once and always
+returns a descending-is-better ScoredList.
 
 All pairwise scoring is one vectorized pass over cache-sized row chunks,
 so peak memory stays bounded for large candidate sets, and a hybrid with
@@ -13,14 +14,12 @@ a gd/pg subsort gets its major and its gains from the same pass.
 
 from __future__ import annotations
 
-import enum
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import CandidateSet, MethodSpec, ScoredList
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 
 # Rows per chunk are sized so that one chunk's (rows, n) differences, taken
 # over all M criteria, number at most this many cells: 16 rows at n = 2,000,
@@ -31,29 +30,8 @@ _CHUNK_CELLS = 1 << 17
 # smallest normal, so a difference of two such distinct values is normal.
 _EXACT_DIFF = 2.0 ** -970
 
-
-class Orientation(enum.Enum):
-    HIGHER_BETTER = "higher_better"
-    LOWER_BETTER = "lower_better"
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreVector:
-    """Raw method scores aligned with the candidate order."""
-
-    scores: np.ndarray = field(repr=False)
-    orientation: Orientation
-
-    def __post_init__(self):
-        arr = np.asarray(self.scores, dtype=np.float64).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "scores", arr)
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def tolist(self) -> list[float]:
-        return self.scores.tolist()
+# Method kinds whose scores are positions, where lower wins.
+_LOWER_BETTER = ("ar", "mr")
 
 
 def _chunk_rows(n: int, m: int) -> int:
@@ -168,12 +146,12 @@ def average_ranks(values: np.ndarray, *, descending: bool) -> np.ndarray:
     return ranks
 
 
-def pr_scores(c: CandidateSet) -> ScoreVector:
+def pr_scores(c: CandidateSet) -> np.ndarray:
     """Pareto ranking: each item's score is how many others it dominates."""
-    return ScoreVector(_pairwise(c, k=0.0)[0], Orientation.HIGHER_BETTER)
+    return _pairwise(c, k=0.0)[0]
 
 
-def kd_scores(c: CandidateSet, k: float) -> ScoreVector:
+def kd_scores(c: CandidateSet, k: float) -> np.ndarray:
     """k-dominance counting: how many others each item k-dominates.
 
     The relation can hold in both directions for one pair when k > 0;
@@ -182,7 +160,7 @@ def kd_scores(c: CandidateSet, k: float) -> ScoreVector:
     kf = float(k)
     if not 0.0 <= kf <= 1.0:
         raise DomainError(f"relaxation factor k must lie in [0, 1], got {k}")
-    return ScoreVector(_pairwise(c, k=kf)[0], Orientation.HIGHER_BETTER)
+    return _pairwise(c, k=kf)[0]
 
 
 def per_criterion_ranks(c: CandidateSet, m: int) -> np.ndarray:
@@ -196,57 +174,47 @@ def per_criterion_ranks(c: CandidateSet, m: int) -> np.ndarray:
     return average_ranks(c.matrix[:, m], descending=True)
 
 
-def ar_scores(c: CandidateSet) -> ScoreVector:
+def ar_scores(c: CandidateSet) -> np.ndarray:
     """Average ranking: sum of per-criterion positions (plain summation)."""
     total = np.zeros(c.n, dtype=np.float64)
     for m in range(c.n_criteria):
         total += per_criterion_ranks(c, m)
-    return ScoreVector(total, Orientation.LOWER_BETTER)
+    return total
 
 
-def mr_scores(c: CandidateSet) -> ScoreVector:
+def mr_scores(c: CandidateSet) -> np.ndarray:
     """Maximum ranking: best (smallest) per-criterion position."""
     stacked = np.stack([per_criterion_ranks(c, m) for m in range(c.n_criteria)])
-    return ScoreVector(stacked.min(axis=0), Orientation.LOWER_BETTER)
+    return stacked.min(axis=0)
 
 
-def gain(a, b) -> float:
-    """Sum of positive rating margins of ``a`` over ``b``."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape or va.ndim != 1:
-        raise DimensionError(f"criteria length mismatch: {va.shape} vs {vb.shape}")
-    return float(np.maximum(va - vb, 0.0).sum())
-
-
-def gd_scores(c: CandidateSet) -> ScoreVector:
+def gd_scores(c: CandidateSet) -> np.ndarray:
     """Global detriment: accumulated gains over every other candidate."""
-    return ScoreVector(_pairwise(c, sub="gd")[1], Orientation.HIGHER_BETTER)
+    return _pairwise(c, sub="gd")[1]
 
 
-def pg_scores(c: CandidateSet) -> ScoreVector:
+def pg_scores(c: CandidateSet) -> np.ndarray:
     """Profit gain: best outgoing gain minus best incoming gain.
 
     Defined as 0 for a single candidate (no other items to compare).
     """
-    return ScoreVector(_pairwise(c, sub="pg")[1], Orientation.HIGHER_BETTER)
+    return _pairwise(c, sub="pg")[1]
 
 
-def normalize_sub(s: ScoreVector) -> np.ndarray:
-    """Map subsort scores into [0, 1), higher is better, ties preserved.
+def normalize_sub(scores: np.ndarray, kind: str) -> np.ndarray:
+    """Map ``kind`` subsort scores into [0, 1), higher is better, ties kept.
 
-    Positions are fractional average ranks under the vector's own
-    orientation (best item at position 1); the result is (n - rho) / n,
-    which is scale-free and stays inside [0, (n-1)/n] even when all
-    scores coincide.
+    Positions are fractional average ranks in the kind's own direction
+    (best item at position 1); the result is (n - rho) / n, which is
+    scale-free and stays inside [0, (n-1)/n] even when all scores
+    coincide.
     """
-    n = len(s)
-    descending = s.orientation is Orientation.HIGHER_BETTER
-    rho = average_ranks(s.scores, descending=descending)
+    n = len(scores)
+    rho = average_ranks(scores, descending=kind not in _LOWER_BETTER)
     return (n - rho) / n
 
 
-def hybrid_scores(c: CandidateSet, major: MethodSpec, sub: MethodSpec) -> ScoreVector:
+def hybrid_scores(c: CandidateSet, major: MethodSpec, sub: MethodSpec) -> np.ndarray:
     """Major integer score plus a [0, 1) subsort refinement.
 
     Because major scores are non-negative integers and the sub term is
@@ -255,16 +223,15 @@ def hybrid_scores(c: CandidateSet, major: MethodSpec, sub: MethodSpec) -> ScoreV
     """
     MethodSpec.hybrid(major, sub)  # rejects a wrong major or sub kind
     if sub.kind in ("gd", "pg"):  # both parts from one pairwise pass
-        counts, gains = _pairwise(c, 0.0 if major.kind == "pr" else major.k,
-                                  sub.kind)
-        sub_vec = ScoreVector(gains, Orientation.HIGHER_BETTER)
+        counts, sub_scores = _pairwise(
+            c, 0.0 if major.kind == "pr" else major.k, sub.kind)
     else:
-        counts = method_scores(c, major).scores
-        sub_vec = method_scores(c, sub)
-    return ScoreVector(counts + normalize_sub(sub_vec), Orientation.HIGHER_BETTER)
+        counts = method_scores(c, major)
+        sub_scores = method_scores(c, sub)
+    return counts + normalize_sub(sub_scores, sub.kind)
 
 
-def method_scores(c: CandidateSet, spec: MethodSpec) -> ScoreVector:
+def method_scores(c: CandidateSet, spec: MethodSpec) -> np.ndarray:
     """Dispatch a MethodSpec to its scoring function."""
     if spec.kind == "pr":
         return pr_scores(c)
@@ -286,12 +253,11 @@ def method_scores(c: CandidateSet, spec: MethodSpec) -> ScoreVector:
 def rank_candidates(c: CandidateSet, spec: MethodSpec) -> ScoredList:
     """Score and materialize the descending-is-better list.
 
-    Lower-is-better scores are negated first so the list is uniformly
+    Lower-is-better positions are negated first so the list is uniformly
     ordered; remaining ties break by ascending item id.
     """
-    vec = method_scores(c, spec)
-    scores = vec.scores
-    if vec.orientation is Orientation.LOWER_BETTER:
+    scores = method_scores(c, spec)
+    if spec.kind in _LOWER_BETTER:
         scores = -scores
     return ScoredList.from_pairs(zip(c.item_ids, scores.tolist()))
 

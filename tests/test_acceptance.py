@@ -123,10 +123,10 @@ def test_criterion_4ab_hybrid_structure():
     for _ in range(1000):
         c = random_candidate_set(rng, max_n=12, max_m=5)
         for major_spec in majors:
-            major = method_scores(c, major_spec).scores
+            major = method_scores(c, major_spec)
             for sub_spec in subs:
-                sub = normalize_sub(method_scores(c, sub_spec))
-                hybrid = hybrid_scores(c, major_spec, sub_spec).scores
+                sub = normalize_sub(method_scores(c, sub_spec), sub_spec.kind)
+                hybrid = hybrid_scores(c, major_spec, sub_spec)
                 gt = major[:, None] > major[None, :]
                 order_violations += int((gt & (hybrid[:, None] <= hybrid[None, :])).sum())
                 tied = hybrid[:, None] == hybrid[None, :]
@@ -148,7 +148,7 @@ def _continuous_hybrid_tied_pairs(sub_spec: MethodSpec) -> int:
         c = CandidateSet(user_id="u",
                          item_ids=tuple(f"i{j:02d}" for j in range(50)),
                          matrix=matrix)
-        h = hybrid_scores(c, major, sub_spec).scores
+        h = hybrid_scores(c, major, sub_spec)
         tied += int((h[:, None] == h[None, :]).sum() - 50) // 2
     return tied
 
@@ -189,7 +189,7 @@ def test_criterion_6_kd_monotone_in_k():
     violations = 0
     for _ in range(100):
         c = random_candidate_set(rng, max_n=15, max_m=5)
-        rows = [kd_scores(c, k).scores for k in grid]
+        rows = [kd_scores(c, k) for k in grid]
         for lo, hi in zip(rows, rows[1:]):
             violations += int((hi < lo).sum())
     check("6", "kd scores non-decreasing in k", violations == 0,

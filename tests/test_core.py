@@ -11,7 +11,6 @@ from mcrank import (
     MethodSpec,
     RatingRecord,
     ScoredList,
-    criteria_vector,
     validate_dataset,
 )
 
@@ -22,22 +21,29 @@ def make_dataset(rows, names=("food", "service", "ambience")):
 
 
 class TestCriteriaVector:
+    """A candidate's criteria vector, as ``CandidateSet`` checks and keeps it."""
+
+    @staticmethod
+    def one_candidate(vector):
+        return CandidateSet.from_pairs("u", [("a", vector)])
+
     def test_valid(self):
-        v = criteria_vector([4, 5, 3])
-        assert v.tolist() == [4.0, 5.0, 3.0]
-        assert not v.flags.writeable
+        matrix = self.one_candidate([4, 5, 3]).matrix
+        assert matrix.dtype == np.float64 and matrix.tolist() == [[4.0, 5.0, 3.0]]
+        assert not matrix.flags.writeable
 
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):
-            criteria_vector([])
+            self.one_candidate([])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(DimensionError):
-            criteria_vector([1.0, float("nan")])
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(DimensionError):
+                self.one_candidate([1.0, bad])
 
     def test_rejects_matrix(self):
         with pytest.raises(DimensionError):
-            criteria_vector([[1.0, 2.0]])
+            self.one_candidate([[1.0, 2.0]])
 
 
 class TestDataset:

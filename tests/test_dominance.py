@@ -1,19 +1,17 @@
+"""The pairwise dominance relation, read from the ranking kernel.
+
+In a set of two candidates, ``pr_scores`` and ``kd_scores`` count how
+many others each one dominates, so they read ``[a beats b, b beats a]``.
+"""
+
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive
-from mcrank import (
-    DimensionError,
-    DomainError,
-    dominance_counts,
-    k_dominates,
-    pareto_dominates,
-)
+from mcrank import CandidateSet, DomainError, kd_scores, pr_scores
 
-vectors = st.lists(st.integers(1, 5), min_size=1, max_size=5).map(
-    lambda v: [float(x) for x in v])
 paired_vectors = st.integers(1, 5).flatmap(
     lambda m: st.tuples(
         st.lists(st.integers(1, 5), min_size=m, max_size=m),
@@ -22,28 +20,42 @@ paired_vectors = st.integers(1, 5).flatmap(
 dyadic_k = st.integers(0, 16).map(lambda i: i / 16)
 
 
+def relation(a, b, k=None):
+    """[a beats b, b beats a] under Pareto dominance, or k-dominance at k."""
+    c = CandidateSet.from_pairs("u", [("a", a), ("b", b)])
+    scores = pr_scores(c) if k is None else kd_scores(c, k)
+    return scores.tolist()
+
+
+def pareto_dominates(a, b):
+    return relation(a, b)[0] == 1.0
+
+
+def k_dominates(a, b, k):
+    return relation(a, b, k)[0] == 1.0
+
+
 class TestDominanceCounts:
     def test_mixed_pair(self):
-        assert dominance_counts((4, 5, 3), (4, 4, 4)) == (1, 1, 1)
+        # one criterion better, one equal, one worse
+        assert relation((4, 5, 3), (4, 4, 4)) == [0, 0]
+        assert relation((4, 5, 3), (4, 4, 4), 1.0) == [1, 1]
         # comparisons are exact: near-equal continuous values are unequal
-        assert dominance_counts((4.0, 4.05), (4.04, 4.0)) == (1, 0, 1)
+        assert relation((4.0, 4.05), (4.04, 4.0), 1.0) == [1, 1]
 
     def test_identical_vectors(self):
-        assert dominance_counts((3, 3, 3), (3, 3, 3)) == (0, 3, 0)
+        assert relation((3, 3, 3), (3, 3, 3)) == [0, 0]
 
     def test_strictly_better(self):
-        assert dominance_counts((5, 5, 5), (3, 3, 3)) == (3, 0, 0)
+        assert relation((5, 5, 5), (3, 3, 3)) == [1, 0]
+        for k in (0.0, 0.5, 1.0):
+            assert relation((5, 5, 5), (3, 3, 3), k) == [1, 0]
 
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            dominance_counts((1, 2), (1, 2, 3))
-
-    @given(paired_vectors)
-    def test_mirror_swaps_better_and_worse(self, pair):
+    @given(paired_vectors, dyadic_k)
+    def test_mirror_swaps_better_and_worse(self, pair, k):
         a, b = pair
-        nb, ne, nw = dominance_counts(a, b)
-        assert dominance_counts(b, a) == (nw, ne, nb)
-        assert nb + ne + nw == len(a)
+        assert relation(b, a) == relation(a, b)[::-1]
+        assert relation(b, a, k) == relation(a, b, k)[::-1]
 
 
 class TestParetoDominates:
@@ -60,7 +72,7 @@ class TestParetoDominates:
     @given(paired_vectors)
     def test_asymmetric(self, pair):
         a, b = pair
-        assert not (pareto_dominates(a, b) and pareto_dominates(b, a))
+        assert relation(a, b) != [1, 1]
 
     @given(st.integers(1, 4).flatmap(lambda m: st.tuples(
         *[st.lists(st.integers(1, 5), min_size=m, max_size=m) for _ in range(3)])))
@@ -73,7 +85,7 @@ class TestParetoDominates:
     def test_invariant_under_monotone_transform(self, pair):
         a, b = pair
         transform = lambda v: [x ** 3 + 2 * x for x in v]
-        assert pareto_dominates(a, b) == pareto_dominates(transform(a), transform(b))
+        assert relation(a, b) == relation(transform(a), transform(b))
 
 
 class TestKDominates:
@@ -85,27 +97,23 @@ class TestKDominates:
 
     def test_identical_never_dominates(self):
         for k in (0, 0.5, 1):
-            assert not k_dominates((3, 3, 3), (3, 3, 3), k)
+            assert relation((3, 3, 3), (3, 3, 3), k) == [0, 0]
 
     def test_can_hold_in_both_directions(self):
-        assert k_dominates((4, 4, 4), (4, 5, 3), 1)
-        assert k_dominates((4, 5, 3), (4, 4, 4), 1)
+        assert relation((4, 4, 4), (4, 5, 3), 1) == [1, 1]
 
     def test_k_outside_range_rejected(self):
         for k in (-0.01, 1.01, 2):
             with pytest.raises(DomainError):
-                k_dominates((1, 2), (2, 1), k)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            k_dominates((1, 2), (1, 2, 3), 0.5)
+                relation((1, 2), (2, 1), k)
 
     def test_k_zero_equals_pareto_exhaustively(self):
         # every vector pair with M <= 3, integer ratings 1..5
         for m in (1, 2, 3):
             for a in itertools.product(range(1, 6), repeat=m):
                 for b in itertools.product(range(1, 6), repeat=m):
-                    assert k_dominates(a, b, 0.0) == pareto_dominates(a, b), (a, b)
+                    assert relation(a, b, 0.0) == \
+                        [naive.pareto(a, b), naive.pareto(b, a)], (a, b)
 
     @settings(max_examples=200)
     @given(paired_vectors, dyadic_k, dyadic_k)
@@ -120,4 +128,4 @@ class TestKDominates:
     @given(paired_vectors, dyadic_k)
     def test_matches_exact_rational_oracle(self, pair, k):
         a, b = pair
-        assert k_dominates(a, b, k) == naive.kdom(a, b, k)
+        assert relation(a, b, k) == [naive.kdom(a, b, k), naive.kdom(b, a, k)]

@@ -2,7 +2,9 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import random_candidate_set
 
 from mcrank import (
     Dataset,
@@ -120,6 +122,11 @@ class TestLoadCandidateSets:
             load_candidate_sets(path)
         assert str(err.value) == f"{path}: line 5: duplicate item 'T1' for user 'u2'"
 
+    def test_finite_cells_whose_sum_overflows_are_accepted(self, tmp_path):
+        path = tmp_path / "large.csv"
+        path.write_text("user_id,item_id,a,b\nu1,T1,1e308,1e308\n")
+        assert load_candidate_sets(path)["u1"].matrix.tolist() == [[1e308, 1e308]]
+
 
 class TestExperimentConfig:
     def test_from_dict_defaults(self):
@@ -229,6 +236,16 @@ class TestCliRank:
     def test_unknown_flag_is_a_usage_error(self, vectors_file):
         assert run_cli("rank", "--input", vectors_file, "--method", "pr",
                        "--frobnicate") == 1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_non_finite_value_names_its_cell(self, tmp_path, capsys, cell):
+        path = tmp_path / "vectors.csv"
+        path.write_text(VECTORS_CSV.replace("u1,T4,4,3,3", f"u1,T4,4,{cell},3"))
+        assert run_cli("rank", "--input", str(path), "--predicted",
+                       "--method", "pr") == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: line 5: service value '{cell}' is not finite" in err
+        assert "Traceback" not in err
 
     def test_unknown_user_is_a_data_error(self, vectors_file):
         assert run_cli("rank", "--input", vectors_file, "--method", "pr",
@@ -376,6 +393,26 @@ class TestCliPipelines:
         assert f"error: {cfg}: " in err
         assert "Traceback" not in err
 
+    def test_negative_synth_seed_is_a_data_error(self, tmp_path, capsys):
+        assert run_cli("synth", "--users", "3", "--items", "3", "--criteria", "2",
+                       "--density", "0.5", "--seed", "-1",
+                       "--out", str(tmp_path / "s.csv")) == 2
+        err = capsys.readouterr().err
+        assert "error: seed must be non-negative, got -1" in err
+        assert "Traceback" not in err
+
+    def test_diverging_training_is_a_data_error(self, data_file, tmp_path, capsys):
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text('{"methods": ["pr"], "folds": 2, '
+                       '"train": {"learning_rate": 1e300}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails here
+            assert run_cli("evaluate", "--input", data_file, "--config", str(cfg),
+                           "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert "error: training diverged" in err and "learning_rate" in err
+        assert "Traceback" not in err
+
     def test_predict_feeds_rank(self, data_file, tmp_path, capsys):
         out = tmp_path / "predicted.csv"
         assert run_cli("predict", "--input", data_file, "--out", str(out),
@@ -424,3 +461,18 @@ class TestBenchTracerHooks:
         with traced.instrument(traced.Tracer("t")):
             assert ranking.method_scores is not original
         assert ranking.method_scores is original
+
+
+class TestBenchOracleGate:
+    def test_method_scores_agree_with_the_oracle(self, monkeypatch):
+        # the benchmark's --trace 1 run compares method_scores(...).tolist()
+        # with tests/naive.py; a changed score contract would fail only there
+        root = Path(__file__).parents[1]
+        monkeypatch.syspath_prepend(str(root / "bench"))
+        import checks
+        import workloads
+
+        rng = np.random.default_rng(20)
+        sets = [random_candidate_set(rng, integer=j % 2 == 0) for j in range(20)]
+        labels = workloads.WORKLOADS["unrated"].config["methods"]
+        assert checks.oracle_failures(checks.load_naive(root), sets, labels) == []

@@ -282,7 +282,7 @@ class TestSweepK:
         for cset in list(cands.values())[:10]:
             previous = None
             for k in (0.0, 0.25, 0.5, 0.75, 1.0):
-                scores = method_scores(cset, MethodSpec.kd(k)).scores
+                scores = method_scores(cset, MethodSpec.kd(k))
                 if previous is not None:
                     assert np.all(scores >= previous)
                 previous = scores

@@ -17,13 +17,10 @@ from conftest import (
 )
 from mcrank import (
     CandidateSet,
-    DimensionError,
     DomainError,
     MethodSpec,
-    Orientation,
     ar_scores,
     average_ranks,
-    gain,
     gd_scores,
     hybrid_scores,
     kd_scores,
@@ -45,9 +42,7 @@ def identical_set(n, vector=(3.0, 3.0)):
 
 class TestGoldenFiveCandidates:
     def test_pr(self, five_candidates):
-        vec = pr_scores(five_candidates)
-        assert vec.tolist() == GOLDEN_PR
-        assert vec.orientation is Orientation.HIGHER_BETTER
+        assert pr_scores(five_candidates).tolist() == GOLDEN_PR
 
     def test_kd_zero_reduces_to_pr(self, five_candidates):
         assert kd_scores(five_candidates, 0.0).tolist() == GOLDEN_PR
@@ -60,9 +55,7 @@ class TestGoldenFiveCandidates:
         assert per_criterion_ranks(five_candidates, 0).tolist() == [1, 3, 5, 3, 3]
 
     def test_ar(self, five_candidates):
-        vec = ar_scores(five_candidates)
-        assert vec.tolist() == GOLDEN_AR
-        assert vec.orientation is Orientation.LOWER_BETTER
+        assert ar_scores(five_candidates).tolist() == GOLDEN_AR
 
     def test_mr(self, five_candidates):
         assert mr_scores(five_candidates).tolist() == GOLDEN_MR
@@ -74,7 +67,7 @@ class TestGoldenFiveCandidates:
         assert pg_scores(five_candidates).tolist() == GOLDEN_PG
 
     def test_normalize_sub_of_ar(self, five_candidates):
-        out = normalize_sub(ar_scores(five_candidates))
+        out = normalize_sub(ar_scores(five_candidates), "ar")
         assert out.tolist() == [0.8, 0.6, 0.0, 0.2, 0.4]
 
     def test_hybrid_pr_ar_breaks_the_tie(self, five_candidates):
@@ -105,7 +98,7 @@ class TestDegenerateSets:
         assert mr_scores(c).tolist() == [1.0]
         assert gd_scores(c).tolist() == [0.0]
         assert pg_scores(c).tolist() == [0.0]
-        assert normalize_sub(ar_scores(c)).tolist() == [0.0]
+        assert normalize_sub(ar_scores(c), "ar").tolist() == [0.0]
         assert rank_candidates(c, MethodSpec.pg()).item_ids == ["only"]
 
     def test_all_identical_candidates(self):
@@ -170,50 +163,49 @@ class TestAverageRanks:
 
 
 class TestGain:
+    """In a set of two candidates, each one's gd score is its gain (sum of
+    positive rating margins) over the other."""
+
+    @staticmethod
+    def gains(a, b):
+        return gd_scores(CandidateSet.from_pairs("u", [("a", a), ("b", b)])).tolist()
+
     def test_examples(self):
-        assert gain((5, 5, 5), (4, 4, 4)) == 3.0
-        assert gain((3, 1), (3, 1)) == 0.0
+        assert self.gains((5, 5, 5), (4, 4, 4)) == [3.0, 0.0]
+        assert self.gains((3, 1), (3, 1)) == [0.0, 0.0]
 
     def test_split_of_absolute_difference(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             a = rng.uniform(1, 5, size=4)
             b = rng.uniform(1, 5, size=4)
-            assert gain(a, b) + gain(b, a) == pytest.approx(np.abs(a - b).sum(), abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            gain((1, 2), (1,))
+            assert sum(self.gains(a, b)) == pytest.approx(np.abs(a - b).sum(), abs=1e-12)
 
 
 class TestNormalizeSub:
     def test_all_equal_scores(self):
-        from mcrank import ScoreVector
-        vec = ScoreVector(np.full(4, 7.0), Orientation.HIGHER_BETTER)
-        out = normalize_sub(vec)
+        out = normalize_sub(np.full(4, 7.0), "gd")
         expected = (4 - 2.5) / 4
         assert out.tolist() == [expected] * 4
 
-    @pytest.mark.parametrize("orientation", list(Orientation))
-    def test_bounds_and_position_sum(self, orientation):
-        from mcrank import ScoreVector, average_ranks
+    @pytest.mark.parametrize("kind", ["gd", "ar"])
+    def test_bounds_and_position_sum(self, kind):
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(1, 12))
             scores = rng.integers(0, 4, size=n).astype(float)
-            vec = ScoreVector(scores, orientation)
-            out = normalize_sub(vec)
+            out = normalize_sub(scores, kind)
             assert np.all(out >= 0.0) and np.all(out <= (n - 1) / n)
-            rho = average_ranks(scores, descending=orientation is Orientation.HIGHER_BETTER)
+            rho = n - n * out
             assert rho.sum() == pytest.approx(n * (n + 1) / 2, abs=1e-9)
 
     def test_orientation_respected(self):
-        from mcrank import ScoreVector
+        # gd and pg scores are higher-better, ar and mr positions lower-better
         scores = np.array([1.0, 2.0, 3.0])
-        higher = normalize_sub(ScoreVector(scores, Orientation.HIGHER_BETTER))
-        lower = normalize_sub(ScoreVector(scores, Orientation.LOWER_BETTER))
-        assert higher.tolist() == [0.0, 1 / 3, 2 / 3]
-        assert lower.tolist() == [2 / 3, 1 / 3, 0.0]
+        for kind in ("gd", "pg"):
+            assert normalize_sub(scores, kind).tolist() == [0.0, 1 / 3, 2 / 3]
+        for kind in ("ar", "mr"):
+            assert normalize_sub(scores, kind).tolist() == [2 / 3, 1 / 3, 0.0]
 
 
 class TestHybridFloatLimit:
@@ -234,11 +226,10 @@ class TestHybridFloatLimit:
         for _ in range(20):
             c = random_candidate_set(rng, min_n=2)
             for sub in (MethodSpec.ar(), MethodSpec.pg()):
-                major = method_scores(c, major_spec).scores
-                vec = method_scores(c, sub)
-                rho = average_ranks(vec.scores, descending=vec.orientation
-                                    is Orientation.HIGHER_BETTER)
-                got = hybrid_scores(c, major_spec, sub).scores.tolist()
+                major = method_scores(c, major_spec)
+                rho = average_ranks(method_scores(c, sub),
+                                    descending=sub.kind == "pg")
+                got = hybrid_scores(c, major_spec, sub).tolist()
                 assert got == [self.encode(a, r, c.n) for a, r in zip(major, rho)]
 
     def test_holds_at_two_to_the_26(self):
@@ -329,13 +320,13 @@ class TestChunkedPairwise:
         for trial in range(30):
             c = random_candidate_set(rng, min_n=10, max_n=20,
                                      integer=trial % 2 == 0)
-            whole = {label: method_scores(c, MethodSpec.parse(label)).scores
+            whole = {label: method_scores(c, MethodSpec.parse(label))
                      for label in PAIRWISE_ORACLES}
             with monkeypatch.context() as patch:
                 patch.setattr(ranking, "_CHUNK_CELLS", rows * c.n * c.n_criteria)
                 assert ranking._chunk_rows(c.n, c.n_criteria) == rows
                 for label in PAIRWISE_ORACLES:
-                    got = method_scores(c, MethodSpec.parse(label)).scores
+                    got = method_scores(c, MethodSpec.parse(label))
                     assert np.array_equal(got, whole[label]), label
                 assert_pairwise_match_oracle(c)
 
@@ -417,8 +408,8 @@ class TestStructuralProperties:
                                     item_ids=tuple(c.item_ids[j] for j in perm),
                                     matrix=c.matrix[perm])
             for spec in specs:
-                base = method_scores(c, spec).scores
-                moved = method_scores(shuffled, spec).scores
+                base = method_scores(c, spec)
+                moved = method_scores(shuffled, spec)
                 assert np.array_equal(base[perm], moved), spec.label
                 assert rank_candidates(c, spec) == rank_candidates(shuffled, spec)
 
@@ -436,7 +427,7 @@ class TestStructuralProperties:
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]
         for _ in range(50):
             c = random_candidate_set(rng)
-            rows = [kd_scores(c, k).scores for k in grid]
+            rows = [kd_scores(c, k) for k in grid]
             for lo, hi in zip(rows, rows[1:]):
                 assert np.all(hi >= lo)
 
@@ -446,9 +437,9 @@ class TestStructuralProperties:
             c = random_candidate_set(rng, min_n=2)
             major_spec = MethodSpec.kd(0.5)
             for sub_kind in ("ar", "mr", "gd", "pg"):
-                major = method_scores(c, major_spec).scores
-                sub = normalize_sub(method_scores(c, MethodSpec(sub_kind)))
-                hybrid = hybrid_scores(c, major_spec, MethodSpec(sub_kind)).scores
+                major = method_scores(c, major_spec)
+                sub = normalize_sub(method_scores(c, MethodSpec(sub_kind)), sub_kind)
+                hybrid = hybrid_scores(c, major_spec, MethodSpec(sub_kind))
                 for i in range(c.n):
                     for j in range(c.n):
                         if major[i] > major[j]:
