@@ -53,6 +53,7 @@ from .ranking import (
     pg_scores,
     pr_scores,
     rank_candidates,
+    score_methods,
     top_n,
 )
 

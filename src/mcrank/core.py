@@ -174,7 +174,15 @@ class CandidateSet:
         ids = tuple(str(i) for i, _ in pairs)
         if not pairs:
             raise DimensionError("candidate set must have at least one item")
-        mat = np.array([v for _, v in pairs], dtype=np.float64)
+        try:
+            mat = np.array([v for _, v in pairs], dtype=np.float64)
+        except ValueError:
+            shapes = sorted({np.shape(v) for _, v in pairs})
+            if len(shapes) > 1:
+                raise DimensionError(
+                    f"criteria vectors of user {user_id!r} differ in shape: "
+                    f"{shapes}") from None
+            raise
         return cls(user_id=user_id, item_ids=ids, matrix=mat)
 
     @property
@@ -310,6 +318,15 @@ class ScoredList:
                 raise DomainError("scored list must be non-increasing in score")
             if s_b == s_a and not id_a < id_b:
                 raise DomainError("tied scores must be ordered by ascending item id")
+
+    @classmethod
+    def _ordered(cls, entries: tuple[tuple[str, float], ...]) -> "ScoredList":
+        """``entries`` of str ids and float scores, already known to hold
+        the invariant (ordered and checked by ranking, or a prefix of a
+        valid list), taken without a second check."""
+        scored = object.__new__(cls)
+        object.__setattr__(scored, "entries", entries)
+        return scored
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, float]]) -> "ScoredList":

@@ -26,7 +26,9 @@ from .metrics import GroundTruth, dcg_gain, prefix_means
 # unused here, but bench/traced.py patches these names in this module
 from .metrics import confusion, f1, ndcg  # noqa: F401
 from .predictor import PredictorModel, TrainConfig, fit, predict_many
-from .ranking import rank_candidates, top_n
+from .ranking import _best_first, score_methods
+# unused here, but bench/traced.py patches these names in this module
+from .ranking import rank_candidates, top_n  # noqa: F401
 
 BASELINE_LABEL = "pr"
 
@@ -229,6 +231,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
         methods.insert(0, MethodSpec.pr())
 
     splits = kfold_split(dataset, cfg.folds, cfg.seed)
+    kinds = [spec.kind for spec in methods]
     n_values = list(cfg.n_values)
     max_n = max(n_values)  # no list is read past max_n
     # (label, n, fold or "avg") -> (mean f1, mean ndcg) over users
@@ -246,28 +249,37 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
         users_evaluated.append(len(users))
         users_skipped.append(len(skipped))
 
-        # only a rated candidate can have a nonzero gain or be relevant;
-        # any other candidate rates 0, and dcg_gain(0.0) is 0.0
-        rated_gain = [{i: dcg_gain(r) for i, r in truths[u].ratings.items()}
-                      for u in users]
-        relevant = [truths[u].relevant for u in users]
-        n_relevant = np.array([len(r) for r in relevant], dtype=np.int64)
         lengths = np.array([min(cands[u].n, max_n) for u in users], dtype=np.int64)
-        shown = np.arange(int(lengths.max(initial=0))) < lengths[:, None]
+        n_relevant = np.empty(len(users), dtype=np.int64)
+        # Per method, each user's ranked list as slots of the user's rated
+        # items; slot 0 is any other candidate and the padding past the list.
+        # Only a rated candidate can have a nonzero gain or be relevant (any
+        # other rates 0, and dcg_gain(0.0) is 0.0), and small-int slots keep
+        # the per-fold array far smaller than float64 gains would.
+        n_rated = max((len(truths[u].ratings) for u in users), default=0)
+        slot_gain = np.zeros((len(users), n_rated + 1))
+        slot_hit = np.zeros(slot_gain.shape, dtype=bool)
+        slots = np.zeros((len(methods), len(users), int(lengths.max(initial=0))),
+                         dtype=np.min_scalar_type(n_rated))
+        for row, user in enumerate(users):
+            c, truth = cands[user], truths[user]
+            order, _ = _best_first(score_methods(c, methods), kinds, c.item_ids)
+            position = {item: j for j, item in enumerate(c.item_ids)}
+            slot = np.zeros(c.n, dtype=slots.dtype)
+            relevant = truth.relevant
+            n_relevant[row] = len(relevant)
+            for s, (item, rating) in enumerate(truth.ratings.items(), 1):
+                if item in position:
+                    slot[position[item]] = s
+                slot_gain[row, s] = dcg_gain(rating)
+                slot_hit[row, s] = item in relevant
+            top = order[:, :max_n]
+            slots[:, row, :top.shape[1]] = slot[top]
 
-        for spec in methods:
-            gains: list[float] = []
-            hits: list[bool] = []
-            for user, user_gain, user_relevant in zip(users, rated_gain, relevant):
-                ids = top_n(rank_candidates(cands[user], spec), max_n).item_ids
-                gains.extend([user_gain.get(i, 0.0) for i in ids])
-                hits.extend([i in user_relevant for i in ids])
-            ranked_gains = np.zeros(shown.shape)
-            ranked_gains[shown] = gains
-            ranked_hits = np.zeros(shown.shape, dtype=bool)
-            ranked_hits[shown] = hits
-            means = prefix_means(ranked_gains, ranked_hits, lengths,
-                                 n_relevant, n_values)
+        for spec, ranked in zip(methods, slots):
+            means = prefix_means(np.take_along_axis(slot_gain, ranked, axis=1),
+                                 np.take_along_axis(slot_hit, ranked, axis=1),
+                                 lengths, n_relevant, n_values)
             for n, mean in zip(n_values, means):
                 measured[(spec.label, n, fold)] = mean
 

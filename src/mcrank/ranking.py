@@ -7,18 +7,20 @@ methods (ar, mr) produce positions, where position one is the top of the
 list and lower wins. ``rank_candidates`` negates those once and always
 returns a descending-is-better ScoredList.
 
-All pairwise scoring is one vectorized pass over cache-sized row chunks,
-so peak memory stays bounded for large candidate sets, and a hybrid with
-a gd/pg subsort gets its major and its gains from the same pass.
+``score_methods`` scores a set under several methods at once: all
+pairwise scoring is one vectorized pass over cache-sized row chunks, so
+peak memory stays bounded for large candidate sets, and every dominance
+count, k value and gain the methods need comes from that one pass.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 import numpy as np
 
-from .core import CandidateSet, MethodSpec, ScoredList
+from .core import MAJOR_KINDS, CandidateSet, MethodSpec, ScoredList
 from .errors import DomainError
 
 # Rows per chunk are sized so that one chunk's (rows, n) differences, taken
@@ -38,6 +40,10 @@ def _chunk_rows(n: int, m: int) -> int:
     return max(1, _CHUNK_CELLS // max(1, n * m))
 
 
+def _counter_dtype(m: int) -> type:
+    return np.int8 if m <= 127 else np.int32
+
+
 @functools.lru_cache(maxsize=64)
 def _least_better(m: int, k: float) -> np.ndarray:
     """Per count n_e of equal criteria, the least count n_b of better ones
@@ -48,7 +54,7 @@ def _least_better(m: int, k: float) -> np.ndarray:
     (n_e = m, n_b = 0) get 1, so they never dominate. int8 counters hold
     every count up to M = 127.
     """
-    table = np.ones(m + 1, dtype=np.int8 if m <= 127 else np.int32)
+    table = np.ones(m + 1, dtype=_counter_dtype(m))
     for n_e in range(m):
         table[n_e] = min(n_b for n_b in range(m - n_e + 1)
                          if n_b * (k + 1.0) >= m - n_e)
@@ -56,44 +62,46 @@ def _least_better(m: int, k: float) -> np.ndarray:
     return table
 
 
-def _pairwise(c: CandidateSet, k: float | None = None,
-              sub: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Dominance counts and gd/pg scores of every candidate, in one pass.
+def _pairwise(c: CandidateSet, ks: set[float],
+              gains: set[str]) -> tuple[dict[float, np.ndarray], dict[str, np.ndarray]]:
+    """Dominance counts for every k in ``ks`` and the gd/pg scores named in
+    ``gains``, all from one pass over the pairs.
 
-    ``k`` asks for how many others each candidate k-dominates (k = 0 is
-    Pareto dominance), ``sub`` for its ``"gd"`` or ``"pg"`` score; what is
-    not asked for comes back as zeros. Per row chunk and criterion a - b is
-    formed once, max(a - b, 0) is the gain, summed in criterion order, and
-    a > b, a == b are read as a - b > 0, a - b == 0. That reading is exact
-    whatever the floating-point mode when no nonzero value lies below
+    Returns ({k: how many others each candidate k-dominates}, {kind:
+    scores}); k = 0 is Pareto dominance. Per row chunk and criterion a - b
+    is formed once, max(a - b, 0) is the gain, summed in criterion order,
+    and a > b, a == b are read as a - b > 0, a - b == 0. That reading is
+    exact whatever the floating-point mode when no nonzero value lies below
     2^-970: then two distinct values are at least 2^-1022 apart, so their
     difference is never subnormal and never flushed to zero (an overflowed
     difference keeps its sign). A set with such a value compares a with b
-    directly for dominance.
+    directly for dominance. Every k reads the same per-pair counts (n_b, n_e)
+    of better and equal criteria; Pareto dominance alone is cheaper as two
+    boolean planes, any worse and any better.
     """
-    pareto = k == 0.0
-    kdom = k is not None and not pareto
     x = c.matrix
     n, m = x.shape
+    pareto = ks == {0.0}
+    tables = {} if pareto else {k: _least_better(m, k) for k in ks}
     mag = np.abs(x)
     direct = bool(((mag > 0.0) & (mag < _EXACT_DIFF)).any())
     cols = np.ascontiguousarray(x.T)
     chunk = _chunk_rows(n, m)
-    count, out, best_in = np.zeros(n), np.zeros(n), np.full(n, -np.inf)
+    counts = {k: np.zeros(n) for k in ks}
+    scored = {kind: np.zeros(n) for kind in gains}
+    best_in = np.full(n, -np.inf)
     diff = np.empty((min(chunk, n), n))
     flag = np.empty(diff.shape, dtype=bool)
-    if kdom:
-        least = _least_better(m, k)
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, chunk):
             rows = min(chunk, n - s)
             d, f = diff[:rows], flag[:rows]
             if pareto:  # no criterion worse and one better
                 worse, better = np.zeros((2, rows, n), dtype=bool)
-            elif kdom:
-                n_b, n_e = np.zeros((2, rows, n), dtype=least.dtype)
-            if sub is not None:
-                gains = np.zeros((rows, n))
+            elif tables:
+                n_b, n_e = np.zeros((2, rows, n), dtype=_counter_dtype(m))
+            if gains:
+                plane = np.zeros((rows, n))
             for j in range(m):
                 a, b = cols[j, s:s + rows, None], cols[j]
                 np.subtract(a, b, out=d)
@@ -101,30 +109,33 @@ def _pairwise(c: CandidateSet, k: float | None = None,
                 if pareto:
                     worse |= np.less(lhs, rhs, out=f)
                     better |= np.greater(lhs, rhs, out=f)
-                elif kdom:
+                elif tables:
                     n_b += np.greater(lhs, rhs, out=f).view(np.int8)
                     n_e += np.equal(lhs, rhs, out=f).view(np.int8)
-                if sub is not None:
-                    gains += np.maximum(d, 0.0, out=d)
+                if gains:
+                    plane += np.maximum(d, 0.0, out=d)
             # self pairs are equal on every criterion, so never dominated;
             # int32 row counts are exact below 2^31 candidates
-            if pareto or kdom:
-                dom = better > worse if pareto else n_b >= least.take(n_e)
-                count[s:s + rows] = dom.sum(axis=1, dtype=np.int32)
+            if pareto:
+                counts[0.0][s:s + rows] = (better > worse).sum(axis=1, dtype=np.int32)
+            for k, least in tables.items():
+                counts[k][s:s + rows] = (n_b >= least.take(n_e)).sum(
+                    axis=1, dtype=np.int32)
             # a self pair's gain is +0.0 and no gain is below it, so self
             # pairs change no maximum; a lone candidate's pg is 0 - 0
-            if sub == "gd":
-                out[s:s + rows] = gains.sum(axis=1)
-            elif sub == "pg":
-                out[s:s + rows] = gains.max(axis=1)
-                np.maximum(best_in, gains.max(axis=0), out=best_in)
-        if sub == "pg":
-            out -= best_in
-    if sub is not None and not np.isfinite(out).all():
-        raise DomainError(
-            f"{sub} gains overflow for user {c.user_id!r}: n * M * (largest "
-            f"per-criterion spread) of its candidates must be finite")
-    return count, out
+            if "gd" in scored:
+                scored["gd"][s:s + rows] = plane.sum(axis=1)
+            if "pg" in scored:
+                scored["pg"][s:s + rows] = plane.max(axis=1)
+                np.maximum(best_in, plane.max(axis=0), out=best_in)
+        if "pg" in scored:
+            scored["pg"] -= best_in
+    for kind in sorted(scored):
+        if not np.isfinite(scored[kind]).all():
+            raise DomainError(
+                f"{kind} gains overflow for user {c.user_id!r}: n * M * (largest "
+                f"per-criterion spread) of its candidates must be finite")
+    return counts, scored
 
 
 def average_ranks(values: np.ndarray, *, descending: bool) -> np.ndarray:
@@ -148,7 +159,7 @@ def average_ranks(values: np.ndarray, *, descending: bool) -> np.ndarray:
 
 def pr_scores(c: CandidateSet) -> np.ndarray:
     """Pareto ranking: each item's score is how many others it dominates."""
-    return _pairwise(c, k=0.0)[0]
+    return score_methods(c, [MethodSpec.pr()])[0]
 
 
 def kd_scores(c: CandidateSet, k: float) -> np.ndarray:
@@ -157,10 +168,7 @@ def kd_scores(c: CandidateSet, k: float) -> np.ndarray:
     The relation can hold in both directions for one pair when k > 0;
     the score is the raw count either way.
     """
-    kf = float(k)
-    if not 0.0 <= kf <= 1.0:
-        raise DomainError(f"relaxation factor k must lie in [0, 1], got {k}")
-    return _pairwise(c, k=kf)[0]
+    return score_methods(c, [MethodSpec.kd(k)])[0]
 
 
 def per_criterion_ranks(c: CandidateSet, m: int) -> np.ndarray:
@@ -176,21 +184,17 @@ def per_criterion_ranks(c: CandidateSet, m: int) -> np.ndarray:
 
 def ar_scores(c: CandidateSet) -> np.ndarray:
     """Average ranking: sum of per-criterion positions (plain summation)."""
-    total = np.zeros(c.n, dtype=np.float64)
-    for m in range(c.n_criteria):
-        total += per_criterion_ranks(c, m)
-    return total
+    return score_methods(c, [MethodSpec.ar()])[0]
 
 
 def mr_scores(c: CandidateSet) -> np.ndarray:
     """Maximum ranking: best (smallest) per-criterion position."""
-    stacked = np.stack([per_criterion_ranks(c, m) for m in range(c.n_criteria)])
-    return stacked.min(axis=0)
+    return score_methods(c, [MethodSpec.mr()])[0]
 
 
 def gd_scores(c: CandidateSet) -> np.ndarray:
     """Global detriment: accumulated gains over every other candidate."""
-    return _pairwise(c, sub="gd")[1]
+    return score_methods(c, [MethodSpec.gd()])[0]
 
 
 def pg_scores(c: CandidateSet) -> np.ndarray:
@@ -198,7 +202,7 @@ def pg_scores(c: CandidateSet) -> np.ndarray:
 
     Defined as 0 for a single candidate (no other items to compare).
     """
-    return _pairwise(c, sub="pg")[1]
+    return score_methods(c, [MethodSpec.pg()])[0]
 
 
 def normalize_sub(scores: np.ndarray, kind: str) -> np.ndarray:
@@ -221,33 +225,69 @@ def hybrid_scores(c: CandidateSet, major: MethodSpec, sub: MethodSpec) -> np.nda
     below one, strict major orderings are always preserved; the subsort
     only separates items the major left tied.
     """
-    MethodSpec.hybrid(major, sub)  # rejects a wrong major or sub kind
-    if sub.kind in ("gd", "pg"):  # both parts from one pairwise pass
-        counts, sub_scores = _pairwise(
-            c, 0.0 if major.kind == "pr" else major.k, sub.kind)
-    else:
-        counts = method_scores(c, major)
-        sub_scores = method_scores(c, sub)
-    return counts + normalize_sub(sub_scores, sub.kind)
+    return score_methods(c, [MethodSpec.hybrid(major, sub)])[0]
 
 
 def method_scores(c: CandidateSet, spec: MethodSpec) -> np.ndarray:
-    """Dispatch a MethodSpec to its scoring function."""
-    if spec.kind == "pr":
-        return pr_scores(c)
-    if spec.kind == "kd":
-        return kd_scores(c, spec.k)
-    if spec.kind == "ar":
-        return ar_scores(c)
-    if spec.kind == "mr":
-        return mr_scores(c)
-    if spec.kind == "gd":
-        return gd_scores(c)
-    if spec.kind == "pg":
-        return pg_scores(c)
-    if spec.kind == "hybrid":
-        return hybrid_scores(c, spec.major, spec.sub)
-    raise DomainError(f"unknown ranking method {spec.kind!r}")
+    """Scores of ``c`` under one MethodSpec."""
+    return score_methods(c, [spec])[0]
+
+
+def score_methods(c: CandidateSet, specs: Sequence[MethodSpec]) -> list[np.ndarray]:
+    """Scores of ``c`` under each spec, in order, from one pairwise pass.
+
+    The pass counts dominance for every k the specs ask for (pr is k = 0,
+    a hybrid's major included) and forms one gains plane for gd and pg;
+    ar, mr and the +ar/+mr subsorts share one set of per-criterion
+    positions. Each array is fresh and equal, bit for bit, to what scoring
+    its spec alone gives.
+    """
+    parts = [p for spec in specs
+             for p in ((spec.major, spec.sub) if spec.kind == "hybrid" else (spec,))]
+    kinds = {p.kind for p in parts}
+    counts, subs = _pairwise(c, {_major_k(p) for p in parts if p.kind in MAJOR_KINDS},
+                             kinds & {"gd", "pg"})
+    if kinds & set(_LOWER_BETTER):
+        ranks = [per_criterion_ranks(c, j) for j in range(c.n_criteria)]
+        if "ar" in kinds:
+            subs["ar"] = np.zeros(c.n)
+            for r in ranks:
+                subs["ar"] += r
+        if "mr" in kinds:
+            subs["mr"] = np.stack(ranks).min(axis=0)
+
+    def part(p: MethodSpec) -> np.ndarray:
+        return counts[_major_k(p)] if p.kind in MAJOR_KINDS else subs[p.kind]
+
+    return [part(spec.major) + normalize_sub(part(spec.sub), spec.sub.kind)
+            if spec.kind == "hybrid" else part(spec).copy() for spec in specs]
+
+
+def _major_k(spec: MethodSpec) -> float:
+    return 0.0 if spec.kind == "pr" else spec.k
+
+
+def _best_first(scores: Sequence[np.ndarray], kinds: Sequence[str],
+                item_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate indices best first, one row per score array, and the
+    descending-is-better keys in that order.
+
+    Positions (ar, mr) are negated once; equal keys break by ascending
+    item id. The result is checked against the ScoredList invariant.
+    """
+    keys = np.array([-s if kind in _LOWER_BETTER else s
+                     for s, kind in zip(scores, kinds)])
+    n = len(item_ids)
+    id_rank = np.empty(n, dtype=np.intp)
+    id_rank[sorted(range(n), key=item_ids.__getitem__)] = np.arange(n)
+    order = np.lexsort((np.broadcast_to(id_rank, keys.shape), -keys))
+    keys = np.take_along_axis(keys, order, axis=1)
+    ids = id_rank[order]
+    if ((keys[:, 1:] > keys[:, :-1])
+            | ((keys[:, 1:] == keys[:, :-1]) & (ids[:, 1:] <= ids[:, :-1]))).any():
+        raise DomainError("ranked list must be non-increasing in score, with tied "
+                          "scores ordered by ascending item id")
+    return order, keys
 
 
 def rank_candidates(c: CandidateSet, spec: MethodSpec) -> ScoredList:
@@ -256,14 +296,14 @@ def rank_candidates(c: CandidateSet, spec: MethodSpec) -> ScoredList:
     Lower-is-better positions are negated first so the list is uniformly
     ordered; remaining ties break by ascending item id.
     """
-    scores = method_scores(c, spec)
-    if spec.kind in _LOWER_BETTER:
-        scores = -scores
-    return ScoredList.from_pairs(zip(c.item_ids, scores.tolist()))
+    ids = [str(i) for i in c.item_ids]
+    order, keys = _best_first([method_scores(c, spec)], [spec.kind], ids)
+    return ScoredList._ordered(
+        tuple(zip([ids[i] for i in order[0].tolist()], keys[0].tolist())))
 
 
 def top_n(scored: ScoredList, n: int) -> ScoredList:
     """First min(n, length) entries; a prefix of a valid list is valid."""
     if n < 1:
         raise DomainError(f"top-n length must be positive, got {n}")
-    return ScoredList(scored.entries[:n])
+    return ScoredList._ordered(scored.entries[:n])

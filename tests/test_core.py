@@ -132,8 +132,8 @@ class TestCandidateSet:
             CandidateSet.from_pairs("u", [("a", (1, 2)), ("a", (3, 4))])
 
     def test_ragged_vectors_rejected(self):
-        with pytest.raises((DimensionError, ValueError)):
-            CandidateSet.from_pairs("u", [("a", (1, 2)), ("b", (3, 4, 5))])
+        with pytest.raises(DimensionError, match="'u7'"):
+            CandidateSet.from_pairs("u7", [("a", (1, 2)), ("b", (3, 4, 5))])
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):

@@ -217,6 +217,16 @@ class TestCliRank:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
 
+    def test_file_order_does_not_change_the_list(self, tmp_path, capsys):
+        # the loader keeps file order; ties still break by ascending id
+        path = tmp_path / "vectors.csv"
+        path.write_text("user_id,item_id,a,b\nu1,T3,3,3\nu1,T10,3,3\n"
+                        "u1,T1,5,5\nu1,T2,3,3\n")
+        assert cli_main(["rank", "--input", str(path), "--predicted",
+                         "--method", "pr"]) == 0
+        listed = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()]
+        assert listed == ["T1", "T10", "T2", "T3"]
+
     def test_rank_from_rating_file(self, tmp_path, capsys):
         path = tmp_path / "ratings.csv"
         path.write_text(GOLDEN_CSV)

@@ -8,6 +8,7 @@ from mcrank import (
     DomainError,
     ExperimentConfig,
     MethodSpec,
+    PredictorModel,
     Protocol,
     RatingRecord,
     SplitError,
@@ -27,6 +28,7 @@ from mcrank import (
     top_n,
     validate_dataset,
 )
+from mcrank import pipeline
 
 FAST_TRAIN = TrainConfig(latent_dim=4, epochs=3, seed=5)
 
@@ -258,6 +260,29 @@ class TestRunExperiment:
             small_config(["pr"], n_values=(0,))
         with pytest.raises(DomainError):
             small_config(["pr", "pr"])
+
+
+class TestBenchmarkContract:
+    def test_candidates_built_once_per_fold_from_model_and_test(self, monkeypatch):
+        # bench/workloads.pass_recorder wraps pipeline.build_candidates and
+        # reads each fold's model and test part from its first two
+        # positional arguments, one call per fold
+        calls = []
+        real = pipeline.build_candidates
+
+        def recorder(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_candidates", recorder)
+        ds = small_dataset(19)
+        cfg = small_config(["pr", "kd:0.5+pg", "ar"], folds=4)
+        run_experiment(ds, cfg)
+        assert len(calls) == cfg.folds
+        for args, (_, test) in zip(calls, kfold_split(ds, cfg.folds, cfg.seed)):
+            assert len(args) >= 2
+            assert isinstance(args[0], PredictorModel)
+            assert args[1] == test
 
 
 class TestSweepK:

@@ -19,6 +19,7 @@ from mcrank import (
     CandidateSet,
     DomainError,
     MethodSpec,
+    ScoredList,
     ar_scores,
     average_ranks,
     gd_scores,
@@ -31,6 +32,7 @@ from mcrank import (
     pg_scores,
     pr_scores,
     rank_candidates,
+    score_methods,
     top_n,
 )
 from mcrank import ranking
@@ -310,6 +312,33 @@ def assert_pairwise_match_oracle(c, gd_tol=None):
             assert got == expected, label
 
 
+def many_criteria_set():
+    """M = 130: one candidate beats another on all 130 criteria, a count
+    an int8 counter would wrap to -126."""
+    rng = np.random.default_rng(130)
+    base = rng.integers(1, 5, size=130).astype(np.float64)
+    rows = [base, base + 1.0, np.where(np.arange(130) < 129, base + 1.0, base)]
+    rows += list(rng.integers(1, 6, size=(9, 130)).astype(np.float64))
+    return CandidateSet(user_id="u", item_ids=tuple(f"i{j:02d}" for j in range(12)),
+                        matrix=np.array(rows))
+
+
+EXTREME_ROWS = {
+    "subnormal-and-signed-zero": [
+        (5e-324, 0.0), (0.0, 5e-324), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0),
+        (-0.0, -0.0), (-5e-324, 5e-324)],
+    "subnormal-differences": [
+        (2.0 ** -1020, 0.0), (np.nextafter(2.0 ** -1020, 1.0), 0.0),
+        (0.0, 2.0 ** -1020), (2.0 ** -1020, 2.0 ** -1020)],
+    "least-normal-differences": [
+        (2.0 ** -970, 0.0), (np.nextafter(2.0 ** -970, 1.0), -0.0),
+        (-(2.0 ** -970), 2.0 ** -970), (0.0, np.nextafter(2.0 ** -970, 1.0))],
+    "near-1e307": [
+        (1e307, -1e307), (-1e307, 1e307), (np.nextafter(1e307, 0.0), 1e307),
+        (1e307, 1e307)],
+}
+
+
 class TestChunkedPairwise:
     """Above about 180 candidates at M = 4 the pairwise methods work in
     row chunks; a small cell budget sends small sets down that path."""
@@ -331,30 +360,13 @@ class TestChunkedPairwise:
                 assert_pairwise_match_oracle(c)
 
     def test_more_criteria_than_int8_counts(self, monkeypatch):
-        # M = 130: one candidate beats another on all 130 criteria, a count
-        # an int8 counter would wrap to -126
-        rng = np.random.default_rng(130)
-        base = rng.integers(1, 5, size=130).astype(np.float64)
-        rows = [base, base + 1.0, np.where(np.arange(130) < 129, base + 1.0, base)]
-        rows += list(rng.integers(1, 6, size=(9, 130)).astype(np.float64))
-        c = CandidateSet(user_id="u", item_ids=tuple(f"i{j:02d}" for j in range(12)),
-                         matrix=np.array(rows))
+        c = many_criteria_set()
         assert pr_scores(c).tolist()[1] >= 2.0  # dominates rows 0 and 2
         assert_pairwise_match_oracle(c)
         monkeypatch.setattr(ranking, "_CHUNK_CELLS", 2 * c.n * c.n_criteria)
         assert_pairwise_match_oracle(c)
 
-    @pytest.mark.parametrize("rows", [
-        [(5e-324, 0.0), (0.0, 5e-324), (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0),
-         (-0.0, -0.0), (-5e-324, 5e-324)],
-        [(2.0 ** -1020, 0.0), (np.nextafter(2.0 ** -1020, 1.0), 0.0),
-         (0.0, 2.0 ** -1020), (2.0 ** -1020, 2.0 ** -1020)],
-        [(2.0 ** -970, 0.0), (np.nextafter(2.0 ** -970, 1.0), -0.0),
-         (-(2.0 ** -970), 2.0 ** -970), (0.0, np.nextafter(2.0 ** -970, 1.0))],
-        [(1e307, -1e307), (-1e307, 1e307), (np.nextafter(1e307, 0.0), 1e307),
-         (1e307, 1e307)],
-    ], ids=["subnormal-and-signed-zero", "subnormal-differences",
-            "least-normal-differences", "near-1e307"])
+    @pytest.mark.parametrize("rows", EXTREME_ROWS.values(), ids=EXTREME_ROWS.keys())
     def test_comparisons_match_the_oracle_at_the_float_extremes(self, rows):
         # the kernels read a > b and a == b from a - b unless a nonzero value
         # lies below 2^-970; the oracle compares directly. n * M * spread
@@ -372,6 +384,128 @@ class TestChunkedPairwise:
         least_normal = np.finfo(np.float64).smallest_normal
         assert np.nextafter(x, np.inf) - x == least_normal
         assert x - np.nextafter(x, 0.0) < least_normal
+
+
+# every plain method, k in {0, 0.25, 0.5, 0.75, 1}, and four majors with
+# each subsort
+SHARED_LABELS = ["pr", "kd:0", "kd:0.25", "kd:0.5", "kd:0.75", "kd:1",
+                 "ar", "mr", "gd", "pg",
+                 *[f"{major}+{sub}" for major in ("pr", "kd:0.5", "kd:1", "kd:0.3")
+                   for sub in ("ar", "mr", "gd", "pg")]]
+
+
+def naive_scores(label, vectors):
+    spec = MethodSpec.parse(label)
+    if spec.kind == "pr":
+        return naive.pr_list(vectors)
+    if spec.kind == "kd":
+        return naive.kd_list(vectors, spec.k)
+    if spec.kind == "hybrid":
+        return naive.hybrid_list(vectors, spec.major.kind, spec.major.k, spec.sub.kind)
+    return naive.SUB_FNS[spec.kind](vectors)
+
+
+class TestSharedPass:
+    """``score_methods`` scores many methods from one pairwise pass; each
+    array must be the one its method alone gives, byte for byte, and the
+    oracle's (exactly, but for gd's order-dependent sum)."""
+
+    @staticmethod
+    def assert_shared_pass_exact(c, labels, gd_tol=None):
+        specs = [MethodSpec.parse(label) for label in labels]
+        together = score_methods(c, specs)
+        assert len(together) == len(specs)
+        vectors = [tuple(row) for row in c.matrix.tolist()]
+        for label, spec, got in zip(labels, specs, together):
+            alone = method_scores(c, spec)
+            assert got.dtype == np.float64 and got.shape == (c.n,), label
+            assert got.tobytes() == alone.tobytes(), label
+            want = naive_scores(label, vectors)
+            if label == "gd":
+                assert got.tolist() == pytest.approx(want, **(gd_tol or {"abs": 1e-12}))
+            else:
+                assert got.tolist() == want, label
+
+    @pytest.mark.parametrize("rows", [None, 1, 2, 3])
+    def test_every_label_at_once(self, monkeypatch, rows):
+        rng = np.random.default_rng(90 + (rows or 0))
+        for trial in range(12):
+            c = random_candidate_set(rng, min_n=4, max_n=12, integer=trial % 2 == 0)
+            if rows is not None:
+                monkeypatch.setattr(ranking, "_CHUNK_CELLS",
+                                    rows * c.n * c.n_criteria)
+                assert ranking._chunk_rows(c.n, c.n_criteria) == rows
+            self.assert_shared_pass_exact(c, SHARED_LABELS)
+
+    @pytest.mark.parametrize("labels", [
+        ["kd:1", "kd:0.25", "kd:0.5", "kd:0.25", "kd:1"],
+        ["kd:1+pg", "pr", "kd:0.75", "kd:0", "pr", "kd:0.25+ar", "kd:0.25"],
+        ["pr", "kd:0", "pr", "pr+gd", "pr+mr"],
+        ["gd", "pg", "gd", "mr", "ar", "mr", "kd:0.5+mr", "kd:0.5+ar"],
+    ], ids=["kd-only", "pr-among-k", "pr-only", "no-major-first"])
+    def test_duplicate_and_unsorted_labels(self, labels):
+        rng = np.random.default_rng(91)
+        for trial in range(30):
+            c = random_candidate_set(rng, integer=trial % 2 == 0)
+            self.assert_shared_pass_exact(c, labels)
+
+    def test_arrays_are_fresh(self):
+        c = random_candidate_set(np.random.default_rng(92), min_n=3)
+        first, second = score_methods(c, [MethodSpec.pr(), MethodSpec.kd(0.0)])
+        assert first is not second and first.flags.writeable
+        first += 1.0
+        assert second.tolist() == pr_scores(c).tolist()
+
+    def test_more_criteria_than_int8_counts(self, monkeypatch):
+        c = many_criteria_set()
+        self.assert_shared_pass_exact(c, SHARED_LABELS)
+        monkeypatch.setattr(ranking, "_CHUNK_CELLS", 2 * c.n * c.n_criteria)
+        self.assert_shared_pass_exact(c, SHARED_LABELS)
+
+    @pytest.mark.parametrize("rows", EXTREME_ROWS.values(), ids=EXTREME_ROWS.keys())
+    def test_float_extremes(self, rows):
+        for n in range(2, len(rows) + 1):
+            c = CandidateSet.from_pairs(
+                "u", [(f"i{j}", row) for j, row in enumerate(rows[:n])])
+            self.assert_shared_pass_exact(c, SHARED_LABELS, gd_tol={"abs": 0.0})
+
+
+class TestRankCandidatesOrder:
+    """Lists are best first with ties by ascending item id, whatever order
+    the candidate set holds its ids in (the predicted-file loader keeps
+    file order)."""
+
+    @pytest.mark.parametrize("label", ["pr", "kd:0.5", "ar", "mr", "gd", "pg",
+                                       "kd:0.5+ar", "pr+pg"])
+    def test_unsorted_ids_rank_like_sorted_pairs(self, label):
+        rng = np.random.default_rng(sum(map(ord, label)))
+        spec = MethodSpec.parse(label)
+        sign = -1.0 if spec.kind in ("ar", "mr") else 1.0
+        for trial in range(30):
+            drawn = random_candidate_set(rng, min_n=2, max_n=14, integer=trial % 3 > 0)
+            # "i10" sorts before "i9": string order, not numeric
+            ids = tuple(f"i{j}" for j in rng.permutation(drawn.n) + 8)
+            c = CandidateSet(user_id="u", item_ids=ids, matrix=drawn.matrix)
+            scores = (sign * method_scores(c, spec)).tolist()
+            got = rank_candidates(c, spec)
+            assert got.entries == ScoredList.from_pairs(zip(ids, scores)).entries
+            assert top_n(got, 3).entries == got.entries[:3]
+
+    def test_non_string_ids_order_as_strings(self):
+        c = CandidateSet(user_id="u", item_ids=(9, 10, 11),
+                         matrix=np.array([[1.0], [1.0], [2.0]]))
+        assert rank_candidates(c, MethodSpec.pr()).entries == \
+            (("11", 2.0), ("10", 0.0), ("9", 0.0))
+
+    @pytest.mark.parametrize("rows", [[(1.0,), (2.0,)], [(1.0,), (1.0,)]],
+                             ids=["by-score", "ties-by-id"])
+    def test_order_is_checked(self, monkeypatch, rows):
+        # the invariant check after the sort catches a wrong order
+        c = CandidateSet.from_pairs("u", [(f"i{j}", r) for j, r in enumerate(rows)])
+        real = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: real(keys)[..., ::-1])
+        with pytest.raises(DomainError, match="non-increasing"):
+            rank_candidates(c, MethodSpec.pr())
 
 
 class TestGainOverflow:
