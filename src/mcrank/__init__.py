@@ -41,17 +41,8 @@ from .pipeline import (
 )
 from .predictor import PredictorModel, TrainConfig, fit, load_model, predict, predict_many, save_model
 from .ranking import (
-    ar_scores,
     average_ranks,
-    gd_scores,
-    hybrid_scores,
-    kd_scores,
     method_scores,
-    mr_scores,
-    normalize_sub,
-    per_criterion_ranks,
-    pg_scores,
-    pr_scores,
     rank_candidates,
     score_methods,
     top_n,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from . import io
 from .core import CandidateSet, MethodSpec
 from .errors import DomainError, McrankError
@@ -116,27 +117,29 @@ def _cmd_rank(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_report(args) -> int:
+    """evaluate, or sweep-k over its --k list: run and write the report."""
+    ks = None
+    if args.command == "sweep-k":
+        try:
+            ks = [float(t) for t in args.k.split(",") if t.strip()]
+        except ValueError as exc:
+            raise _UsageError(f"bad --k list {args.k!r}") from exc
+        if not ks:
+            raise _UsageError("--k needs at least one value")
+    out = Path(args.out)
+    named = [("--input", Path(args.input)), ("--config", Path(args.config)),
+             ("--out", out), ("the CSV next to --out", out.parent / f"{out.stem}.csv")]
+    for i in (2, 3):  # the report's two files against every earlier path
+        for j in range(i):
+            (flag, a), (other, b) = named[i], named[j]
+            if a == b or (a.exists() and b.exists() and a.samefile(b)):  # links too
+                raise _UsageError(f"{flag} ({a}) and {other} are the same file; "
+                                  f"the report would overwrite it")
     dataset = io.load_dataset(args.input)
     cfg = io.load_experiment_config(args.config, dataset_path=args.input)
     started = time.perf_counter()
-    report = run_experiment(dataset, cfg)
-    io.emit_report(report, args.out)
-    print(f"wrote {args.out} in {time.perf_counter() - started:.1f}s", file=sys.stderr)
-    return 0
-
-
-def _cmd_sweep_k(args) -> int:
-    try:
-        ks = [float(t) for t in args.k.split(",") if t.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"bad --k list {args.k!r}") from exc
-    if not ks:
-        raise _UsageError("--k needs at least one value")
-    dataset = io.load_dataset(args.input)
-    cfg = io.load_experiment_config(args.config, dataset_path=args.input)
-    started = time.perf_counter()
-    report = sweep_k(dataset, ks, cfg)
+    report = run_experiment(dataset, cfg) if ks is None else sweep_k(dataset, ks, cfg)
     io.emit_report(report, args.out)
     print(f"wrote {args.out} in {time.perf_counter() - started:.1f}s", file=sys.stderr)
     return 0
@@ -176,8 +179,8 @@ def _cmd_predict(args) -> int:
 
 _COMMANDS = {
     "rank": _cmd_rank,
-    "evaluate": _cmd_evaluate,
-    "sweep-k": _cmd_sweep_k,
+    "evaluate": _cmd_report,
+    "sweep-k": _cmd_report,
     "synth": _cmd_synth,
     "predict": _cmd_predict,
 }

@@ -1,16 +1,14 @@
 """Scoring a candidate set under any ranking method.
 
-Every scorer returns a fresh float64 array aligned with the candidate
-order. Dominance counting methods (pr, kd), degree-of-dominance methods
-(gd, pg) and hybrids produce higher-is-better scores; rank aggregation
-methods (ar, mr) produce positions, where position one is the top of the
-list and lower wins. ``rank_candidates`` negates those once and always
-returns a descending-is-better ScoredList.
+``method_scores`` and ``score_methods`` return fresh float64 arrays
+aligned with the candidate order. Dominance counting methods (pr, kd),
+degree-of-dominance methods (gd, pg) and hybrids produce higher-is-better
+scores; rank aggregation methods (ar, mr) produce positions, where
+position one is the top of the list and lower wins. ``rank_candidates``
+negates those once and always returns a descending-is-better ScoredList.
 
-``score_methods`` scores a set under several methods at once: all
-pairwise scoring is one vectorized pass over cache-sized row chunks, so
-peak memory stays bounded for large candidate sets, and every dominance
-count, k value and gain the methods need comes from that one pass.
+All pairwise scoring is one vectorized pass over cache-sized row chunks,
+so peak memory stays bounded for large candidate sets.
 """
 
 from __future__ import annotations
@@ -139,108 +137,56 @@ def _pairwise(c: CandidateSet, ks: set[float],
 
 
 def average_ranks(values: np.ndarray, *, descending: bool) -> np.ndarray:
-    """Fractional 1-based positions; tied values share the average position."""
+    """Fractional 1-based positions along the last axis; tied values share
+    the average position. Each row of a 2-D array is ranked on its own."""
     values = np.asarray(values, dtype=np.float64)
-    n = values.size
-    order = (-values if descending else values).argsort(kind="stable")
-    sorted_vals = values[order]
-    # tie groups are runs in sorted order; run [s, e) spans positions
-    # s+1 .. e, whose average (s + e + 1) / 2 is exact in float64. Array
-    # methods, not np.* wrappers: most candidate sets are a few items long,
-    # so per-call overhead is the cost here.
-    run_start = np.ones(n + 1, dtype=bool)
-    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=run_start[1:n])
+    n, size = values.shape[-1], values.size
+    order = (-values if descending else values).argsort(axis=-1, kind="stable")
+    # the rows, each sorted, laid end to end; row_start[i] is where the row
+    # of flat position i begins
+    row_start = np.arange(0, size, max(n, 1)).repeat(n)
+    flat = order.ravel() + row_start
+    sorted_vals = values.ravel()[flat]
+    # tie groups are runs in that order, and each row starts a new run; run
+    # [s, e) of the row starting at r spans positions s-r+1 .. e-r, whose
+    # average (s + e + 1 - 2r) / 2 is exact in float64. Array methods, not
+    # np.* wrappers: most sets are a few items long, so per-call overhead
+    # is the cost here.
+    run_start = np.ones(size + 1, dtype=bool)
+    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=run_start[1:size])
+    run_start[:size:max(n, 1)] = True
     bounds = run_start.nonzero()[0]
     starts, ends = bounds[:-1], bounds[1:]
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = ((starts + ends + 1) / 2.0).repeat(ends - starts)
+    ranks = np.empty(values.shape)
+    ranks.reshape(-1)[flat] = ((starts + ends + 1 - 2 * row_start[starts]) / 2.0
+                               ).repeat(ends - starts)
     return ranks
 
 
-def pr_scores(c: CandidateSet) -> np.ndarray:
-    """Pareto ranking: each item's score is how many others it dominates."""
-    return score_methods(c, [MethodSpec.pr()])[0]
-
-
-def kd_scores(c: CandidateSet, k: float) -> np.ndarray:
-    """k-dominance counting: how many others each item k-dominates.
-
-    The relation can hold in both directions for one pair when k > 0;
-    the score is the raw count either way.
-    """
-    return score_methods(c, [MethodSpec.kd(k)])[0]
-
-
-def per_criterion_ranks(c: CandidateSet, m: int) -> np.ndarray:
-    """Positions of the candidates on criterion ``m``, best rating first.
-
-    Ties get the average of the positions they span, which keeps ar/mr
-    invariant under candidate permutation.
-    """
-    if not 0 <= m < c.n_criteria:
-        raise IndexError(f"criterion index {m} out of range for M={c.n_criteria}")
-    return average_ranks(c.matrix[:, m], descending=True)
-
-
-def ar_scores(c: CandidateSet) -> np.ndarray:
-    """Average ranking: sum of per-criterion positions (plain summation)."""
-    return score_methods(c, [MethodSpec.ar()])[0]
-
-
-def mr_scores(c: CandidateSet) -> np.ndarray:
-    """Maximum ranking: best (smallest) per-criterion position."""
-    return score_methods(c, [MethodSpec.mr()])[0]
-
-
-def gd_scores(c: CandidateSet) -> np.ndarray:
-    """Global detriment: accumulated gains over every other candidate."""
-    return score_methods(c, [MethodSpec.gd()])[0]
-
-
-def pg_scores(c: CandidateSet) -> np.ndarray:
-    """Profit gain: best outgoing gain minus best incoming gain.
-
-    Defined as 0 for a single candidate (no other items to compare).
-    """
-    return score_methods(c, [MethodSpec.pg()])[0]
-
-
-def normalize_sub(scores: np.ndarray, kind: str) -> np.ndarray:
-    """Map ``kind`` subsort scores into [0, 1), higher is better, ties kept.
-
-    Positions are fractional average ranks in the kind's own direction
-    (best item at position 1); the result is (n - rho) / n, which is
-    scale-free and stays inside [0, (n-1)/n] even when all scores
-    coincide.
-    """
-    n = len(scores)
-    rho = average_ranks(scores, descending=kind not in _LOWER_BETTER)
-    return (n - rho) / n
-
-
-def hybrid_scores(c: CandidateSet, major: MethodSpec, sub: MethodSpec) -> np.ndarray:
-    """Major integer score plus a [0, 1) subsort refinement.
-
-    Because major scores are non-negative integers and the sub term is
-    below one, strict major orderings are always preserved; the subsort
-    only separates items the major left tied.
-    """
-    return score_methods(c, [MethodSpec.hybrid(major, sub)])[0]
-
-
 def method_scores(c: CandidateSet, spec: MethodSpec) -> np.ndarray:
-    """Scores of ``c`` under one MethodSpec."""
+    """Scores of ``c`` under one MethodSpec; see ``score_methods``."""
     return score_methods(c, [spec])[0]
 
 
 def score_methods(c: CandidateSet, specs: Sequence[MethodSpec]) -> list[np.ndarray]:
     """Scores of ``c`` under each spec, in order, from one pairwise pass.
 
-    The pass counts dominance for every k the specs ask for (pr is k = 0,
-    a hybrid's major included) and forms one gains plane for gd and pg;
-    ar, mr and the +ar/+mr subsorts share one set of per-criterion
-    positions. Each array is fresh and equal, bit for bit, to what scoring
-    its spec alone gives.
+    Per candidate: ``pr`` counts the others it Pareto-dominates and
+    ``kd:K`` those it k-dominates (for K > 0 both of a pair can; ``kd:0``
+    is ``pr``). ``ar`` sums its per-criterion positions (best rating first,
+    ties sharing the average position) and ``mr`` takes the smallest; lower
+    wins. ``gd`` sums its gains max(a - b, 0) over every other candidate
+    and criterion; ``pg`` is its best outgoing minus its best incoming gain
+    (0 for a lone candidate). A hybrid ``M+S`` adds to the integer major
+    score the subsort's share ``(n - rho) / n`` in [0, 1), rho being its
+    average position best first, so it only separates candidates the major
+    left tied.
+
+    The pass counts dominance for every k asked for (pr is k = 0, a
+    hybrid's major included) and forms one gains plane for gd and pg. One
+    ``average_ranks`` call ranks every criterion, for ar, mr and their
+    subsorts, and one ranks every distinct hybrid subsort. Each array is
+    fresh and equal, bit for bit, to what scoring its spec alone gives.
     """
     parts = [p for spec in specs
              for p in ((spec.major, spec.sub) if spec.kind == "hybrid" else (spec,))]
@@ -248,18 +194,22 @@ def score_methods(c: CandidateSet, specs: Sequence[MethodSpec]) -> list[np.ndarr
     counts, subs = _pairwise(c, {_major_k(p) for p in parts if p.kind in MAJOR_KINDS},
                              kinds & {"gd", "pg"})
     if kinds & set(_LOWER_BETTER):
-        ranks = [per_criterion_ranks(c, j) for j in range(c.n_criteria)]
+        ranks = average_ranks(np.ascontiguousarray(c.matrix.T), descending=True)
         if "ar" in kinds:
-            subs["ar"] = np.zeros(c.n)
-            for r in ranks:
-                subs["ar"] += r
+            subs["ar"] = ranks.sum(axis=0)
         if "mr" in kinds:
-            subs["mr"] = np.stack(ranks).min(axis=0)
+            subs["mr"] = ranks.min(axis=0)
+    sub_kinds = sorted({spec.sub.kind for spec in specs if spec.kind == "hybrid"})
+    if sub_kinds:
+        # positions negated rank best first too; -0.0 == 0.0 keeps ties
+        rho = average_ranks(np.array([-subs[k] if k in _LOWER_BETTER else subs[k]
+                                      for k in sub_kinds]), descending=True)
+        shares = dict(zip(sub_kinds, (c.n - rho) / c.n))
 
     def part(p: MethodSpec) -> np.ndarray:
         return counts[_major_k(p)] if p.kind in MAJOR_KINDS else subs[p.kind]
 
-    return [part(spec.major) + normalize_sub(part(spec.sub), spec.sub.kind)
+    return [part(spec.major) + shares[spec.sub.kind]
             if spec.kind == "hybrid" else part(spec).copy() for spec in specs]
 
 

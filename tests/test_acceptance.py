@@ -29,12 +29,8 @@ from mcrank import (
     GroundTruth,
     MethodSpec,
     f1,
-    hybrid_scores,
-    kd_scores,
     method_scores,
     ndcg,
-    normalize_sub,
-    pr_scores,
     rank_candidates,
 )
 from mcrank.cli import cli_main
@@ -49,7 +45,7 @@ def check(criterion: str, name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_golden_pareto_scores(five_candidates):
-    scores = pr_scores(five_candidates).tolist()
+    scores = method_scores(five_candidates, MethodSpec.pr()).tolist()
     ranked = rank_candidates(five_candidates, MethodSpec.pr())
     ok = (scores == GOLDEN_PR
           and ranked.item_ids[0] == "T1"
@@ -106,7 +102,7 @@ def test_criterion_3_oracle_equivalence():
         for label, expected in real.items():
             got = method_scores(c, MethodSpec.parse(label)).tolist()
             assert got == pytest.approx(expected, abs=1e-12), label
-        got = hybrid_scores(c, MethodSpec.kd(k), MethodSpec.pg()).tolist()
+        got = method_scores(c, MethodSpec.hybrid(MethodSpec.kd(k), MethodSpec.pg())).tolist()
         assert got == pytest.approx(
             naive.hybrid_list(vs, "kd", k, "pg"), abs=1e-12)
         checked += 1
@@ -125,8 +121,8 @@ def test_criterion_4ab_hybrid_structure():
         for major_spec in majors:
             major = method_scores(c, major_spec)
             for sub_spec in subs:
-                sub = normalize_sub(method_scores(c, sub_spec), sub_spec.kind)
-                hybrid = hybrid_scores(c, major_spec, sub_spec)
+                sub = method_scores(c, sub_spec)
+                hybrid = method_scores(c, MethodSpec.hybrid(major_spec, sub_spec))
                 gt = major[:, None] > major[None, :]
                 order_violations += int((gt & (hybrid[:, None] <= hybrid[None, :])).sum())
                 tied = hybrid[:, None] == hybrid[None, :]
@@ -148,7 +144,7 @@ def _continuous_hybrid_tied_pairs(sub_spec: MethodSpec) -> int:
         c = CandidateSet(user_id="u",
                          item_ids=tuple(f"i{j:02d}" for j in range(50)),
                          matrix=matrix)
-        h = hybrid_scores(c, major, sub_spec)
+        h = method_scores(c, MethodSpec.hybrid(major, sub_spec))
         tied += int((h[:, None] == h[None, :]).sum() - 50) // 2
     return tied
 
@@ -189,7 +185,7 @@ def test_criterion_6_kd_monotone_in_k():
     violations = 0
     for _ in range(100):
         c = random_candidate_set(rng, max_n=15, max_m=5)
-        rows = [kd_scores(c, k) for k in grid]
+        rows = [method_scores(c, MethodSpec.kd(k)) for k in grid]
         for lo, hi in zip(rows, rows[1:]):
             violations += int((hi < lo).sum())
     check("6", "kd scores non-decreasing in k", violations == 0,
@@ -238,10 +234,10 @@ def test_criterion_8_pareto_scoring_scales():
     c = CandidateSet(user_id="u",
                      item_ids=tuple(f"i{j:05d}" for j in range(5000)),
                      matrix=matrix)
-    pr_scores(CandidateSet(user_id="w", item_ids=("a", "b"),
-                           matrix=np.ones((2, 4))))  # warm numpy up
+    method_scores(CandidateSet(user_id="w", item_ids=("a", "b"),
+                               matrix=np.ones((2, 4))), MethodSpec.pr())  # warm numpy up
     started = time.perf_counter()
-    scores = pr_scores(c)
+    scores = method_scores(c, MethodSpec.pr())
     elapsed = time.perf_counter() - started
     check("8", "pareto scoring of 5000x4 under two seconds",
           elapsed < 2.0 and len(scores) == 5000, f"{elapsed:.2f}s")

@@ -1,6 +1,6 @@
 """The pairwise dominance relation, read from the ranking kernel.
 
-In a set of two candidates, ``pr_scores`` and ``kd_scores`` count how
+In a set of two candidates, the ``pr`` and ``kd:K`` scores count how
 many others each one dominates, so they read ``[a beats b, b beats a]``.
 """
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive
-from mcrank import CandidateSet, DomainError, kd_scores, pr_scores
+from mcrank import CandidateSet, DomainError, MethodSpec, method_scores
 
 paired_vectors = st.integers(1, 5).flatmap(
     lambda m: st.tuples(
@@ -23,7 +23,7 @@ dyadic_k = st.integers(0, 16).map(lambda i: i / 16)
 def relation(a, b, k=None):
     """[a beats b, b beats a] under Pareto dominance, or k-dominance at k."""
     c = CandidateSet.from_pairs("u", [("a", a), ("b", b)])
-    scores = pr_scores(c) if k is None else kd_scores(c, k)
+    scores = method_scores(c, MethodSpec.pr() if k is None else MethodSpec.kd(k))
     return scores.tolist()
 
 

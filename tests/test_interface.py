@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -352,6 +353,26 @@ class TestCliPipelines:
         assert run_cli("sweep-k", "--input", data_file, "--k", "0,zebra",
                        "--config", config_file, "--out",
                        str(tmp_path / "x.json")) == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep-k"])
+    @pytest.mark.parametrize("out, flags", [
+        ("data.json", ("the CSV next to --out", "--input")),
+        ("data.csv", ("--out", "--input")),
+        ("config.json", ("--out", "--config")),
+        ("sub/../r.csv", ("the CSV next to --out", "--out")),
+        ("link.json", ("the CSV next to --out", "--input")),
+    ])
+    def test_report_never_overwrites_its_inputs(self, data_file, config_file, tmp_path,
+                                                capsys, command, out, flags):
+        os.link(data_file, tmp_path / "link.csv")  # a hard link is the same file
+        inputs = {path: Path(path).read_bytes() for path in (data_file, config_file)}
+        argv = [command, "--input", data_file, "--config", config_file,
+                "--out", str(tmp_path / out)]
+        assert run_cli(*argv, *(["--k", "0,0.5"] if command == "sweep-k" else [])) == 1
+        err = capsys.readouterr().err
+        assert "usage error:" in err and all(flag in err for flag in flags)
+        assert {path: Path(path).read_bytes() for path in inputs} == inputs
+        assert not (tmp_path / "r.csv").exists()
 
     def test_bad_config_is_a_data_error(self, data_file, tmp_path):
         cfg = tmp_path / "bad.json"

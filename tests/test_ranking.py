@@ -20,17 +20,8 @@ from mcrank import (
     DomainError,
     MethodSpec,
     ScoredList,
-    ar_scores,
     average_ranks,
-    gd_scores,
-    hybrid_scores,
-    kd_scores,
     method_scores,
-    mr_scores,
-    normalize_sub,
-    per_criterion_ranks,
-    pg_scores,
-    pr_scores,
     rank_candidates,
     score_methods,
     top_n,
@@ -42,43 +33,55 @@ def identical_set(n, vector=(3.0, 3.0)):
     return CandidateSet.from_pairs("u", [(f"i{j}", vector) for j in range(n)])
 
 
+def scores_of(c, label):
+    return method_scores(c, MethodSpec.parse(label)).tolist()
+
+
+def subsort_share(c, kind):
+    """The [0, 1) subsort part of the pr+kind hybrid, up to the rounding
+    of the sum."""
+    return (method_scores(c, MethodSpec.parse(f"pr+{kind}"))
+            - method_scores(c, MethodSpec.pr()))
+
+
 class TestGoldenFiveCandidates:
     def test_pr(self, five_candidates):
-        assert pr_scores(five_candidates).tolist() == GOLDEN_PR
+        assert scores_of(five_candidates, "pr") == GOLDEN_PR
 
     def test_kd_zero_reduces_to_pr(self, five_candidates):
-        assert kd_scores(five_candidates, 0.0).tolist() == GOLDEN_PR
+        assert scores_of(five_candidates, "kd:0") == GOLDEN_PR
 
     def test_kd_one(self, five_candidates):
-        assert kd_scores(five_candidates, 1.0).tolist() == GOLDEN_KD1
+        assert scores_of(five_candidates, "kd:1") == GOLDEN_KD1
 
     def test_per_criterion_ranks_first_column(self, five_candidates):
         # ratings (5,4,3,4,4): the three 4s share positions 2..4
-        assert per_criterion_ranks(five_candidates, 0).tolist() == [1, 3, 5, 3, 3]
+        ranks = average_ranks(five_candidates.matrix[:, 0], descending=True)
+        assert ranks.tolist() == [1, 3, 5, 3, 3]
 
     def test_ar(self, five_candidates):
-        assert ar_scores(five_candidates).tolist() == GOLDEN_AR
+        assert scores_of(five_candidates, "ar") == GOLDEN_AR
 
     def test_mr(self, five_candidates):
-        assert mr_scores(five_candidates).tolist() == GOLDEN_MR
+        assert scores_of(five_candidates, "mr") == GOLDEN_MR
 
     def test_gd(self, five_candidates):
-        assert gd_scores(five_candidates).tolist() == GOLDEN_GD
+        assert scores_of(five_candidates, "gd") == GOLDEN_GD
 
     def test_pg(self, five_candidates):
-        assert pg_scores(five_candidates).tolist() == GOLDEN_PG
+        assert scores_of(five_candidates, "pg") == GOLDEN_PG
 
     def test_normalize_sub_of_ar(self, five_candidates):
-        out = normalize_sub(ar_scores(five_candidates), "ar")
-        assert out.tolist() == [0.8, 0.6, 0.0, 0.2, 0.4]
+        out = subsort_share(five_candidates, "ar")
+        assert out.tolist() == pytest.approx([0.8, 0.6, 0.0, 0.2, 0.4], abs=1e-12)
 
     def test_hybrid_pr_ar_breaks_the_tie(self, five_candidates):
-        vec = hybrid_scores(five_candidates, MethodSpec.pr(), MethodSpec.ar())
-        assert vec.tolist() == pytest.approx(GOLDEN_HYBRID_PR_AR, abs=1e-12)
+        vec = scores_of(five_candidates, "pr+ar")
+        assert vec == pytest.approx(GOLDEN_HYBRID_PR_AR, abs=1e-12)
 
     def test_hybrid_pr_pg_keeps_the_tie(self, five_candidates):
-        vec = hybrid_scores(five_candidates, MethodSpec.pr(), MethodSpec.pg())
-        assert vec.tolist() == pytest.approx(GOLDEN_HYBRID_PR_PG, abs=1e-12)
+        vec = scores_of(five_candidates, "pr+pg")
+        assert vec == pytest.approx(GOLDEN_HYBRID_PR_PG, abs=1e-12)
 
     def test_ranked_order(self, five_candidates):
         ranked = rank_candidates(five_candidates, MethodSpec.pr())
@@ -94,34 +97,29 @@ class TestGoldenFiveCandidates:
 class TestDegenerateSets:
     def test_single_candidate(self):
         c = CandidateSet.from_pairs("u", [("only", (2.0, 4.0, 3.0))])
-        assert pr_scores(c).tolist() == [0.0]
-        assert kd_scores(c, 0.7).tolist() == [0.0]
-        assert ar_scores(c).tolist() == [3.0]  # rank 1 on each of 3 criteria
-        assert mr_scores(c).tolist() == [1.0]
-        assert gd_scores(c).tolist() == [0.0]
-        assert pg_scores(c).tolist() == [0.0]
-        assert normalize_sub(ar_scores(c), "ar").tolist() == [0.0]
+        assert scores_of(c, "pr") == [0.0]
+        assert scores_of(c, "kd:0.7") == [0.0]
+        assert scores_of(c, "ar") == [3.0]  # rank 1 on each of 3 criteria
+        assert scores_of(c, "mr") == [1.0]
+        assert scores_of(c, "gd") == [0.0]
+        assert scores_of(c, "pg") == [0.0]
+        assert scores_of(c, "pr+ar") == [0.0]
         assert rank_candidates(c, MethodSpec.pg()).item_ids == ["only"]
 
     def test_all_identical_candidates(self):
         c = identical_set(4)
-        assert pr_scores(c).tolist() == [0.0] * 4
-        assert gd_scores(c).tolist() == [0.0] * 4
-        assert pg_scores(c).tolist() == [0.0, 0.0, 0.0, 0.0]
-        assert len(set(ar_scores(c).tolist())) == 1
+        assert scores_of(c, "pr") == [0.0] * 4
+        assert scores_of(c, "gd") == [0.0] * 4
+        assert scores_of(c, "pg") == [0.0, 0.0, 0.0, 0.0]
+        assert len(set(scores_of(c, "ar"))) == 1
 
     def test_constant_column_ranks(self):
         c = identical_set(5)
-        assert per_criterion_ranks(c, 0).tolist() == [3.0] * 5  # (n+1)/2
+        assert average_ranks(c.matrix[:, 0], descending=True).tolist() == [3.0] * 5
 
     def test_strictly_decreasing_column(self):
         c = CandidateSet.from_pairs("u", [(f"i{j}", (5.0 - j,)) for j in range(4)])
-        assert per_criterion_ranks(c, 0).tolist() == [1, 2, 3, 4]
-
-    def test_criterion_index_out_of_range(self):
-        c = identical_set(2)
-        with pytest.raises(IndexError):
-            per_criterion_ranks(c, 2)
+        assert average_ranks(c.matrix[:, 0], descending=True).tolist() == [1, 2, 3, 4]
 
     def test_top_n_requires_positive(self, five_candidates):
         ranked = rank_candidates(five_candidates, MethodSpec.pr())
@@ -130,9 +128,9 @@ class TestDegenerateSets:
 
     def test_hybrid_rejects_wrong_part_kinds(self, five_candidates):
         with pytest.raises(DomainError):
-            hybrid_scores(five_candidates, MethodSpec.ar(), MethodSpec.pr())
+            MethodSpec.hybrid(MethodSpec.ar(), MethodSpec.pr())
         with pytest.raises(DomainError):
-            hybrid_scores(five_candidates, MethodSpec.pr(), MethodSpec.kd(0.5))
+            MethodSpec.hybrid(MethodSpec.pr(), MethodSpec.kd(0.5))
 
 
 class TestAverageRanks:
@@ -163,6 +161,26 @@ class TestAverageRanks:
                 values = rng.uniform(-2.0, 2.0, size=n)
             self.assert_matches_oracle(values.tolist())
 
+    @pytest.mark.parametrize("descending", [True, False])
+    def test_rows_rank_like_one_row_at_a_time(self, descending):
+        rng = np.random.default_rng(68)
+        tables = [np.array([[3.0], [-0.0]]),  # n = 1
+                  np.full((3, 4), 2.0),
+                  np.array([[0.0, -0.0, 1.0, -0.0], [-0.0, -0.0, 0.0, 0.0],
+                            [1.0, 1.0, 1.0, 1.0]])]
+        for trial in range(200):
+            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 12)))
+            if trial % 2:  # tie-heavy, with an all-equal row
+                table = rng.integers(-1, 2, size=shape) * 1.0
+                table[rng.integers(shape[0])] = table[0, 0]
+            else:
+                table = rng.uniform(-2.0, 2.0, size=shape)
+            tables.append(table)
+        for table in tables:
+            got = average_ranks(table, descending=descending)
+            want = np.array([average_ranks(row, descending=descending) for row in table])
+            assert got.shape == table.shape and got.tobytes() == want.tobytes()
+
 
 class TestGain:
     """In a set of two candidates, each one's gd score is its gain (sum of
@@ -170,7 +188,7 @@ class TestGain:
 
     @staticmethod
     def gains(a, b):
-        return gd_scores(CandidateSet.from_pairs("u", [("a", a), ("b", b)])).tolist()
+        return scores_of(CandidateSet.from_pairs("u", [("a", a), ("b", b)]), "gd")
 
     def test_examples(self):
         assert self.gains((5, 5, 5), (4, 4, 4)) == [3.0, 0.0]
@@ -185,33 +203,37 @@ class TestGain:
 
 
 class TestNormalizeSub:
+    """A hybrid adds its subsort to the major as (n - rho) / n, with rho
+    the subsort's average position, best first."""
+
     def test_all_equal_scores(self):
-        out = normalize_sub(np.full(4, 7.0), "gd")
-        expected = (4 - 2.5) / 4
-        assert out.tolist() == [expected] * 4
+        # every subsort ties and pr is 0, so the hybrid is the share itself
+        for kind in ("ar", "mr", "gd", "pg"):
+            assert scores_of(identical_set(4), f"pr+{kind}") == [(4 - 2.5) / 4] * 4
 
     @pytest.mark.parametrize("kind", ["gd", "ar"])
     def test_bounds_and_position_sum(self, kind):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            n = int(rng.integers(1, 12))
-            scores = rng.integers(0, 4, size=n).astype(float)
-            out = normalize_sub(scores, kind)
-            assert np.all(out >= 0.0) and np.all(out <= (n - 1) / n)
+            c = random_candidate_set(rng, max_n=11)
+            n = c.n
+            out = subsort_share(c, kind)
+            assert np.all(out >= 0.0) and np.all(out <= (n - 1) / n + 1e-12)
             rho = n - n * out
             assert rho.sum() == pytest.approx(n * (n + 1) / 2, abs=1e-9)
 
     def test_orientation_respected(self):
-        # gd and pg scores are higher-better, ar and mr positions lower-better
-        scores = np.array([1.0, 2.0, 3.0])
-        for kind in ("gd", "pg"):
-            assert normalize_sub(scores, kind).tolist() == [0.0, 1 / 3, 2 / 3]
-        for kind in ("ar", "mr"):
-            assert normalize_sub(scores, kind).tolist() == [2 / 3, 1 / 3, 0.0]
+        # one criterion rated 1, 2, 3: gd [0, 1, 3] and pg [-2, 0, 2] are
+        # higher-better, ar and mr positions [3, 2, 1] lower-better, so the
+        # third candidate is every kind's best
+        c = CandidateSet.from_pairs("u", [("a", (1.0,)), ("b", (2.0,)), ("c", (3.0,))])
+        for kind in ("ar", "mr", "gd", "pg"):
+            assert subsort_share(c, kind).tolist() == pytest.approx(
+                [0.0, 1 / 3, 2 / 3], abs=1e-12), kind
 
 
 class TestHybridFloatLimit:
-    """``hybrid_scores`` is ``major + (n - rho) / n`` in float64, with a
+    """A hybrid score is ``major + (n - rho) / n`` in float64, with a
     major of at most n - 1 and half-integer ranks rho in [1, n]. Up to
     n = 2**26 candidates adjacent ranks stay apart and no sum reaches the
     next major; at 2**26 + 1 adjacent ranks under major n - 1 merge. The
@@ -231,7 +253,7 @@ class TestHybridFloatLimit:
                 major = method_scores(c, major_spec)
                 rho = average_ranks(method_scores(c, sub),
                                     descending=sub.kind == "pg")
-                got = hybrid_scores(c, major_spec, sub).tolist()
+                got = method_scores(c, MethodSpec.hybrid(major_spec, sub)).tolist()
                 assert got == [self.encode(a, r, c.n) for a, r in zip(major, rho)]
 
     def test_holds_at_two_to_the_26(self):
@@ -280,7 +302,7 @@ class TestOracleEquivalence:
             for major_kind, k in (("pr", None), ("kd", 0.5)):
                 for sub_kind in ("ar", "mr", "gd", "pg"):
                     major = MethodSpec.pr() if major_kind == "pr" else MethodSpec.kd(k)
-                    got = hybrid_scores(c, major, MethodSpec(sub_kind)).tolist()
+                    got = method_scores(c, MethodSpec.hybrid(major, MethodSpec(sub_kind))).tolist()
                     expected = naive.hybrid_list(vectors, major_kind, k, sub_kind)
                     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -361,7 +383,7 @@ class TestChunkedPairwise:
 
     def test_more_criteria_than_int8_counts(self, monkeypatch):
         c = many_criteria_set()
-        assert pr_scores(c).tolist()[1] >= 2.0  # dominates rows 0 and 2
+        assert scores_of(c, "pr")[1] >= 2.0  # dominates rows 0 and 2
         assert_pairwise_match_oracle(c)
         monkeypatch.setattr(ranking, "_CHUNK_CELLS", 2 * c.n * c.n_criteria)
         assert_pairwise_match_oracle(c)
@@ -442,7 +464,8 @@ class TestSharedPass:
         ["kd:1+pg", "pr", "kd:0.75", "kd:0", "pr", "kd:0.25+ar", "kd:0.25"],
         ["pr", "kd:0", "pr", "pr+gd", "pr+mr"],
         ["gd", "pg", "gd", "mr", "ar", "mr", "kd:0.5+mr", "kd:0.5+ar"],
-    ], ids=["kd-only", "pr-among-k", "pr-only", "no-major-first"])
+        ["kd:0.5+pg", "pr+ar", "kd:1+mr", "pr+gd", "kd:0.25+pg", "pr+mr"],
+    ], ids=["kd-only", "pr-among-k", "pr-only", "no-major-first", "hybrids-only"])
     def test_duplicate_and_unsorted_labels(self, labels):
         rng = np.random.default_rng(91)
         for trial in range(30):
@@ -454,7 +477,7 @@ class TestSharedPass:
         first, second = score_methods(c, [MethodSpec.pr(), MethodSpec.kd(0.0)])
         assert first is not second and first.flags.writeable
         first += 1.0
-        assert second.tolist() == pr_scores(c).tolist()
+        assert second.tolist() == scores_of(c, "pr")
 
     def test_more_criteria_than_int8_counts(self, monkeypatch):
         c = many_criteria_set()
@@ -526,8 +549,8 @@ class TestGainOverflow:
                                            ("b", (-1e308, -1e308))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert pr_scores(c).tolist() == [1.0, 0.0]
-            assert kd_scores(c, 0.5).tolist() == [1.0, 0.0]
+            assert scores_of(c, "pr") == [1.0, 0.0]
+            assert scores_of(c, "kd:0.5") == [1.0, 0.0]
 
 
 class TestStructuralProperties:
@@ -553,15 +576,15 @@ class TestStructuralProperties:
             c = random_candidate_set(rng, min_n=2)
             transformed = CandidateSet(user_id=c.user_id, item_ids=c.item_ids,
                                        matrix=np.exp(c.matrix / 2.0))
-            for fn in (pr_scores, ar_scores, mr_scores):
-                assert fn(c).tolist() == fn(transformed).tolist(), fn.__name__
+            for label in ("pr", "ar", "mr"):
+                assert scores_of(c, label) == scores_of(transformed, label), label
 
     def test_kd_scores_nondecreasing_in_k(self):
         rng = np.random.default_rng(31)
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]
         for _ in range(50):
             c = random_candidate_set(rng)
-            rows = [kd_scores(c, k) for k in grid]
+            rows = [method_scores(c, MethodSpec.kd(k)) for k in grid]
             for lo, hi in zip(rows, rows[1:]):
                 assert np.all(hi >= lo)
 
@@ -572,8 +595,8 @@ class TestStructuralProperties:
             major_spec = MethodSpec.kd(0.5)
             for sub_kind in ("ar", "mr", "gd", "pg"):
                 major = method_scores(c, major_spec)
-                sub = normalize_sub(method_scores(c, MethodSpec(sub_kind)), sub_kind)
-                hybrid = hybrid_scores(c, major_spec, MethodSpec(sub_kind))
+                sub = method_scores(c, MethodSpec(sub_kind))
+                hybrid = method_scores(c, MethodSpec.hybrid(major_spec, MethodSpec(sub_kind)))
                 for i in range(c.n):
                     for j in range(c.n):
                         if major[i] > major[j]:
@@ -599,8 +622,8 @@ class TestStructuralProperties:
         # major score shifted by one constant and the ordering is unchanged
         c = identical_set(4, (2.0, 3.0))
         spec = MethodSpec.hybrid(MethodSpec.pr(), MethodSpec.ar())
-        hybrid = hybrid_scores(c, MethodSpec.pr(), MethodSpec.ar()).tolist()
-        major = pr_scores(c).tolist()
+        hybrid = method_scores(c, spec).tolist()
+        major = scores_of(c, "pr")
         offset = (4 - 2.5) / 4
         assert hybrid == [m + offset for m in major]
         assert rank_candidates(c, spec).item_ids == \
