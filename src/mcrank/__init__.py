@@ -13,7 +13,6 @@ from .core import (
     MethodSpec,
     RatingRecord,
     ScoredList,
-    ValidationResult,
     Violation,
     validate_dataset,
 )
@@ -27,7 +26,7 @@ from .errors import (
     SplitError,
     TrainingError,
 )
-from .metrics import ConfusionCounts, GroundTruth, confusion, dcg, f1, ndcg, relevance
+from .metrics import ConfusionCounts, GroundTruth, confusion, dcg, f1, ndcg
 from .pipeline import (
     ExperimentConfig,
     MetricsReport,
@@ -39,7 +38,7 @@ from .pipeline import (
     sweep_k,
     synth_generate,
 )
-from .predictor import PredictorModel, TrainConfig, fit, load_model, predict, predict_many, save_model
+from .predictor import PredictorModel, TrainConfig, fit, load_model, predict_many, save_model
 from .ranking import (
     average_ranks,
     method_scores,

@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from . import io
 from .core import CandidateSet, MethodSpec
 from .errors import DomainError, McrankError
-from .pipeline import run_experiment, sweep_k, synth_generate
+from .pipeline import Protocol, _candidate_pools, run_experiment, sweep_k, synth_generate
 from .predictor import TrainConfig, fit, predict_many
 from .ranking import rank_candidates, top_n
 
@@ -156,24 +157,16 @@ def _cmd_synth(args) -> int:
 def _cmd_predict(args) -> int:
     dataset = io.load_dataset(args.input)
     model = fit(dataset, TrainConfig(seed=args.seed))
-    rated = {u: {r.item_id for r in recs} for u, recs in dataset.by_user().items()}
-    all_items = sorted({r.item_id for r in dataset.records})
-
-    def rows():
-        for user in sorted(rated):
-            if args.pairs == "observed":
-                items = sorted(rated[user])
-            elif args.pairs == "unrated":
-                items = [t for t in all_items if t not in rated[user]]
-            else:
-                items = all_items
-            if not items:
-                continue
-            matrix = predict_many(model, user, items)
-            for item, vector in zip(items, matrix):
-                yield user, item, vector
-
-    io.save_predictions(args.out, dataset.criteria_names, rows())
+    # each --pairs value is a candidate protocol over the whole dataset
+    protocol, train = {
+        "observed": (Protocol.TEST_ITEMS, None),
+        "unrated": (Protocol.ALL_UNRATED, dataset),
+        "all": (Protocol.ALL_UNRATED, replace(dataset, records=())),
+    }[args.pairs]
+    rows = ((user, item, vector)
+            for user, _, items in _candidate_pools(dataset, protocol, train)
+            for item, vector in zip(items, predict_many(model, user, items)))
+    io.save_predictions(args.out, dataset.criteria_names, rows)
     return 0
 
 

@@ -92,20 +92,11 @@ class Violation:
         return f"record {self.record_index} ({self.user_id}, {self.item_id}): {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_dataset(dataset: Dataset) -> ValidationResult:
+def validate_dataset(dataset: Dataset) -> tuple[Violation, ...]:
     """Check every record against the dataset invariants.
 
     Violations are returned as data, not raised: a bad rating file is an
-    expected input, not a programming error.
+    expected input, not a programming error. An empty tuple means valid.
     """
     violations: list[Violation] = []
     m = dataset.n_criteria
@@ -133,7 +124,7 @@ def validate_dataset(dataset: Dataset) -> ValidationResult:
                     Violation("out_of_range", idx, rec.user_id, rec.item_id,
                               f"{name} rating {value} outside [{lo}, {hi}]")
                 )
-    return ValidationResult(tuple(violations))
+    return tuple(violations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +132,7 @@ class CandidateSet:
     """One user's items to rank, with their (possibly predicted) criteria vectors.
 
     Stored as an id tuple plus an (n, M) float matrix so that scoring can
-    stay vectorized; ``candidates`` exposes the (item_id, vector) view.
+    stay vectorized; row j of ``matrix`` is item ``item_ids[j]``.
     """
 
     user_id: str
@@ -192,10 +183,6 @@ class CandidateSet:
     @property
     def n_criteria(self) -> int:
         return int(self.matrix.shape[1])
-
-    @property
-    def candidates(self) -> tuple[tuple[str, np.ndarray], ...]:
-        return tuple((i, self.matrix[idx]) for idx, i in enumerate(self.item_ids))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 from .core import CandidateSet, Dataset, MethodSpec, RatingRecord, validate_dataset
@@ -30,21 +31,11 @@ def format_rating(value: float) -> str:
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
-def _read_rows(path: str | Path):
-    path = Path(path)
-    reader = csv.reader(_read_text(path).splitlines())
-    rows = [(i + 1, list(map(str.strip, row)))
-            for i, row in enumerate(reader) if row]
-    if not rows:
-        raise ParseError(f"{path}: no header (file is empty)")
-    return path, rows
 
 
 def _parse_float(path: Path, line: int, column: str, text: str) -> float:
@@ -56,33 +47,64 @@ def _parse_float(path: Path, line: int, column: str, text: str) -> float:
         ) from exc
 
 
+def _read_csv(path: str | Path, *, vectors: bool):
+    """(path, criterion names, rows) of a header-checked rating CSV, or with
+    ``vectors`` a predicted-vector CSV. ``rows`` lazily yields (line, user,
+    item, cells, values) per non-blank row, ``values`` being the floats of
+    ``cells``: the overall and criteria cells, or with ``vectors`` the
+    criteria cells alone. A ParseError names the line and the column."""
+    path = Path(path)
+    lines = enumerate(csv.reader(_read_text(path).splitlines()), 1)
+    rows = ((line, list(map(str.strip, row))) for line, row in lines if row)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise ParseError(f"{path}: no header (file is empty)")
+    if len(header) >= 4 and tuple(header[:3]) == _FIXED_COLUMNS:
+        first = 3
+    elif vectors and len(header) >= 3 and tuple(header[:2]) == _FIXED_COLUMNS[:2]:
+        first = 2
+    else:
+        raise ParseError(
+            f"{path}: line 1: header must be user_id,item_id"
+            f"{'[,overall]' if vectors else ',overall'},<criterion,...>, "
+            f"got {','.join(header)}")
+    names = header[first:]
+    if len(set(names)) != len(names) or not all(names):
+        raise ParseError(f"{path}: line 1: criterion names must be distinct and non-empty")
+    start = first if vectors else 2
+    columns = header[start:]
+
+    def parsed():
+        for line, row in rows:
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: line {line}: expected {len(header)} columns, got {len(row)}")
+            if not (row[0] and row[1]):
+                raise ParseError(f"{path}: line {line}: user_id and item_id must be non-empty")
+            cells = row[start:]
+            try:
+                values = list(map(float, cells))
+            except ValueError:  # locate the bad cell
+                values = [_parse_float(path, line, columns[i], cell)
+                          for i, cell in enumerate(cells)]
+            yield line, row[0], row[1], cells, values
+    return path, names, parsed()
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Read and validate a rating CSV on the fixed 1-5 scale.
 
     Raises ParseError with a line number on malformed rows, and
     DatasetValidationError listing every invariant violation at once.
     """
-    path, rows = _read_rows(path)
-    _, header = rows[0]
-    if tuple(header[:3]) != _FIXED_COLUMNS or len(header) < 4:
-        raise ParseError(
-            f"{path}: line 1: header must be user_id,item_id,overall,"
-            f"<criterion,...>, got {','.join(header)}")
-    names = tuple(header[3:])
-    records = []
-    for line, row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: line {line}: expected {len(header)} columns, got {len(row)}")
-        overall = _parse_float(path, line, "overall", row[2])
-        criteria = tuple(_parse_float(path, line, names[i], cell)
-                         for i, cell in enumerate(row[3:]))
-        records.append(RatingRecord(user_id=row[0], item_id=row[1],
-                                    overall=overall, criteria=criteria))
-    dataset = Dataset(criteria_names=names, records=tuple(records))
-    result = validate_dataset(dataset)
-    if not result.ok:
-        raise DatasetValidationError(result.violations)
+    _, names, rows = _read_csv(path, vectors=False)
+    records = tuple(RatingRecord(user_id=user, item_id=item, overall=values[0],
+                                 criteria=values[1:])
+                    for _, user, item, _, values in rows)
+    dataset = Dataset(criteria_names=names, records=records)
+    violations = validate_dataset(dataset)
+    if violations:
+        raise DatasetValidationError(violations)
     return dataset
 
 
@@ -104,35 +126,15 @@ def load_candidate_sets(path: str | Path) -> dict[str, CandidateSet]:
     ignored since ranking uses criteria values only. Values may be
     continuous and are not checked against a rating scale.
     """
-    path, rows = _read_rows(path)
-    _, header = rows[0]
-    if len(header) >= 4 and tuple(header[:3]) == _FIXED_COLUMNS:
-        first_criterion = 3
-    elif len(header) >= 3 and tuple(header[:2]) == _FIXED_COLUMNS[:2]:
-        first_criterion = 2
-    else:
-        raise ParseError(
-            f"{path}: line 1: header must be user_id,item_id[,overall],"
-            f"<criterion,...>, got {','.join(header)}")
-    names = header[first_criterion:]
+    path, names, rows = _read_csv(path, vectors=True)
     per_user: dict[str, dict[str, list[float]]] = {}
-    for line, row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: line {line}: expected {len(header)} columns, got {len(row)}")
-        cells = row[first_criterion:]
-        try:
-            vector = list(map(float, cells))
-        except ValueError:  # locate the bad cell
-            vector = [_parse_float(path, line, names[i], cell)
-                      for i, cell in enumerate(cells)]
+    for line, user, item, cells, vector in rows:
         # one test per row; finite cells whose sum overflows pass the loop
         if not math.isfinite(sum(vector)):
             for name, cell, value in zip(names, cells, vector):
                 if not math.isfinite(value):
                     raise ParseError(
                         f"{path}: line {line}: {name} value {cell!r} is not finite")
-        user, item = row[0], row[1]
         vectors = per_user.setdefault(user, {})
         if item in vectors:
             raise ParseError(
@@ -155,8 +157,7 @@ def save_predictions(path: str | Path, criteria_names, rows) -> None:
             writer.writerow([user, item] + [repr(float(v)) for v in vector])
 
 
-_CONFIG_KEYS = {"methods", "folds", "seed", "n_values", "relevance_threshold",
-                "protocol", "train"}
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"dataset_path"}
 
 
 def _is_int(value) -> bool:
@@ -171,11 +172,9 @@ def _is_list_of(check):
     return lambda value: isinstance(value, list) and all(check(v) for v in value)
 
 
-_TRAIN_TYPES = {"latent_dim": (_is_int, "an integer"),
-                "learning_rate": (_is_number, "a number"),
-                "reg": (_is_number, "a number"),
-                "epochs": (_is_int, "an integer"),
-                "seed": (_is_int, "an integer")}
+# an int default takes a JSON integer, a float default any JSON number
+_TRAIN_TYPES = {f.name: (_is_int, "an integer") if isinstance(f.default, int)
+                else (_is_number, "a number") for f in fields(TrainConfig)}
 
 
 def _config_value(doc: dict, key: str, default, check, expected: str,

@@ -16,14 +16,6 @@ import numpy as np
 
 from .errors import EvaluationError
 
-DEFAULT_RELEVANCE_THRESHOLD = 3.0
-
-
-def relevance(rating: float, threshold: float = DEFAULT_RELEVANCE_THRESHOLD) -> bool:
-    """An item is relevant when its rating is no less than the threshold."""
-    return rating >= threshold
-
-
 @dataclass(frozen=True)
 class GroundTruth:
     """One user's true overall ratings for evaluation.
@@ -32,12 +24,13 @@ class GroundTruth:
     is the full candidate pool the recommender was allowed to pick from;
     items in the universe but not in ``ratings`` are treated as rating 0
     (non-relevant) rather than as errors. Asking about an item outside
-    the universe is an evaluation error.
+    the universe is an evaluation error. An item is relevant when its
+    rating is no less than ``threshold``.
     """
 
     user_id: str
     ratings: Mapping[str, float]
-    threshold: float = DEFAULT_RELEVANCE_THRESHOLD
+    threshold: float = 3.0
     universe: frozenset[str] = field(default=frozenset())
 
     def __post_init__(self):
@@ -52,13 +45,9 @@ class GroundTruth:
             )
         return self.ratings.get(item_id, 0.0)
 
-    def is_relevant(self, item_id: str) -> bool:
-        return relevance(self.rating(item_id), self.threshold)
-
     @property
     def relevant(self) -> frozenset[str]:
-        return frozenset(i for i, r in self.ratings.items()
-                         if relevance(r, self.threshold))
+        return frozenset(i for i, r in self.ratings.items() if r >= self.threshold)
 
 
 class ConfusionCounts(NamedTuple):

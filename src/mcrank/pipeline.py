@@ -16,7 +16,7 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -137,6 +137,33 @@ def kfold_split(dataset: Dataset, folds: int, seed: int) -> list[tuple[Dataset, 
     return pairs
 
 
+def _candidate_pools(test: Dataset, protocol: Protocol, train: Dataset | None):
+    """Yield (user, {rated test item: overall}, items to rank) in user order.
+
+    Every user with a test record gets a pool, which may be empty: the
+    user's test items (TEST_ITEMS), or every item of either fold that
+    the user did not rate in ``train`` (ALL_UNRATED), in id order.
+    """
+    if protocol is Protocol.ALL_UNRATED and train is None:
+        raise DomainError("all_unrated protocol needs the training fold")
+    test_by_user: dict[str, dict[str, float]] = {}
+    for r in test.records:
+        test_by_user.setdefault(r.user_id, {})[r.item_id] = r.overall
+    if protocol is Protocol.ALL_UNRATED:
+        universe = sorted({r.item_id for r in train.records}
+                          | {r.item_id for r in test.records})
+        rated_in_train: dict[str, set[str]] = {}
+        for r in train.records:
+            rated_in_train.setdefault(r.user_id, set()).add(r.item_id)
+    for user in sorted(test_by_user):
+        overalls = test_by_user[user]
+        if protocol is Protocol.TEST_ITEMS:
+            yield user, overalls, sorted(overalls)
+        else:
+            rated = rated_in_train.get(user, ())
+            yield user, overalls, [t for t in universe if t not in rated]
+
+
 def build_candidates(
     model: PredictorModel,
     test: Dataset,
@@ -151,29 +178,10 @@ def build_candidates(
     least one test record are evaluated; a user whose candidate pool
     comes up empty is skipped and reported.
     """
-    if protocol is Protocol.ALL_UNRATED and train is None:
-        raise DomainError("all_unrated protocol needs the training fold")
-
-    test_by_user: dict[str, dict[str, float]] = {}
-    for r in test.records:
-        test_by_user.setdefault(r.user_id, {})[r.item_id] = r.overall
-
-    if protocol is Protocol.ALL_UNRATED:
-        universe = sorted({r.item_id for r in train.records}
-                          | {r.item_id for r in test.records})
-        rated_in_train: dict[str, set[str]] = {}
-        for r in train.records:
-            rated_in_train.setdefault(r.user_id, set()).add(r.item_id)
-
     candidates: dict[str, CandidateSet] = {}
     truths: dict[str, GroundTruth] = {}
     skipped: list[str] = []
-    for user in sorted(test_by_user):
-        overalls = test_by_user[user]
-        if protocol is Protocol.TEST_ITEMS:
-            items = sorted(overalls)
-        else:
-            items = [t for t in universe if t not in rated_in_train.get(user, ())]
+    for user, overalls, items in _candidate_pools(test, protocol, train):
         if not items:
             skipped.append(user)
             continue
@@ -200,22 +208,8 @@ def _ratio(value: float, base: float) -> float | None:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "methods": [m.label for m in cfg.methods],
-        "folds": cfg.folds,
-        "seed": cfg.seed,
-        "n_values": list(cfg.n_values),
-        "relevance_threshold": cfg.relevance_threshold,
-        "protocol": cfg.protocol.value,
-        "train": {
-            "latent_dim": cfg.train.latent_dim,
-            "learning_rate": cfg.train.learning_rate,
-            "reg": cfg.train.reg,
-            "epochs": cfg.train.epochs,
-            "seed": cfg.train.seed,
-        },
-        "dataset_path": cfg.dataset_path,
-    }
+    return {**asdict(cfg), "methods": [m.label for m in cfg.methods],
+            "n_values": list(cfg.n_values), "protocol": cfg.protocol.value}
 
 
 def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:

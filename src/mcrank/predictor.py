@@ -229,18 +229,14 @@ def _levels(user_rows: np.ndarray, item_rows: np.ndarray,
     return np.array(level, dtype=np.int32)
 
 
-def predict(model: PredictorModel, user_id: str, item_id: str) -> np.ndarray:
-    """Predicted criteria vector for one (user, item) pair, clamped to scale.
+def predict_many(model: PredictorModel, user_id: str, item_ids) -> np.ndarray:
+    """Predicted criteria vectors for one user over many items, shape (n, M),
+    clamped to scale.
 
     Cold cases fall back instead of failing: unseen item uses the user's
     bias-adjusted mean, unseen user the item's, and a fully unseen pair
     the per-criterion global means.
     """
-    return predict_many(model, user_id, [item_id])[0]
-
-
-def predict_many(model: PredictorModel, user_id: str, item_ids) -> np.ndarray:
-    """Predicted criteria vectors for one user over many items, shape (n, M)."""
     item_ids = list(item_ids)
     n, m = len(item_ids), model.n_criteria
     u = model._user_index.get(user_id)

@@ -72,16 +72,14 @@ class TestValidateDataset:
             ("u1", "i1", 4, (4, 3, 4)),
             ("u1", "i2", 3, (3, 3, 3)),
         ])
-        assert validate_dataset(d).ok
+        assert validate_dataset(d) == ()
 
     def test_out_of_range_flagged_with_location(self):
         d = make_dataset([
             ("u1", "i1", 4, (4, 3, 4)),
             ("u1", "i2", 3, (6, 3, 3)),
         ])
-        result = validate_dataset(d)
-        assert not result.ok
-        (v,) = result.violations
+        (v,) = validate_dataset(d)
         assert v.kind == "out_of_range"
         assert v.record_index == 1
         assert v.item_id == "i2"
@@ -91,12 +89,12 @@ class TestValidateDataset:
             ("u1", "i1", 4, (4, 3, 4)),
             ("u1", "i1", 3, (3, 3, 3)),
         ])
-        kinds = {v.kind for v in validate_dataset(d).violations}
+        kinds = {v.kind for v in validate_dataset(d)}
         assert kinds == {"duplicate_pair"}
 
     def test_criteria_length_mismatch_flagged(self):
         d = make_dataset([("u1", "i1", 4, (4, 3))])
-        kinds = {v.kind for v in validate_dataset(d).violations}
+        kinds = {v.kind for v in validate_dataset(d)}
         assert kinds == {"criteria_length"}
 
     def test_every_broken_invariant_is_caught(self):
@@ -117,15 +115,15 @@ class TestValidateDataset:
             else:
                 mutated[idx][3] = mutated[idx][3][:2]
             d = make_dataset([(u, i, o, tuple(c)) for u, i, o, c in mutated])
-            assert not validate_dataset(d).ok, kind
+            assert validate_dataset(d), kind
 
 
 class TestCandidateSet:
     def test_from_pairs(self):
         c = CandidateSet.from_pairs("u", [("a", (1, 2)), ("b", (3, 4))])
         assert c.n == 2 and c.n_criteria == 2
-        assert c.candidates[1][0] == "b"
-        assert c.candidates[1][1].tolist() == [3.0, 4.0]
+        item, vector = list(zip(c.item_ids, c.matrix))[1]
+        assert item == "b" and vector.tolist() == [3.0, 4.0]
 
     def test_duplicate_item_ids_rejected(self):
         with pytest.raises(DomainError):

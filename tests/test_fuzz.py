@@ -24,10 +24,11 @@ CONFIG = {"methods": ["pr", "kd:0.5+pg", "ar"], "folds": 2, "seed": 1,
           "n_values": [2, 4], "train": {"latent_dim": 2, "epochs": 2}}
 
 # fragments an edit inserts or overwrites with: separators, signs,
-# exponents, non-finite spellings, JSON syntax and a byte that is not UTF-8
+# exponents, non-finite spellings, JSON syntax, a byte that is not UTF-8
+# and a UTF-8 byte order mark
 FRAGMENTS = [b",", b".", b"\n", b"\r\n", b"-", b"e", b"0", b"9", b"1e400",
              b"nan", b"-inf", b'"', b":", b"[", b"]", b"{", b"}", b"x",
-             b"\xff", b"  ", b"null", b"true", b"kd:2", b"+"]
+             b"\xff", b"  ", b"null", b"true", b"kd:2", b"+", b"\xef\xbb\xbf"]
 
 COMMANDS = {
     "rank": ["rank", "--input", "data.csv", "--method", "kd", "--k", "0.5",
@@ -38,10 +39,15 @@ COMMANDS = {
                  "--out", "report.json"],
     "sweep-k": ["sweep-k", "--input", "data.csv", "--k", "0,0.5,1",
                 "--config", "config.json", "--out", "report.json"],
+    **{f"predict-{pairs}": ["predict", "--input", "data.csv", "--out", "out.csv",
+                            "--pairs", pairs]
+       for pairs in ("observed", "unrated", "all")},
 }
 MUTABLE = {"rank": ["data.csv"], "rank-predicted": ["predicted.csv"],
            "evaluate": ["data.csv", "config.json"],
-           "sweep-k": ["data.csv", "config.json"]}
+           "sweep-k": ["data.csv", "config.json"],
+           "predict-observed": ["data.csv"], "predict-unrated": ["data.csv"],
+           "predict-all": ["data.csv"]}
 
 
 @pytest.fixture(scope="module")

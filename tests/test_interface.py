@@ -20,10 +20,12 @@ from mcrank.io import (
     experiment_config_from_dict,
     load_candidate_sets,
     load_dataset,
+    load_experiment_config,
     load_report,
     save_dataset,
+    save_predictions,
 )
-from mcrank.pipeline import run_experiment
+from mcrank.pipeline import config_to_dict, run_experiment
 
 GOLDEN_CSV = """user_id,item_id,overall,food,service,ambience,value
 U1,T3,4,4,3,4,4
@@ -107,7 +109,7 @@ class TestLoadCandidateSets:
         path = tmp_path / "ratings.csv"
         path.write_text(GOLDEN_CSV)
         sets = load_candidate_sets(path)
-        assert sets["U1"].candidates[0][1].tolist() == [4.0, 3.0, 4.0, 4.0]
+        assert sets["U1"].matrix.tolist() == [[4.0, 3.0, 4.0, 4.0]]
 
     def test_duplicate_item_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -136,6 +138,19 @@ class TestExperimentConfig:
         assert cfg.folds == 5
         assert cfg.n_values == (5, 10, 15, 20, 25, 30, 35, 40)
         assert cfg.relevance_threshold == 3.0
+
+    @pytest.mark.parametrize("doc", [{}, {
+        "methods": ["kd:0.5+pg", "pr", "ar"], "folds": 3, "seed": 7,
+        "n_values": [2, 4], "relevance_threshold": 3.5, "protocol": "all_unrated",
+        "train": {"latent_dim": 3, "learning_rate": 0.01, "reg": 0.1,
+                  "epochs": 4, "seed": 2}}], ids=["defaults", "every-key"])
+    def test_config_to_dict_round_trips(self, doc):
+        cfg = experiment_config_from_dict(doc, dataset_path="d.csv")
+        out = config_to_dict(cfg)
+        assert out.pop("dataset_path") == "d.csv"
+        assert experiment_config_from_dict(out, dataset_path="d.csv") == cfg
+        if doc:
+            assert out == doc
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ParseError, match="unknown"):
@@ -300,6 +315,59 @@ def test_non_utf8_input_is_a_data_error(tmp_path, capsys, role):
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert f"error: {bad}: not UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, header", [
+    ("rank", "user_id,item_id,overall,a,a"),
+    ("rank", "user_id,item_id,overall,a,"),
+    ("rank", "user_id,item_id,overall,a,,b"),
+    ("rank-predicted", "user_id,item_id,overall,a,a"),
+    ("rank-predicted", "user_id,item_id,overall,a,"),
+    ("rank-predicted", "user_id,item_id,a,a"),
+    ("rank-predicted", "user_id,item_id,,a"),
+])
+def test_criterion_names_must_be_distinct_and_non_empty(tmp_path, capsys, command, header):
+    path = tmp_path / "data.csv"
+    width = len(header.split(","))
+    path.write_text(f"{header}\nu1,t1,{','.join(['3'] * (width - 2))}\n")
+    predicted = ["--predicted"] if command == "rank-predicted" else []
+    assert run_cli("rank", "--input", str(path), "--method", "pr", *predicted) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}: line 1: criterion names must be "
+                            f"distinct and non-empty\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["rank", "rank-predicted"])
+@pytest.mark.parametrize("row", [",t1,3,4", ",,3,2", "u1,,3,4", " ,t1,3,4"])
+def test_empty_ids_are_a_data_error(tmp_path, capsys, command, row):
+    path = tmp_path / "data.csv"
+    if command == "rank":
+        path.write_text(f"user_id,item_id,overall,a\nu1,t0,3,3\n{row}\n")
+    else:  # the vectors format has no overall column
+        row = ",".join(row.split(",")[:2] + row.split(",")[3:])
+        path.write_text(f"user_id,item_id,a\nu1,t0,3\n{row}\n")
+    predicted = ["--predicted"] if command == "rank-predicted" else []
+    assert run_cli("rank", "--input", str(path), "--method", "pr", *predicted) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}: line 3: user_id and item_id "
+                            f"must be non-empty\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("role", ["dataset", "predicted", "config"])
+def test_utf8_bom_is_accepted(tmp_path, role):
+    data = tmp_path / "data.csv"
+    save_dataset(synth_generate(8, 6, 2, 0.6, seed=1), data)
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"methods": ["pr", "kd:0.5"], "folds": 2}')
+    plain = {"dataset": data, "predicted": data, "config": cfg}[role]
+    bom = tmp_path / f"bom{plain.suffix}"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    load = {"dataset": load_dataset, "config": load_experiment_config,
+            "predicted": lambda p: {u: (c.item_ids, c.matrix.tolist())
+                                    for u, c in load_candidate_sets(p).items()}}[role]
+    assert load(bom) == load(plain)
 
 
 class TestCliPipelines:
@@ -467,6 +535,23 @@ class TestCliPipelines:
         ds = load_dataset(data_file)
         assert sum(c.n for c in sets.values()) == len(ds.records)
 
+    def test_predict_pairs_partition_all_pairs(self, data_file, tmp_path):
+        vectors = {}
+        for pairs in ("all", "observed", "unrated"):
+            out = tmp_path / f"{pairs}.csv"
+            assert run_cli("predict", "--input", data_file, "--out", str(out),
+                           "--seed", "5", "--pairs", pairs) == 0
+            vectors[pairs] = {(u, item): row.tolist()
+                              for u, c in load_candidate_sets(out).items()
+                              for item, row in zip(c.item_ids, c.matrix)}
+        everything, observed, unrated = (vectors["all"], vectors["observed"],
+                                         vectors["unrated"])
+        ds = load_dataset(data_file)
+        assert set(observed) == {(r.user_id, r.item_id) for r in ds.records}
+        assert unrated and not set(observed) & set(unrated)
+        assert set(observed) | set(unrated) == set(everything)
+        assert {**observed, **unrated} == everything  # each vector identical
+
     def test_cli_stdout_is_deterministic(self, data_file, capsys):
         run_cli("rank", "--input", data_file, "--method", "gd")
         first = capsys.readouterr().out
@@ -507,3 +592,41 @@ class TestBenchOracleGate:
         sets = [random_candidate_set(rng, integer=j % 2 == 0) for j in range(20)]
         labels = workloads.WORKLOADS["unrated"].config["methods"]
         assert checks.oracle_failures(checks.load_naive(root), sets, labels) == []
+
+
+class TestBenchQualityContract:
+    # the benchmark's quality metrics read records/by_user(), GroundTruth,
+    # ndcg(ideal_pool=) and what pipeline.build_candidates and
+    # io.load_candidate_sets return; a reshaped one would fail only there
+    @pytest.fixture(autouse=True)
+    def bench_on_path(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+
+    def test_heldout_rmse_of_recorded_folds(self):
+        import workloads
+
+        cfg = experiment_config_from_dict({
+            "methods": ["pr"], "folds": 3, "n_values": [3],
+            "train": {"latent_dim": 2, "epochs": 3}})
+        with workloads.pass_recorder(workloads.WORKLOADS["reference"]) as kept:
+            run_experiment(synth_generate(20, 12, 3, 0.6, seed=0), cfg)
+        assert len(kept) == cfg.folds
+        rmse = workloads.heldout_rmse(kept)
+        assert np.isfinite(rmse) and 0.0 < rmse < 4.0
+
+    def test_rank_quality_of_a_loaded_file(self, tmp_path, capsys):
+        import workloads
+
+        users, items = ["u1", "u2", "u3"], ["i1", "i2", "i3", "i4", "i5"]
+        # item j rates 1 + j on every criterion, so it dominates items < j
+        truth = np.broadcast_to(np.arange(1.0, 6.0)[None, :, None], (3, 5, 2))
+        inputs = workloads.Inputs(data=tmp_path / "predicted.csv", user_ids=users,
+                                  item_ids=items, predicted=truth - 0.25, truth=truth)
+        save_predictions(inputs.data, ["c1", "c2"],
+                         ((u, i, inputs.predicted[a, b]) for a, u in enumerate(users)
+                          for b, i in enumerate(items)))
+        loaded = load_candidate_sets(inputs.data)
+        assert run_cli("rank", "--input", str(inputs.data), "--predicted",
+                       "--method", "pr", "--top-n", "2") == 0
+        rmse, ndcg10 = workloads.rank_quality(inputs, loaded, capsys.readouterr().out)
+        assert rmse == 0.25 and ndcg10 == 1.0

@@ -12,7 +12,6 @@ from mcrank import (
     dcg,
     f1,
     ndcg,
-    relevance,
     top_n,
 )
 from mcrank.metrics import dcg_gain, prefix_means
@@ -25,11 +24,12 @@ def truth_for(ratings, threshold=3.0, universe=()):
 
 class TestRelevance:
     def test_threshold_is_inclusive(self):
-        assert relevance(3.0, 3.0)
-        assert not relevance(2.99, 3.0)
+        assert truth_for({"a": 3.0, "b": 2.99}).relevant == {"a"}
+        assert GroundTruth(user_id="u", ratings={"a": 3.0, "b": 2.99}).relevant == {"a"}
 
     def test_scale_min_threshold_accepts_everything(self):
-        assert all(relevance(r, 1.0) for r in (1.0, 2.0, 5.0))
+        assert truth_for({"a": 1.0, "b": 2.0, "c": 5.0}, threshold=1.0).relevant == \
+            {"a", "b", "c"}
 
 
 class TestGroundTruth:
@@ -40,7 +40,7 @@ class TestGroundTruth:
     def test_universe_items_without_rating_are_nonrelevant(self):
         t = truth_for({"a": 4.0}, universe={"a", "b"})
         assert t.rating("b") == 0.0
-        assert not t.is_relevant("b")
+        assert "b" not in t.relevant
 
     def test_unknown_item_is_an_error(self):
         t = truth_for({"a": 4.0})

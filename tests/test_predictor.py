@@ -10,7 +10,6 @@ from mcrank import (
     TrainingError,
     fit,
     load_model,
-    predict,
     predict_many,
     save_model,
 )
@@ -62,12 +61,12 @@ class TestFit:
         ds = constant_dataset()
         model = fit(ds, FAST)
         for rec in ds.records:
-            pred = predict(model, rec.user_id, rec.item_id)
+            pred = predict_many(model, rec.user_id, [rec.item_id])[0]
             assert np.all(np.abs(pred - 3.0) <= 0.05)
 
     def test_single_record_fits_the_observation(self):
         model = fit(SINGLE_RECORD, FAST)
-        pred = predict(model, "u", "i")
+        pred = predict_many(model, "u", ["i"])[0]
         assert np.all(np.abs(pred - np.array([5.0, 4.0, 3.0, 2.0])) <= 0.1)
 
     def test_seeded_determinism_is_bitwise(self):
@@ -98,8 +97,8 @@ class TestFit:
         pairs = [(r.user_id, r.item_id) for r in base.records[:20]]
         changed = 0
         for user, item in pairs:
-            pa = predict(a, user, item)
-            pb = predict(b, user, item)
+            pa = predict_many(a, user, [item])[0]
+            pb = predict_many(b, user, [item])[0]
             assert pa[0] == pb[0] and pa[2] == pb[2]
             changed += pa[1] != pb[1]
         assert changed > 0
@@ -112,7 +111,7 @@ class TestFit:
         model = fit(train, TrainConfig(latent_dim=4, epochs=10, seed=4))
         errs = []
         for rec in holdout:
-            pred = predict(model, rec.user_id, rec.item_id)
+            pred = predict_many(model, rec.user_id, [rec.item_id])[0]
             errs.extend((pred - np.asarray(rec.criteria)) ** 2)
         rmse = float(np.sqrt(np.mean(errs)))
         sigma = np.std([v for r in ds.records for v in r.criteria])
@@ -171,7 +170,7 @@ class TestPredict:
         ds = random_dataset(17)
         model = fit(ds, FAST)
         expected = np.clip(model.global_means, 1.0, 5.0)
-        assert predict(model, "ghost", "nowhere").tolist() == expected.tolist()
+        assert predict_many(model, "ghost", ["nowhere"])[0].tolist() == expected.tolist()
 
     def test_unseen_item_uses_the_user_bias(self):
         ds = random_dataset(19)
@@ -179,7 +178,7 @@ class TestPredict:
         user = ds.records[0].user_id
         u = model.user_ids.index(user)
         expected = np.clip(model.global_means + model.user_biases[:, u], 1.0, 5.0)
-        assert predict(model, user, "nowhere").tolist() == expected.tolist()
+        assert predict_many(model, user, ["nowhere"])[0].tolist() == expected.tolist()
 
     def test_unseen_user_uses_the_item_bias(self):
         ds = random_dataset(23)
@@ -187,13 +186,13 @@ class TestPredict:
         item = ds.records[0].item_id
         i = model.item_ids.index(item)
         expected = np.clip(model.global_means + model.item_biases[:, i], 1.0, 5.0)
-        assert predict(model, "ghost", item).tolist() == expected.tolist()
+        assert predict_many(model, "ghost", [item])[0].tolist() == expected.tolist()
 
     def test_predictions_respect_the_scale(self):
         ds = random_dataset(29)
         model = fit(ds, FAST)
         for rec in ds.records[:30]:
-            pred = predict(model, rec.user_id, rec.item_id)
+            pred = predict_many(model, rec.user_id, [rec.item_id])[0]
             assert np.all(pred >= 1.0) and np.all(pred <= 5.0)
 
     def test_predict_many_matches_predict(self):
@@ -203,7 +202,7 @@ class TestPredict:
         items = [r.item_id for r in ds.records[:8]] + ["nowhere"]
         batch = predict_many(model, user, items)
         for row, item in zip(batch, items):
-            assert row.tolist() == predict(model, user, item).tolist()
+            assert row.tolist() == predict_many(model, user, [item])[0].tolist()
 
 
 class TestModelRoundTrip:
@@ -218,8 +217,8 @@ class TestModelRoundTrip:
         assert np.array_equal(loaded.user_factors, model.user_factors)
         assert loaded.loss_history == model.loss_history
         for rec in ds.records[:10]:
-            assert predict(loaded, rec.user_id, rec.item_id).tolist() == \
-                predict(model, rec.user_id, rec.item_id).tolist()
+            assert predict_many(loaded, rec.user_id, [rec.item_id])[0].tolist() == \
+                predict_many(model, rec.user_id, [rec.item_id])[0].tolist()
 
     def test_load_rejects_foreign_files(self, tmp_path):
         from mcrank import ParseError
