@@ -7,7 +7,7 @@ checks its (n, M) criteria matrix (2-D, non-empty, finite) when built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -17,6 +17,25 @@ from .errors import DimensionError, DomainError
 RANKING_KINDS = ("pr", "kd", "ar", "mr", "gd", "pg")
 MAJOR_KINDS = ("pr", "kd")
 SUB_KINDS = ("ar", "mr", "gd", "pg")
+
+
+def checked_number(key: str, value, integer: bool = True):
+    """An integer ``value`` (or, unless ``integer``, a float) as a Python
+    number; anything else, bools included, is a DomainError naming ``key``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if not integer and isinstance(value, (float, np.floating)):
+        return float(value)
+    raise DomainError(f"config key {key!r} must be "
+                      f"{'an integer' if integer else 'a number'}, got {value!r}")
+
+
+def check_config_fields(config, prefix: str = "") -> None:
+    """``checked_number`` in place on each int- or float-defaulted field."""
+    for f in fields(config):
+        if isinstance(f.default, (int, float)):
+            object.__setattr__(config, f.name, checked_number(
+                prefix + f.name, getattr(config, f.name), isinstance(f.default, int)))
 
 
 @dataclass(frozen=True)
@@ -88,8 +107,12 @@ class Violation:
     item_id: str
     message: str
 
+    def at(self, where: str) -> str:
+        """The violation located by ``where``, such as a file line."""
+        return f"{where} ({self.user_id}, {self.item_id}): {self.message}"
+
     def __str__(self) -> str:
-        return f"record {self.record_index} ({self.user_id}, {self.item_id}): {self.message}"
+        return self.at(f"record {self.record_index}")
 
 
 def validate_dataset(dataset: Dataset) -> tuple[Violation, ...]:

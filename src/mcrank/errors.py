@@ -33,10 +33,10 @@ class DatasetValidationError(McrankError, ValueError):
     """A loaded dataset violates its invariants.
 
     Carries the full list of violations so callers can report all
-    problems at once instead of fixing them one by one.
+    problems at once; a loader's ``message`` locates them in its file.
     """
 
-    def __init__(self, violations):
+    def __init__(self, violations, message: str | None = None):
         self.violations = list(violations)
-        lines = "; ".join(str(v) for v in self.violations)
-        super().__init__(f"dataset failed validation: {lines}")
+        super().__init__(message or "dataset failed validation: "
+                         + "; ".join(str(v) for v in self.violations))

@@ -9,6 +9,7 @@ in-memory values.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -29,22 +30,18 @@ def format_rating(value: float) -> str:
     return str(int(f)) if f.is_integer() else repr(f)
 
 
-def _read_text(path: Path) -> str:
+@contextlib.contextmanager
+def _reading(path: Path):
+    """A file that cannot be read, is not UTF-8 or is not JSON, as a
+    ParseError naming it. Readers decode ``utf-8-sig``, dropping a BOM."""
     try:
-        return path.read_text(encoding="utf-8-sig")  # a leading BOM is dropped
+        yield
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
-def _parse_float(path: Path, line: int, column: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ParseError(
-            f"{path}: line {line}: {column} value {text!r} is not a number"
-        ) from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _read_csv(path: str | Path, *, vectors: bool):
@@ -54,9 +51,20 @@ def _read_csv(path: str | Path, *, vectors: bool):
     ``cells``: the overall and criteria cells, or with ``vectors`` the
     criteria cells alone. A ParseError names the line and the column."""
     path = Path(path)
-    lines = enumerate(csv.reader(_read_text(path).splitlines()), 1)
-    rows = ((line, list(map(str.strip, row))) for line, row in lines if row)
-    _, header = next(rows, (0, None))
+
+    def numbered():  # each row by the file line it starts on, streamed
+        line = 1
+        with _reading(path), path.open(encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                for row in reader:
+                    if row:
+                        yield line, list(map(str.strip, row))
+                    line = reader.line_num + 1
+            except csv.Error as exc:  # such as an unclosed quote running past the field limit
+                raise ParseError(f"{path}: line {line}: {exc}") from exc
+    rows = numbered()
+    header_line, header = next(rows, (0, None))
     if header is None:
         raise ParseError(f"{path}: no header (file is empty)")
     if len(header) >= 4 and tuple(header[:3]) == _FIXED_COLUMNS:
@@ -65,12 +73,13 @@ def _read_csv(path: str | Path, *, vectors: bool):
         first = 2
     else:
         raise ParseError(
-            f"{path}: line 1: header must be user_id,item_id"
+            f"{path}: line {header_line}: header must be user_id,item_id"
             f"{'[,overall]' if vectors else ',overall'},<criterion,...>, "
             f"got {','.join(header)}")
     names = header[first:]
     if len(set(names)) != len(names) or not all(names):
-        raise ParseError(f"{path}: line 1: criterion names must be distinct and non-empty")
+        raise ParseError(
+            f"{path}: line {header_line}: criterion names must be distinct and non-empty")
     start = first if vectors else 2
     columns = header[start:]
 
@@ -84,9 +93,13 @@ def _read_csv(path: str | Path, *, vectors: bool):
             cells = row[start:]
             try:
                 values = list(map(float, cells))
-            except ValueError:  # locate the bad cell
-                values = [_parse_float(path, line, columns[i], cell)
-                          for i, cell in enumerate(cells)]
+            except ValueError:  # locate the first bad cell
+                for column, cell in zip(columns, cells):
+                    try:
+                        float(cell)
+                    except ValueError as exc:
+                        raise ParseError(f"{path}: line {line}: {column} value "
+                                         f"{cell!r} is not a number") from exc
             yield line, row[0], row[1], cells, values
     return path, names, parsed()
 
@@ -95,16 +108,19 @@ def load_dataset(path: str | Path) -> Dataset:
     """Read and validate a rating CSV on the fixed 1-5 scale.
 
     Raises ParseError with a line number on malformed rows, and
-    DatasetValidationError listing every invariant violation at once.
+    DatasetValidationError listing every invariant violation at once,
+    each by its line.
     """
-    _, names, rows = _read_csv(path, vectors=False)
-    records = tuple(RatingRecord(user_id=user, item_id=item, overall=values[0],
-                                 criteria=values[1:])
-                    for _, user, item, _, values in rows)
-    dataset = Dataset(criteria_names=names, records=records)
+    path, names, rows = _read_csv(path, vectors=False)
+    lines, records = [], []
+    for line, user, item, _, values in rows:
+        lines.append(line)
+        records.append(RatingRecord(user, item, values[0], values[1:]))
+    dataset = Dataset(criteria_names=names, records=tuple(records))
     violations = validate_dataset(dataset)
     if violations:
-        raise DatasetValidationError(violations)
+        raise DatasetValidationError(violations, f"{path}: " + "; ".join(
+            v.at(f"line {lines[v.record_index]}") for v in violations))
     return dataset
 
 
@@ -158,81 +174,45 @@ def save_predictions(path: str | Path, criteria_names, rows) -> None:
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"dataset_path"}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _is_list_of(check):
-    return lambda value: isinstance(value, list) and all(check(v) for v in value)
-
-
-# an int default takes a JSON integer, a float default any JSON number
-_TRAIN_TYPES = {f.name: (_is_int, "an integer") if isinstance(f.default, int)
-                else (_is_number, "a number") for f in fields(TrainConfig)}
-
-
-def _config_value(doc: dict, key: str, default, check, expected: str,
-                  prefix: str = ""):
-    value = doc.get(key, default)
-    if not check(value):
-        raise ParseError(
-            f"config key {prefix + key!r} must be {expected}, got {value!r}")
-    return value
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+_JSON_SHAPES = {  # the JSON value each structured key must hold
+    "train": (lambda v: isinstance(v, dict), "an object"),
+    "methods": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+                "a list of method labels"),
+    "n_values": (lambda v: isinstance(v, list), "a list of integers"),
+    "protocol": (lambda v: isinstance(v, str), "a string")}
 
 
 def experiment_config_from_dict(doc: dict, *,
                                 dataset_path: str | None = None) -> ExperimentConfig:
-    """Build an ExperimentConfig, rejecting unknown keys and mistyped values.
+    """Build an ExperimentConfig, rejecting unknown keys and misshapen values.
 
-    Every ParseError names the offending key. Integers must be JSON
-    integers (no truncation of 2.7 to 2), and list-valued keys must be
-    JSON lists.
+    A ParseError names an unknown key or a key whose JSON value has the
+    wrong shape (an object, list or string where one is due). Each value's
+    type and range is checked by ``ExperimentConfig`` and ``TrainConfig``,
+    whose DomainError names the key too.
     """
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ParseError(f"unknown experiment config keys: {sorted(unknown)}")
-    train_doc = _config_value(doc, "train", {}, lambda v: isinstance(v, dict),
-                              "an object")
-    unknown = set(train_doc) - set(_TRAIN_TYPES)
+    for key, (test, expected) in _JSON_SHAPES.items():
+        if key in doc and not test(doc[key]):
+            raise ParseError(f"config key {key!r} must be {expected}, got {doc[key]!r}")
+    unknown = set(doc.get("train", {})) - _TRAIN_KEYS
     if unknown:
         raise ParseError(f"unknown train config keys: {sorted(unknown)}")
-    defaults = ExperimentConfig(methods=(MethodSpec.pr(),))
-    train = {key: _config_value(train_doc, key, getattr(defaults.train, key),
-                                check, expected, "train.")
-             for key, (check, expected) in _TRAIN_TYPES.items()}
-    labels = _config_value(doc, "methods", ["pr"],
-                           _is_list_of(lambda v: isinstance(v, str)),
-                           "a list of method labels")
-    return ExperimentConfig(
-        methods=tuple(MethodSpec.parse(s) for s in labels),
-        folds=_config_value(doc, "folds", defaults.folds, _is_int, "an integer"),
-        seed=_config_value(doc, "seed", defaults.seed, _is_int, "an integer"),
-        n_values=tuple(_config_value(doc, "n_values", list(defaults.n_values),
-                                     _is_list_of(_is_int), "a list of integers")),
-        relevance_threshold=float(_config_value(
-            doc, "relevance_threshold", defaults.relevance_threshold,
-            _is_number, "a number")),
-        protocol=Protocol.parse(_config_value(
-            doc, "protocol", defaults.protocol.value,
-            lambda v: isinstance(v, str), "a string")),
-        train=TrainConfig(**train),
-        dataset_path=dataset_path,
-    )
+    values = {**doc, "train": TrainConfig(**doc.get("train", {})),
+              "methods": tuple(MethodSpec.parse(s) for s in doc.get("methods", ["pr"]))}
+    if "protocol" in doc:
+        values["protocol"] = Protocol.parse(doc["protocol"])
+    return ExperimentConfig(**values, dataset_path=dataset_path)
 
 
 def load_experiment_config(path: str | Path, *,
                            dataset_path: str | None = None) -> ExperimentConfig:
     path = Path(path)
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    with _reading(path):
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     try:
@@ -269,10 +249,8 @@ def emit_report(report: MetricsReport, path: str | Path) -> None:
 
 def load_report(path: str | Path) -> MetricsReport:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    with _reading(path):
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     try:
         cells = tuple(ReportCell(**cell) for cell in doc["cells"])
         return MetricsReport(metadata=doc["metadata"], cells=cells)

@@ -20,14 +20,14 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import CandidateSet, Dataset, MethodSpec, RatingRecord
+from .core import (CandidateSet, Dataset, MethodSpec, RatingRecord, check_config_fields,
+                   checked_number)
 from .errors import DomainError, SplitError
 from .metrics import GroundTruth, dcg_gain, prefix_means
-# unused here, but bench/traced.py patches these names in this module
-from .metrics import confusion, f1, ndcg  # noqa: F401
 from .predictor import PredictorModel, TrainConfig, fit, predict_many
 from .ranking import _best_first, score_methods
 # unused here, but bench/traced.py patches these names in this module
+from .metrics import confusion, f1, ndcg  # noqa: F401
 from .ranking import rank_candidates, top_n  # noqa: F401
 
 BASELINE_LABEL = "pr"
@@ -65,8 +65,11 @@ class ExperimentConfig:
     dataset_path: str | None = None
 
     def __post_init__(self):
+        check_config_fields(self)
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "n_values",
+                           tuple(checked_number("n_values", n) for n in self.n_values))
+        object.__setattr__(self, "relevance_threshold", float(self.relevance_threshold))
         if not self.methods:
             raise DomainError("at least one ranking method is required")
         if self.folds < 2:
@@ -121,16 +124,15 @@ def kfold_split(dataset: Dataset, folds: int, seed: int) -> list[tuple[Dataset, 
     size by at most one record. Records keep their original dataset
     order within each part.
     """
-    if folds < 2:
+    if checked_number("folds", folds) < 2:
         raise DomainError(f"fold count must be >= 2, got {folds}")
     n = len(dataset.records)
     if n < folds:
         raise SplitError(f"{n} records cannot fill {folds} folds")
     perm = np.random.default_rng(seed).permutation(n)
-    parts = np.array_split(perm, folds)
     pairs = []
-    for f in range(folds):
-        test_idx = set(parts[f].tolist())
+    for part in np.array_split(perm, folds):
+        test_idx = set(part.tolist())
         test = tuple(r for i, r in enumerate(dataset.records) if i in test_idx)
         train = tuple(r for i, r in enumerate(dataset.records) if i not in test_idx)
         pairs.append((replace(dataset, records=train), replace(dataset, records=test)))
@@ -185,11 +187,9 @@ def build_candidates(
         if not items:
             skipped.append(user)
             continue
-        matrix = predict_many(model, user, items)
         candidates[user] = CandidateSet(user_id=user, item_ids=tuple(items),
-                                        matrix=matrix)
-        truths[user] = GroundTruth(user_id=user, ratings=overalls,
-                                   threshold=threshold,
+                                        matrix=predict_many(model, user, items))
+        truths[user] = GroundTruth(user_id=user, ratings=overalls, threshold=threshold,
                                    universe=frozenset(items))
     return candidates, truths, skipped
 
@@ -224,7 +224,6 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
     if BASELINE_LABEL not in (m.label for m in methods):
         methods.insert(0, MethodSpec.pr())
 
-    splits = kfold_split(dataset, cfg.folds, cfg.seed)
     kinds = [spec.kind for spec in methods]
     n_values = list(cfg.n_values)
     max_n = max(n_values)  # no list is read past max_n
@@ -233,9 +232,8 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
     users_evaluated: list[int] = []
     users_skipped: list[int] = []
 
-    for fold, (train_d, test_d) in enumerate(splits):
-        fold_cfg = replace(cfg.train, seed=cfg.train.seed + fold)
-        model = fit(train_d, fold_cfg)
+    for fold, (train_d, test_d) in enumerate(kfold_split(dataset, cfg.folds, cfg.seed)):
+        model = fit(train_d, replace(cfg.train, seed=cfg.train.seed + fold))
         cands, truths, skipped = build_candidates(
             model, test_d, cfg.protocol, train=train_d,
             threshold=cfg.relevance_threshold)
@@ -245,46 +243,31 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
 
         lengths = np.array([min(cands[u].n, max_n) for u in users], dtype=np.int64)
         n_relevant = np.empty(len(users), dtype=np.int64)
-        # Per method, each user's ranked list as slots of the user's rated
-        # items; slot 0 is any other candidate and the padding past the list.
-        # Only a rated candidate can have a nonzero gain or be relevant (any
-        # other rates 0, and dcg_gain(0.0) is 0.0), and small-int slots keep
-        # the per-fold array far smaller than float64 gains would.
-        n_rated = max((len(truths[u].ratings) for u in users), default=0)
-        slot_gain = np.zeros((len(users), n_rated + 1))
-        slot_hit = np.zeros(slot_gain.shape, dtype=bool)
-        slots = np.zeros((len(methods), len(users), int(lengths.max(initial=0))),
-                         dtype=np.min_scalar_type(n_rated))
+        # Per method, each user's ranked list as the gains and relevance of
+        # its candidates in best-first order, zero-padded past the list. An
+        # unrated candidate rates 0, and dcg_gain(0.0) is 0.0.
+        gains = np.zeros((len(methods), len(users), int(lengths.max(initial=0))))
+        hits = np.zeros(gains.shape, dtype=bool)
         for row, user in enumerate(users):
-            c, truth = cands[user], truths[user]
+            c, truth, width = cands[user], truths[user], lengths[row]
             order, _ = _best_first(score_methods(c, methods), kinds, c.item_ids)
-            position = {item: j for j, item in enumerate(c.item_ids)}
-            slot = np.zeros(c.n, dtype=slots.dtype)
             relevant = truth.relevant
             n_relevant[row] = len(relevant)
-            for s, (item, rating) in enumerate(truth.ratings.items(), 1):
-                if item in position:
-                    slot[position[item]] = s
-                slot_gain[row, s] = dcg_gain(rating)
-                slot_hit[row, s] = item in relevant
-            top = order[:, :max_n]
-            slots[:, row, :top.shape[1]] = slot[top]
+            gain = np.array([dcg_gain(truth.ratings.get(t, 0.0)) for t in c.item_ids])
+            hit = np.array([t in relevant for t in c.item_ids])
+            gains[:, row, :width] = gain[order[:, :width]]
+            hits[:, row, :width] = hit[order[:, :width]]
 
-        for spec, ranked in zip(methods, slots):
-            means = prefix_means(np.take_along_axis(slot_gain, ranked, axis=1),
-                                 np.take_along_axis(slot_hit, ranked, axis=1),
-                                 lengths, n_relevant, n_values)
+        for spec, gain, hit in zip(methods, gains, hits):
+            means = prefix_means(gain, hit, lengths, n_relevant, n_values)
             for n, mean in zip(n_values, means):
                 measured[(spec.label, n, fold)] = mean
 
     folds = cfg.folds
     for spec in methods:
         for n in n_values:
-            vals = [measured[(spec.label, n, f)] for f in range(folds)]
-            measured[(spec.label, n, "avg")] = (
-                sum(v[0] for v in vals) / folds,
-                sum(v[1] for v in vals) / folds,
-            )
+            f1s, ndcgs = zip(*(measured[(spec.label, n, f)] for f in range(folds)))
+            measured[(spec.label, n, "avg")] = (sum(f1s) / folds, sum(ndcgs) / folds)
 
     cells: list[ReportCell] = []
     for spec in methods:

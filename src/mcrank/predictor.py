@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, check_config_fields
 from .errors import DomainError, ParseError, TrainingError
 
 _MODEL_FORMAT = "mcrank-model"
@@ -40,6 +40,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_config_fields(self, "train.")
         if self.latent_dim < 1:
             raise DomainError(f"latent_dim must be >= 1, got {self.latent_dim}")
         if self.learning_rate <= 0:

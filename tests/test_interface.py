@@ -13,6 +13,7 @@ from mcrank import (
     ParseError,
     RatingRecord,
     synth_generate,
+    validate_dataset,
 )
 from mcrank.cli import cli_main
 from mcrank.io import (
@@ -370,6 +371,68 @@ def test_utf8_bom_is_accepted(tmp_path, role):
     assert load(bom) == load(plain)
 
 
+def test_quoted_line_break_stays_in_its_cell(tmp_path, capsys):
+    path = tmp_path / "vectors.csv"
+    path.write_text('user_id,item_id,a,b\nu1,"t\n1",3,3\nu1,t2,2,2\n')
+    assert run_cli("rank", "--input", str(path), "--predicted", "--method", "pr") == 0
+    assert capsys.readouterr().out == "u1\tt\n1\t1.0\nu1\tt2\t0.0\n"
+
+
+@pytest.mark.parametrize("command", ["rank", "rank-predicted"])
+def test_rows_are_numbered_by_the_file_line_they_start_on(tmp_path, capsys, command):
+    # a quoted cell spans lines 2-3 and line 4 is blank, so the bad cell is on line 5
+    overall = "overall," if command == "rank" else ""
+    path = tmp_path / "data.csv"
+    path.write_text(f'user_id,item_id,{overall}a\nu1,"t\n1",{overall and "3,"}3\n'
+                    f'\nu1,t2,{overall and "3,"}x\n')
+    predicted = ["--predicted"] if command == "rank-predicted" else []
+    assert run_cli("rank", "--input", str(path), "--method", "pr", *predicted) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 5: a value 'x' is not a number\n"
+    path.write_text(f"\nuser_id,item_id,{overall}a,a\n")  # the header is on line 2
+    assert run_cli("rank", "--input", str(path), "--method", "pr", *predicted) == 2
+    assert capsys.readouterr().err == (f"error: {path}: line 2: criterion names must be "
+                                       f"distinct and non-empty\n")
+
+
+def test_unclosed_quote_is_a_data_error(tmp_path, capsys):
+    # the rest of the file becomes one cell, longer than the csv field limit
+    path = tmp_path / "vectors.csv"
+    path.write_text('user_id,item_id,a\nu1,"t1,3\n' + "u1,t2,3\n" * 20000)
+    assert run_cli("rank", "--input", str(path), "--predicted", "--method", "pr") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 2: field larger than field limit")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["rank", "evaluate"])
+def test_validation_errors_name_the_file_and_line(tmp_path, capsys, command):
+    path = tmp_path / "d.csv"
+    path.write_text("user_id,item_id,overall,a\nu1,t1,3,3\n\nu1,t1,3,3\nu2,t1,9,3\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"folds": 2}')
+    argv = {"rank": ["--method", "pr"],
+            "evaluate": ["--config", str(cfg), "--out", str(tmp_path / "r.json")]}
+    assert run_cli(command, "--input", str(path), *argv[command]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 4 (u1, t1): duplicate (user, item) pair; "
+        f"line 5 (u2, t1): overall rating 9.0 outside [1.0, 5.0]\n")
+    # an in-memory dataset has no lines; its violations keep record indices
+    records = (RatingRecord("u1", "t1", 3, (3,)), RatingRecord("u1", "t1", 3, (3,)))
+    violations = validate_dataset(Dataset(criteria_names=("a",), records=records))
+    assert str(DatasetValidationError(violations)) == (
+        "dataset failed validation: record 1 (u1, t1): duplicate (user, item) pair")
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Experiment config\n", 1)[1].split("\n### ", 1)[0]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(example, encoding="utf-8")
+    assert config_to_dict(load_experiment_config(path)) == {
+        **json.loads(example), "dataset_path": None}
+
+
 class TestCliPipelines:
     @pytest.fixture
     def data_file(self, tmp_path):
@@ -455,6 +518,9 @@ class TestCliPipelines:
         ({"relevance_threshold": None}, "'relevance_threshold'"),
         ({"folds": 2.7}, "'folds'"),
         ({"methods": "pr"}, "'methods'"),
+        ({"n_values": [2.7]}, "'n_values'"),
+        ({"train": {"epochs": True}}, "'train.epochs'"),
+        ({"relevance_threshold": "3"}, "'relevance_threshold'"),
     ])
     def test_mistyped_config_value_is_a_data_error(self, data_file, tmp_path,
                                                    capsys, doc, key):

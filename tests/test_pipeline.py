@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -260,6 +261,40 @@ class TestRunExperiment:
             small_config(["pr"], n_values=(0,))
         with pytest.raises(DomainError):
             small_config(["pr", "pr"])
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("build, key", [
+        (lambda: TrainConfig(epochs=2.5), "'train.epochs'"),
+        (lambda: TrainConfig(latent_dim=True), "'train.latent_dim'"),
+        (lambda: TrainConfig(epochs=True), "'train.epochs'"),
+        (lambda: TrainConfig(learning_rate="0.1"), "'train.learning_rate'"),
+        (lambda: small_config(["pr"], n_values=(2.7,)), "'n_values'"),
+        (lambda: small_config(["pr"], folds=2.5), "'folds'"),
+        (lambda: small_config(["pr"], seed=None), "'seed'"),
+        (lambda: small_config(["pr"], relevance_threshold=True), "'relevance_threshold'"),
+        (lambda: kfold_split(small_dataset(), 2.5, 0), "'folds'"),
+    ], ids=["float-epochs", "bool-latent_dim", "bool-epochs", "str-learning_rate",
+            "float-n_values", "float-folds", "none-seed", "bool-threshold",
+            "kfold_split-float-folds"])
+    def test_mistyped_value_names_its_key(self, build, key):
+        with pytest.raises(DomainError, match=key):
+            build()
+
+    def test_numpy_scalars_are_accepted_and_dump_to_json(self):
+        train = TrainConfig(latent_dim=np.int64(2), learning_rate=np.float32(0.5),
+                            epochs=np.int16(1), seed=np.uint8(3))
+        cfg = small_config(["pr"], folds=np.int64(3), seed=np.int32(4),
+                           n_values=(np.int64(3), np.int8(5)),
+                           relevance_threshold=np.int64(4), train=train)
+        doc = pipeline.config_to_dict(cfg)
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc["folds"] == 3 and type(doc["folds"]) is int
+        assert doc["n_values"] == [3, 5] and {type(n) for n in doc["n_values"]} == {int}
+        assert type(doc["relevance_threshold"]) is float
+        assert doc["train"] == {"latent_dim": 2, "learning_rate": 0.5, "reg": 0.02,
+                                "epochs": 1, "seed": 3}
+        assert len(kfold_split(small_dataset(), np.int64(3), 0)) == 3
 
 
 class TestBenchmarkContract:
