@@ -26,6 +26,7 @@ from .errors import (
     SplitError,
     TrainingError,
 )
+from .io import load_model, save_model
 from .metrics import ConfusionCounts, GroundTruth, confusion, dcg, f1, ndcg
 from .pipeline import (
     ExperimentConfig,
@@ -38,7 +39,7 @@ from .pipeline import (
     sweep_k,
     synth_generate,
 )
-from .predictor import PredictorModel, TrainConfig, fit, load_model, predict_many, save_model
+from .predictor import PredictorModel, TrainConfig, fit, predict_many
 from .ranking import (
     average_ranks,
     method_scores,

@@ -7,6 +7,7 @@ success, 1 on usage errors, 2 on data or validation errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 import time
 from dataclasses import replace
@@ -109,12 +110,12 @@ def _cmd_rank(args) -> int:
         users = [args.user]
     else:
         users = sorted(candidate_sets)
+    writer = csv.writer(sys.stdout, delimiter="\t", lineterminator="\n")
     for user in users:
         ranked = rank_candidates(candidate_sets[user], spec)
         if args.top_n is not None:
             ranked = top_n(ranked, args.top_n)
-        for item, score in ranked:
-            print(f"{user}\t{item}\t{score}")
+        writer.writerows((user, item, score) for item, score in ranked)
     return 0
 
 
@@ -123,7 +124,9 @@ def _cmd_report(args) -> int:
     ks = None
     if args.command == "sweep-k":
         try:
-            ks = [float(t) for t in args.k.split(",") if t.strip()]
+            ks = [MethodSpec.kd(float(t)).k for t in args.k.split(",") if t.strip()]
+        except DomainError as exc:  # a k outside [0, 1]
+            raise _UsageError(str(exc)) from exc
         except ValueError as exc:
             raise _UsageError(f"bad --k list {args.k!r}") from exc
         if not ks:

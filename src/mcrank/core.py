@@ -17,6 +17,7 @@ from .errors import DimensionError, DomainError
 RANKING_KINDS = ("pr", "kd", "ar", "mr", "gd", "pg")
 MAJOR_KINDS = ("pr", "kd")
 SUB_KINDS = ("ar", "mr", "gd", "pg")
+SCALE = (1.0, 5.0)  # the (min, max) of every rating file and predicted value
 
 
 def checked_number(key: str, value, integer: bool = True):
@@ -54,29 +55,23 @@ class RatingRecord:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A multi-criteria rating dataset on a fixed scale.
+    """A multi-criteria rating dataset on the fixed ``SCALE``.
 
     ``criteria_names`` fixes the criterion count M; every record is
-    expected to carry M criteria values within [scale_min, scale_max].
-    Construction checks only the structural invariants (M >= 1, ordered
-    scale); per-record problems are surfaced by ``validate_dataset`` so
-    that callers can report them all at once.
+    expected to carry M criteria values within ``SCALE``. Construction
+    checks only the structural invariant M >= 1; per-record problems are
+    surfaced by ``validate_dataset`` so that callers can report them all
+    at once.
     """
 
     criteria_names: tuple[str, ...]
     records: tuple[RatingRecord, ...] = ()
-    scale_min: float = 1.0
-    scale_max: float = 5.0
 
     def __post_init__(self):
         object.__setattr__(self, "criteria_names", tuple(self.criteria_names))
         object.__setattr__(self, "records", tuple(self.records))
         if len(self.criteria_names) < 1:
             raise DomainError("dataset needs at least one criterion")
-        if not self.scale_min < self.scale_max:
-            raise DomainError(
-                f"scale_min must be below scale_max, got [{self.scale_min}, {self.scale_max}]"
-            )
 
     @property
     def n_criteria(self) -> int:
@@ -123,7 +118,7 @@ def validate_dataset(dataset: Dataset) -> tuple[Violation, ...]:
     """
     violations: list[Violation] = []
     m = dataset.n_criteria
-    lo, hi = dataset.scale_min, dataset.scale_max
+    lo, hi = SCALE
     seen: set[tuple[str, str]] = set()
     for idx, rec in enumerate(dataset.records):
         key = (rec.user_id, rec.item_id)

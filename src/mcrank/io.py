@@ -1,4 +1,4 @@
-"""File formats: rating CSVs, predicted-vector CSVs, config and report files.
+"""File formats: rating and predicted-vector CSVs; config, report and model JSON.
 
 Dataset files are UTF-8 CSV with header ``user_id,item_id,overall,<c1>,...``;
 criterion names come from the header. Reports are JSON with a sibling
@@ -16,10 +16,12 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
-from .core import CandidateSet, Dataset, MethodSpec, RatingRecord, validate_dataset
+import numpy as np
+
+from .core import SCALE, CandidateSet, Dataset, MethodSpec, RatingRecord, validate_dataset
 from .errors import DatasetValidationError, DomainError, ParseError
 from .pipeline import ExperimentConfig, MetricsReport, Protocol, ReportCell
-from .predictor import TrainConfig
+from .predictor import PredictorModel, TrainConfig
 
 _FIXED_COLUMNS = ("user_id", "item_id", "overall")
 
@@ -140,7 +142,8 @@ def load_candidate_sets(path: str | Path) -> dict[str, CandidateSet]:
     Header is ``user_id,item_id,<criterion,...>``; a full dataset file
     (with an ``overall`` column) is also accepted, the overall being
     ignored since ranking uses criteria values only. Values may be
-    continuous and are not checked against a rating scale.
+    continuous and are not checked against a rating scale. Each set
+    holds its items in id order, whatever the order of the file's rows.
     """
     path, names, rows = _read_csv(path, vectors=True)
     per_user: dict[str, dict[str, list[float]]] = {}
@@ -156,7 +159,7 @@ def load_candidate_sets(path: str | Path) -> dict[str, CandidateSet]:
             raise ParseError(
                 f"{path}: line {line}: duplicate item {item!r} for user {user!r}")
         vectors[item] = vector
-    return {user: CandidateSet.from_pairs(user, vectors.items())
+    return {user: CandidateSet.from_pairs(user, sorted(vectors.items()))
             for user, vectors in per_user.items()}
 
 
@@ -221,8 +224,7 @@ def load_experiment_config(path: str | Path, *,
         raise ParseError(f"{path}: {exc}") from exc
 
 
-_CELL_FIELDS = ("method", "k", "sub", "n", "fold", "f1", "ndcg",
-                "improvement_f1", "improvement_ndcg")
+_CELL_FIELDS = tuple(f.name for f in fields(ReportCell))
 
 
 def emit_report(report: MetricsReport, path: str | Path) -> None:
@@ -256,3 +258,48 @@ def load_report(path: str | Path) -> MetricsReport:
         return MetricsReport(metadata=doc["metadata"], cells=cells)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: not a report file: {exc}") from exc
+
+
+_MODEL_FORMAT = "mcrank-model"
+_MODEL_VERSION = 1
+_MODEL_ARRAYS = ("global_means", "user_biases", "item_biases", "user_factors",
+                 "item_factors")
+
+
+def save_model(model: PredictorModel, path: str | Path) -> None:
+    """Write the model as a versioned JSON parameter dump (exact round-trip)."""
+    doc = {
+        "format": _MODEL_FORMAT,
+        "version": _MODEL_VERSION,
+        "criteria": list(model.criteria_names),
+        "users": list(model.user_ids),
+        "items": list(model.item_ids),
+        "scale": list(SCALE),
+        "dim": model.latent_dim,
+        **{key: getattr(model, key).tolist() for key in _MODEL_ARRAYS},
+        "loss_history": [list(h) for h in model.loss_history],
+    }
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+
+
+def load_model(path: str | Path) -> PredictorModel:
+    """A ``save_model`` file; any other file is a ParseError naming it."""
+    path = Path(path)
+    with _reading(path):
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
+    if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
+        raise ParseError(f"{path}: not a {_MODEL_FORMAT} file")
+    if doc.get("version") != _MODEL_VERSION:
+        raise ParseError(f"{path}: unsupported model version {doc.get('version')}")
+    if doc.get("scale") != list(SCALE):
+        raise ParseError(f"{path}: model scale {doc.get('scale')!r} is not {list(SCALE)}")
+    try:
+        return PredictorModel(
+            criteria_names=tuple(doc["criteria"]),
+            user_ids=tuple(doc["users"]),
+            item_ids=tuple(doc["items"]),
+            latent_dim=int(doc["dim"]),
+            loss_history=tuple(tuple(h) for h in doc["loss_history"]),
+            **{key: np.asarray(doc[key], dtype=np.float64) for key in _MODEL_ARRAYS})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: not a model file: {exc!r}") from exc

@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import (CandidateSet, Dataset, MethodSpec, RatingRecord, check_config_fields,
-                   checked_number)
+from .core import (SCALE, CandidateSet, Dataset, MethodSpec, RatingRecord,
+                   check_config_fields, checked_number)
 from .errors import DomainError, SplitError
 from .metrics import GroundTruth, dcg_gain, prefix_means
 from .predictor import PredictorModel, TrainConfig, fit, predict_many
@@ -303,7 +303,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
             "items": len(dataset.items()),
             "records": len(dataset.records),
             "criteria": list(dataset.criteria_names),
-            "scale": [dataset.scale_min, dataset.scale_max],
+            "scale": list(SCALE),
         },
         "users_evaluated": users_evaluated,
         "users_skipped": users_skipped,
@@ -323,7 +323,7 @@ def sweep_k(dataset: Dataset, k_values, cfg: ExperimentConfig) -> MetricsReport:
 
 def synth_generate(users: int, items: int, n_criteria: int,
                    density: float, seed: int) -> Dataset:
-    """Seeded synthetic multi-criteria dataset on the 1-5 scale.
+    """Seeded synthetic multi-criteria dataset on ``SCALE``.
 
     Shared latent user/item factors with per-criterion emphasis vectors
     induce correlated criteria ratings; the overall rating is the rounded
@@ -343,9 +343,9 @@ def synth_generate(users: int, items: int, n_criteria: int,
     i_fac = rng.normal(0.0, 1.0, size=(items, d))
     c_fac = rng.normal(0.0, 1.0, size=(n_criteria, d))
     affinity = np.einsum("ud,id,cd->uic", u_fac, i_fac, c_fac) / np.sqrt(d)
-    ratings = np.clip(np.rint(3.0 + affinity), 1.0, 5.0)
+    ratings = np.clip(np.rint(3.0 + affinity), *SCALE)
     noise = rng.normal(0.0, 0.3, size=(users, items))
-    overall = np.clip(np.rint(ratings.mean(axis=2) + noise), 1.0, 5.0)
+    overall = np.clip(np.rint(ratings.mean(axis=2) + noise), *SCALE)
     keep = rng.random(size=(users, items)) < density
 
     uw = len(str(users))
@@ -359,5 +359,4 @@ def synth_generate(users: int, items: int, n_criteria: int,
         for u in range(users) for i in range(items) if keep[u, i]
     ]
     names = tuple(f"c{m + 1}" for m in range(n_criteria))
-    return Dataset(criteria_names=names, records=tuple(records),
-                   scale_min=1.0, scale_max=5.0)
+    return Dataset(criteria_names=names, records=tuple(records))

@@ -18,17 +18,12 @@ sequential loop as the reference.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, check_config_fields
-from .errors import DomainError, ParseError, TrainingError
-
-_MODEL_FORMAT = "mcrank-model"
-_MODEL_VERSION = 1
+from .core import SCALE, Dataset, check_config_fields
+from .errors import DomainError, TrainingError
 
 
 @dataclass(frozen=True)
@@ -65,8 +60,6 @@ class PredictorModel:
     criteria_names: tuple[str, ...]
     user_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
-    scale_min: float
-    scale_max: float
     latent_dim: int
     global_means: np.ndarray = field(repr=False)
     user_biases: np.ndarray = field(repr=False)
@@ -196,8 +189,6 @@ def fit(train: Dataset, cfg: TrainConfig) -> PredictorModel:
         criteria_names=train.criteria_names,
         user_ids=tuple(users),
         item_ids=tuple(items),
-        scale_min=train.scale_min,
-        scale_max=train.scale_max,
         latent_dim=d,
         global_means=global_means,
         user_biases=user_biases,
@@ -232,7 +223,7 @@ def _levels(user_rows: np.ndarray, item_rows: np.ndarray,
 
 def predict_many(model: PredictorModel, user_id: str, item_ids) -> np.ndarray:
     """Predicted criteria vectors for one user over many items, shape (n, M),
-    clamped to scale.
+    clamped to ``SCALE``.
 
     Cold cases fall back instead of failing: unseen item uses the user's
     bias-adjusted mean, unseen user the item's, and a fully unseen pair
@@ -256,49 +247,4 @@ def predict_many(model: PredictorModel, user_id: str, item_ids) -> np.ndarray:
             dots = np.einsum("mkd,md->mk", model.item_factors[:, idx, :],
                              model.user_factors[:, u, :])
             base[mask] += dots.T
-    return np.clip(base, model.scale_min, model.scale_max)
-
-
-def save_model(model: PredictorModel, path: str | Path) -> None:
-    """Write the model as a versioned JSON parameter dump (exact round-trip)."""
-    doc = {
-        "format": _MODEL_FORMAT,
-        "version": _MODEL_VERSION,
-        "criteria": list(model.criteria_names),
-        "users": list(model.user_ids),
-        "items": list(model.item_ids),
-        "scale": [model.scale_min, model.scale_max],
-        "dim": model.latent_dim,
-        "global_means": model.global_means.tolist(),
-        "user_biases": model.user_biases.tolist(),
-        "item_biases": model.item_biases.tolist(),
-        "user_factors": model.user_factors.tolist(),
-        "item_factors": model.item_factors.tolist(),
-        "loss_history": [list(h) for h in model.loss_history],
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> PredictorModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not a valid model file: {exc}") from exc
-    if doc.get("format") != _MODEL_FORMAT:
-        raise ParseError(f"{path}: not a {_MODEL_FORMAT} file")
-    if doc.get("version") != _MODEL_VERSION:
-        raise ParseError(f"{path}: unsupported model version {doc.get('version')}")
-    return PredictorModel(
-        criteria_names=tuple(doc["criteria"]),
-        user_ids=tuple(doc["users"]),
-        item_ids=tuple(doc["items"]),
-        scale_min=float(doc["scale"][0]),
-        scale_max=float(doc["scale"][1]),
-        latent_dim=int(doc["dim"]),
-        global_means=np.asarray(doc["global_means"], dtype=np.float64),
-        user_biases=np.asarray(doc["user_biases"], dtype=np.float64),
-        item_biases=np.asarray(doc["item_biases"], dtype=np.float64),
-        user_factors=np.asarray(doc["user_factors"], dtype=np.float64),
-        item_factors=np.asarray(doc["item_factors"], dtype=np.float64),
-        loss_history=tuple(tuple(h) for h in doc["loss_history"]),
-    )
+    return np.clip(base, *SCALE)

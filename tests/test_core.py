@@ -51,10 +51,6 @@ class TestDataset:
         with pytest.raises(DomainError):
             Dataset(criteria_names=())
 
-    def test_scale_must_be_ordered(self):
-        with pytest.raises(DomainError):
-            Dataset(criteria_names=("a",), scale_min=5, scale_max=1)
-
     def test_users_items_in_first_appearance_order(self):
         d = make_dataset([
             ("u2", "i1", 3, (3, 3, 3)),

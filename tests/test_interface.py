@@ -235,7 +235,7 @@ class TestCliRank:
         assert len(lines) == 2
 
     def test_file_order_does_not_change_the_list(self, tmp_path, capsys):
-        # the loader keeps file order; ties still break by ascending id
+        # the loader orders each set by item id; ties break by ascending id
         path = tmp_path / "vectors.csv"
         path.write_text("user_id,item_id,a,b\nu1,T3,3,3\nu1,T10,3,3\n"
                         "u1,T1,5,5\nu1,T2,3,3\n")
@@ -243,6 +243,22 @@ class TestCliRank:
                          "--method", "pr"]) == 0
         listed = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()]
         assert listed == ["T1", "T10", "T2", "T3"]
+        # gd and pg sum gains in candidate order, so continuous scores would
+        # differ in their last digits if the set kept the file's row order
+        rng = np.random.default_rng(5)
+        rows = [f"u{u},i{i:02d},{','.join(map(repr, rng.uniform(1, 5, 3).tolist()))}"
+                for u in range(3) for i in range(60)]
+        shuffled = tmp_path / "shuffled.csv"
+        path.write_text("user_id,item_id,a,b,c\n" + "\n".join(rows) + "\n")
+        shuffled.write_text("user_id,item_id,a,b,c\n"
+                            + "\n".join(rng.permutation(rows).tolist()) + "\n")
+        for method in (["gd"], ["pg"], ["ar"], ["kd", "--k", "0.5", "--sub", "gd"]):
+            outputs = []
+            for source in (path, shuffled):
+                assert cli_main(["rank", "--input", str(source), "--predicted",
+                                 "--method", *method]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1], method
 
     def test_rank_from_rating_file(self, tmp_path, capsys):
         path = tmp_path / "ratings.csv"
@@ -375,7 +391,14 @@ def test_quoted_line_break_stays_in_its_cell(tmp_path, capsys):
     path = tmp_path / "vectors.csv"
     path.write_text('user_id,item_id,a,b\nu1,"t\n1",3,3\nu1,t2,2,2\n')
     assert run_cli("rank", "--input", str(path), "--predicted", "--method", "pr") == 0
-    assert capsys.readouterr().out == "u1\tt\n1\t1.0\nu1\tt2\t0.0\n"
+    assert capsys.readouterr().out == 'u1\t"t\n1"\t1.0\nu1\tt2\t0.0\n'
+
+
+def test_rank_quotes_an_id_holding_a_tab_or_quote(tmp_path, capsys):
+    path = tmp_path / "vectors.csv"
+    path.write_text('user_id,item_id,a,b\nu1,"t\t1",3,3\nu1,"t""2",2,2\n')
+    assert run_cli("rank", "--input", str(path), "--predicted", "--method", "pr") == 0
+    assert capsys.readouterr().out == 'u1\t"t\t1"\t1.0\nu1\t"t""2"\t0.0\n'
 
 
 @pytest.mark.parametrize("command", ["rank", "rank-predicted"])
@@ -480,10 +503,18 @@ class TestCliPipelines:
         report = load_report(out)
         assert {c.method for c in report.cells} == {"pr", "kd:0", "kd:0.5"}
 
-    def test_sweep_k_bad_list_is_usage_error(self, data_file, config_file, tmp_path):
-        assert run_cli("sweep-k", "--input", data_file, "--k", "0,zebra",
-                       "--config", config_file, "--out",
-                       str(tmp_path / "x.json")) == 1
+    def test_sweep_k_bad_list_is_usage_error(self, tmp_path, capsys):
+        # checked before any file is read, as rank --method kd --k checks it
+        for k, message in [
+            ("0,zebra", "bad --k list '0,zebra'"),
+            ("2", "relaxation factor k must lie in [0, 1], got 2.0"),
+            ("nan", "relaxation factor k must lie in [0, 1], got nan"),
+            ("0.5,-0.5", "relaxation factor k must lie in [0, 1], got -0.5"),
+        ]:
+            assert run_cli("sweep-k", "--input", str(tmp_path / "absent.csv"), "--k", k,
+                           "--config", str(tmp_path / "absent.json"), "--out",
+                           str(tmp_path / "x.json")) == 1
+            assert capsys.readouterr().err == f"usage error: {message}\n"
 
     @pytest.mark.parametrize("command", ["evaluate", "sweep-k"])
     @pytest.mark.parametrize("out, flags", [

@@ -221,7 +221,9 @@ class TestModelRoundTrip:
                 predict_many(model, rec.user_id, [rec.item_id])[0].tolist()
 
     def test_load_rejects_foreign_files(self, tmp_path):
+        import mcrank.io
         from mcrank import ParseError
+        assert save_model is mcrank.io.save_model and load_model is mcrank.io.load_model
         path = tmp_path / "junk.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ParseError):
@@ -229,3 +231,20 @@ class TestModelRoundTrip:
         path.write_text("not json at all")
         with pytest.raises(ParseError):
             load_model(path)
+        # each malformed file is a ParseError naming it
+        path.write_bytes(b'{"format": "mcrank-model", "\xff": 1}')
+        with pytest.raises(ParseError, match="junk.json: not UTF-8"):
+            load_model(path)
+        path.write_text('{"format": "mcrank-model", "version": 1}')
+        with pytest.raises(ParseError, match="junk.json: model scale None"):
+            load_model(path)
+        path.write_text('{"format": "mcrank-model", "version": 1, "scale": [1.0, 5.0]}')
+        with pytest.raises(ParseError, match="junk.json: not a model file: .*'criteria'"):
+            load_model(path)
+        save_model(fit(constant_dataset(), FAST), path)
+        path.write_text(path.read_text().replace('"scale": [1.0, 5.0]',
+                                                 '"scale": [0.0, 10.0]'))
+        with pytest.raises(ParseError, match=r"junk.json: model scale \[0.0, 10.0\]"):
+            load_model(path)
+        with pytest.raises(ParseError, match="absent.json: cannot read"):
+            load_model(tmp_path / "absent.json")
