@@ -13,7 +13,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 from . import io
-from .core import CandidateSet, MethodSpec
+from .core import RANKING_KINDS, SUB_KINDS, CandidateSet, MethodSpec
 from .errors import DomainError, McrankError
 from .pipeline import Protocol, _candidate_pools, run_experiment, sweep_k, synth_generate
 from .predictor import TrainConfig, fit, predict_many
@@ -36,9 +36,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("rank", parents=[], help="rank candidates from a CSV of criteria vectors")
     p.add_argument("--input", required=True, help="ratings CSV, or predicted-vectors CSV with --predicted")
-    p.add_argument("--method", required=True, choices=["pr", "kd", "ar", "mr", "gd", "pg"])
+    p.add_argument("--method", required=True, choices=RANKING_KINDS)
     p.add_argument("--k", type=float, default=None, help="relaxation factor for kd")
-    p.add_argument("--sub", choices=["ar", "mr", "gd", "pg"], default=None,
+    p.add_argument("--sub", choices=SUB_KINDS, default=None,
                    help="subsort method; turns pr/kd into a hybrid ranking")
     p.add_argument("--user", default=None, help="rank only this user's candidates")
     p.add_argument("--top-n", type=int, default=None, help="print only the first N items")
@@ -75,18 +75,15 @@ def _build_parser() -> _Parser:
 
 
 def _method_from_args(args) -> MethodSpec:
+    if args.method == "kd" and args.k is None:
+        raise _UsageError("--method kd requires --k")
+    if args.method != "kd" and args.k is not None:
+        raise _UsageError("--k only applies to --method kd")
     try:
-        if args.method == "kd":
-            if args.k is None:
-                raise _UsageError("--method kd requires --k")
-            base = MethodSpec.kd(args.k)
-        else:
-            if args.k is not None:
-                raise _UsageError("--k only applies to --method kd")
-            base = MethodSpec(args.method)
-        if args.sub is not None:
-            return MethodSpec.hybrid(base, MethodSpec(args.sub))
-        return base
+        base = MethodSpec(args.method, k=args.k)
+        if args.sub is None:
+            return base
+        return MethodSpec("hybrid", major=base, sub=MethodSpec(args.sub))
     except DomainError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -124,7 +121,7 @@ def _cmd_report(args) -> int:
     ks = None
     if args.command == "sweep-k":
         try:
-            ks = [MethodSpec.kd(float(t)).k for t in args.k.split(",") if t.strip()]
+            ks = [MethodSpec("kd", k=float(t)).k for t in args.k.split(",") if t.strip()]
         except DomainError as exc:  # a k outside [0, 1]
             raise _UsageError(str(exc)) from exc
         except ValueError as exc:

@@ -209,7 +209,8 @@ class MethodSpec:
 
     Kinds: ``pr`` (Pareto ranking), ``kd`` (k-dominance, needs ``k`` in
     [0, 1]), ``ar``/``mr``/``gd``/``pg`` (preference ordering), and
-    ``hybrid`` (a pr/kd major plus an ar/mr/gd/pg subsort).
+    ``hybrid`` (a pr/kd major plus an ar/mr/gd/pg subsort). Built as
+    ``MethodSpec(kind, k=..., major=..., sub=...)``, or from a label by ``parse``.
     """
 
     kind: str
@@ -239,35 +240,6 @@ class MethodSpec:
         else:
             raise DomainError(f"unknown ranking method {self.kind!r}")
 
-    # -- constructors ---------------------------------------------------
-    @classmethod
-    def pr(cls) -> "MethodSpec":
-        return cls("pr")
-
-    @classmethod
-    def kd(cls, k: float) -> "MethodSpec":
-        return cls("kd", k=k)
-
-    @classmethod
-    def ar(cls) -> "MethodSpec":
-        return cls("ar")
-
-    @classmethod
-    def mr(cls) -> "MethodSpec":
-        return cls("mr")
-
-    @classmethod
-    def gd(cls) -> "MethodSpec":
-        return cls("gd")
-
-    @classmethod
-    def pg(cls) -> "MethodSpec":
-        return cls("pg")
-
-    @classmethod
-    def hybrid(cls, major: "MethodSpec", sub: "MethodSpec") -> "MethodSpec":
-        return cls("hybrid", major=major, sub=sub)
-
     @classmethod
     def parse(cls, text: str) -> "MethodSpec":
         """Parse a compact method label.
@@ -276,18 +248,20 @@ class MethodSpec:
         ``<major>+<sub>`` for hybrids, e.g. ``kd:0.5+pg``.
         """
         text = text.strip().lower()
+        if text.count("+") > 1:
+            raise DomainError(f"hybrid {text!r} must be <major>+<sub>, with one '+'")
         if "+" in text:
             major_txt, _, sub_txt = text.partition("+")
-            return cls.hybrid(cls.parse(major_txt), cls.parse(sub_txt))
-        if text.startswith("kd"):
-            _, sep, ktxt = text.partition(":")
+            return cls("hybrid", major=cls.parse(major_txt), sub=cls.parse(sub_txt))
+        head, sep, ktxt = text.partition(":")
+        if head == "kd":
             if not sep or not ktxt:
                 raise DomainError("kd method needs a k value, e.g. kd:0.5")
             try:
                 k = float(ktxt)
             except ValueError as exc:
                 raise DomainError(f"bad k value {ktxt!r}") from exc
-            return cls.kd(k)
+            return cls("kd", k=k)
         if text in RANKING_KINDS:
             return cls(text)
         raise DomainError(f"unknown ranking method {text!r}")

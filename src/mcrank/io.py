@@ -262,8 +262,9 @@ def load_report(path: str | Path) -> MetricsReport:
 
 _MODEL_FORMAT = "mcrank-model"
 _MODEL_VERSION = 1
-_MODEL_ARRAYS = ("global_means", "user_biases", "item_biases", "user_factors",
-                 "item_factors")
+# each parameter array's axes: criteria (m), users (u), items (i), latent dim (d)
+_MODEL_ARRAYS = {"global_means": "m", "user_biases": "mu", "item_biases": "mi",
+                 "user_factors": "mud", "item_factors": "mid"}
 
 
 def save_model(model: PredictorModel, path: str | Path) -> None:
@@ -294,12 +295,19 @@ def load_model(path: str | Path) -> PredictorModel:
     if doc.get("scale") != list(SCALE):
         raise ParseError(f"{path}: model scale {doc.get('scale')!r} is not {list(SCALE)}")
     try:
-        return PredictorModel(
-            criteria_names=tuple(doc["criteria"]),
-            user_ids=tuple(doc["users"]),
-            item_ids=tuple(doc["items"]),
-            latent_dim=int(doc["dim"]),
-            loss_history=tuple(tuple(h) for h in doc["loss_history"]),
-            **{key: np.asarray(doc[key], dtype=np.float64) for key in _MODEL_ARRAYS})
+        ids = {key: doc[key] for key in ("criteria", "users", "items")}
+        sizes = dict(zip("mui", map(len, ids.values())), d=int(doc["dim"]))
+        arrays = {key: np.asarray(doc[key], dtype=np.float64) for key in _MODEL_ARRAYS}
+        loss_history = tuple(tuple(h) for h in doc["loss_history"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: not a model file: {exc!r}") from exc
+    for key, value in ids.items():
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise ParseError(f"{path}: model {key} must be a list of strings")
+    for key, axes in _MODEL_ARRAYS.items():
+        if arrays[key].shape != (shape := tuple(map(sizes.get, axes))):
+            raise ParseError(f"{path}: model {key} has shape {arrays[key].shape}, expected {shape}")
+    return PredictorModel(
+        criteria_names=tuple(ids["criteria"]), user_ids=tuple(ids["users"]),
+        item_ids=tuple(ids["items"]), latent_dim=sizes["d"],
+        loss_history=loss_history, **arrays)

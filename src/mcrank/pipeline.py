@@ -222,7 +222,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
     """
     methods = list(cfg.methods)
     if BASELINE_LABEL not in (m.label for m in methods):
-        methods.insert(0, MethodSpec.pr())
+        methods.insert(0, MethodSpec(BASELINE_LABEL))
 
     kinds = [spec.kind for spec in methods]
     n_values = list(cfg.n_values)
@@ -314,10 +314,10 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
 def sweep_k(dataset: Dataset, k_values, cfg: ExperimentConfig) -> MetricsReport:
     """Evaluate a KD(k) variant per requested k, same protocol as run_experiment.
 
-    ``MethodSpec.kd`` rejects a k outside [0, 1]; ``ExperimentConfig``
+    ``MethodSpec`` rejects a k outside [0, 1]; ``ExperimentConfig``
     rejects an empty or duplicated k list.
     """
-    swept = replace(cfg, methods=tuple(MethodSpec.kd(k) for k in k_values))
+    swept = replace(cfg, methods=tuple(MethodSpec("kd", k=k) for k in k_values))
     return run_experiment(dataset, swept)
 
 

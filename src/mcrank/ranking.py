@@ -136,12 +136,13 @@ def _pairwise(c: CandidateSet, ks: set[float],
     return counts, scored
 
 
-def average_ranks(values: np.ndarray, *, descending: bool) -> np.ndarray:
-    """Fractional 1-based positions along the last axis; tied values share
-    the average position. Each row of a 2-D array is ranked on its own."""
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """Fractional 1-based positions along the last axis, highest value first
+    (negate to rank the lowest first); tied values share the average
+    position. Each row of a 2-D array is ranked on its own."""
     values = np.asarray(values, dtype=np.float64)
     n, size = values.shape[-1], values.size
-    order = (-values if descending else values).argsort(axis=-1, kind="stable")
+    order = (-values).argsort(axis=-1, kind="stable")
     # the rows, each sorted, laid end to end; row_start[i] is where the row
     # of flat position i begins
     row_start = np.arange(0, size, max(n, 1)).repeat(n)
@@ -194,7 +195,7 @@ def score_methods(c: CandidateSet, specs: Sequence[MethodSpec]) -> list[np.ndarr
     counts, subs = _pairwise(c, {_major_k(p) for p in parts if p.kind in MAJOR_KINDS},
                              kinds & {"gd", "pg"})
     if kinds & set(_LOWER_BETTER):
-        ranks = average_ranks(np.ascontiguousarray(c.matrix.T), descending=True)
+        ranks = average_ranks(np.ascontiguousarray(c.matrix.T))
         if "ar" in kinds:
             subs["ar"] = ranks.sum(axis=0)
         if "mr" in kinds:
@@ -203,7 +204,7 @@ def score_methods(c: CandidateSet, specs: Sequence[MethodSpec]) -> list[np.ndarr
     if sub_kinds:
         # positions negated rank best first too; -0.0 == 0.0 keeps ties
         rho = average_ranks(np.array([-subs[k] if k in _LOWER_BETTER else subs[k]
-                                      for k in sub_kinds]), descending=True)
+                                      for k in sub_kinds]))
         shares = dict(zip(sub_kinds, (c.n - rho) / c.n))
 
     def part(p: MethodSpec) -> np.ndarray:

@@ -45,8 +45,8 @@ def check(criterion: str, name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_golden_pareto_scores(five_candidates):
-    scores = method_scores(five_candidates, MethodSpec.pr()).tolist()
-    ranked = rank_candidates(five_candidates, MethodSpec.pr())
+    scores = method_scores(five_candidates, MethodSpec("pr")).tolist()
+    ranked = rank_candidates(five_candidates, MethodSpec("pr"))
     ok = (scores == GOLDEN_PR
           and ranked.item_ids[0] == "T1"
           and ranked.item_ids[-1] == "T3")
@@ -58,7 +58,7 @@ def test_criterion_2_kd_zero_reduces_to_pareto():
     mismatches = 0
     for _ in range(1000):
         c = random_candidate_set(rng, max_n=20, max_m=6)
-        if rank_candidates(c, MethodSpec.kd(0.0)) != rank_candidates(c, MethodSpec.pr()):
+        if rank_candidates(c, MethodSpec("kd", k=0.0)) != rank_candidates(c, MethodSpec("pr")):
             mismatches += 1
     check("2", "kd(0) produces identical lists to pr", mismatches == 0,
           f"{mismatches} mismatches in 1000 sets")
@@ -102,7 +102,8 @@ def test_criterion_3_oracle_equivalence():
         for label, expected in real.items():
             got = method_scores(c, MethodSpec.parse(label)).tolist()
             assert got == pytest.approx(expected, abs=1e-12), label
-        got = method_scores(c, MethodSpec.hybrid(MethodSpec.kd(k), MethodSpec.pg())).tolist()
+        got = method_scores(c, MethodSpec("hybrid", major=MethodSpec("kd", k=k),
+                                          sub=MethodSpec("pg"))).tolist()
         assert got == pytest.approx(
             naive.hybrid_list(vs, "kd", k, "pg"), abs=1e-12)
         checked += 1
@@ -114,15 +115,15 @@ def test_criterion_4ab_hybrid_structure():
     rng = np.random.default_rng(40_001)
     order_violations = 0
     tie_violations = 0
-    majors = [MethodSpec.pr(), MethodSpec.kd(0.5)]
-    subs = [MethodSpec.ar(), MethodSpec.mr(), MethodSpec.gd(), MethodSpec.pg()]
+    majors = [MethodSpec("pr"), MethodSpec("kd", k=0.5)]
+    subs = [MethodSpec("ar"), MethodSpec("mr"), MethodSpec("gd"), MethodSpec("pg")]
     for _ in range(1000):
         c = random_candidate_set(rng, max_n=12, max_m=5)
         for major_spec in majors:
             major = method_scores(c, major_spec)
             for sub_spec in subs:
                 sub = method_scores(c, sub_spec)
-                hybrid = method_scores(c, MethodSpec.hybrid(major_spec, sub_spec))
+                hybrid = method_scores(c, MethodSpec("hybrid", major=major_spec, sub=sub_spec))
                 gt = major[:, None] > major[None, :]
                 order_violations += int((gt & (hybrid[:, None] <= hybrid[None, :])).sum())
                 tied = hybrid[:, None] == hybrid[None, :]
@@ -137,20 +138,20 @@ def test_criterion_4ab_hybrid_structure():
 
 def _continuous_hybrid_tied_pairs(sub_spec: MethodSpec) -> int:
     tied = 0
-    major = MethodSpec.kd(0.5)
+    major = MethodSpec("kd", k=0.5)
     for seed in range(100):
         rng = np.random.default_rng(seed)
         matrix = rng.uniform(1.0, 5.0, size=(50, 4))
         c = CandidateSet(user_id="u",
                          item_ids=tuple(f"i{j:02d}" for j in range(50)),
                          matrix=matrix)
-        h = method_scores(c, MethodSpec.hybrid(major, sub_spec))
+        h = method_scores(c, MethodSpec("hybrid", major=major, sub=sub_spec))
         tied += int((h[:, None] == h[None, :]).sum() - 50) // 2
     return tied
 
 
 def test_criterion_4c_gd_subsort_is_tie_free_on_continuous_data():
-    tied = _continuous_hybrid_tied_pairs(MethodSpec.gd())
+    tied = _continuous_hybrid_tied_pairs(MethodSpec("gd"))
     check("4c", "gd-subsorted hybrid has zero tied pairs", tied == 0,
           f"{tied} tied pairs across 100 seeds")
 
@@ -159,7 +160,7 @@ def test_criterion_4c_ar_subsort_is_tie_free_on_continuous_data():
     # ar sums integer per-criterion positions, so different items can
     # collide on the sum even with continuous ratings; tied sums inside
     # one major-score class surface as hybrid ties
-    tied = _continuous_hybrid_tied_pairs(MethodSpec.ar())
+    tied = _continuous_hybrid_tied_pairs(MethodSpec("ar"))
     check("4c", "ar-subsorted hybrid has zero tied pairs", tied == 0,
           f"{tied} tied pairs across 100 seeds")
 
@@ -185,7 +186,7 @@ def test_criterion_6_kd_monotone_in_k():
     violations = 0
     for _ in range(100):
         c = random_candidate_set(rng, max_n=15, max_m=5)
-        rows = [method_scores(c, MethodSpec.kd(k)) for k in grid]
+        rows = [method_scores(c, MethodSpec("kd", k=k)) for k in grid]
         for lo, hi in zip(rows, rows[1:]):
             violations += int((hi < lo).sum())
     check("6", "kd scores non-decreasing in k", violations == 0,
@@ -235,9 +236,9 @@ def test_criterion_8_pareto_scoring_scales():
                      item_ids=tuple(f"i{j:05d}" for j in range(5000)),
                      matrix=matrix)
     method_scores(CandidateSet(user_id="w", item_ids=("a", "b"),
-                               matrix=np.ones((2, 4))), MethodSpec.pr())  # warm numpy up
+                               matrix=np.ones((2, 4))), MethodSpec("pr"))  # warm numpy up
     started = time.perf_counter()
-    scores = method_scores(c, MethodSpec.pr())
+    scores = method_scores(c, MethodSpec("pr"))
     elapsed = time.perf_counter() - started
     check("8", "pareto scoring of 5000x4 under two seconds",
           elapsed < 2.0 and len(scores) == 5000, f"{elapsed:.2f}s")

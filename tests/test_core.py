@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -136,19 +138,19 @@ class TestCandidateSet:
 
 class TestMethodSpec:
     def test_kd_range_enforced(self):
-        MethodSpec.kd(0.0)
-        MethodSpec.kd(1.0)
+        MethodSpec("kd", k=0.0)
+        MethodSpec("kd", k=1.0)
         with pytest.raises(DomainError):
-            MethodSpec.kd(1.5)
+            MethodSpec("kd", k=1.5)
         with pytest.raises(DomainError):
-            MethodSpec.kd(-0.1)
+            MethodSpec("kd", k=-0.1)
 
     def test_hybrid_combination_enforced(self):
-        MethodSpec.hybrid(MethodSpec.kd(0.5), MethodSpec.pg())
+        MethodSpec("hybrid", major=MethodSpec("kd", k=0.5), sub=MethodSpec("pg"))
         with pytest.raises(DomainError):
-            MethodSpec.hybrid(MethodSpec.ar(), MethodSpec.pg())
+            MethodSpec("hybrid", major=MethodSpec("ar"), sub=MethodSpec("pg"))
         with pytest.raises(DomainError):
-            MethodSpec.hybrid(MethodSpec.pr(), MethodSpec.kd(0.5))
+            MethodSpec("hybrid", major=MethodSpec("pr"), sub=MethodSpec("kd", k=0.5))
 
     @pytest.mark.parametrize("label", ["pr", "ar", "mr", "gd", "pg",
                                        "kd:0.5", "kd:0.5+pg", "pr+ar",
@@ -161,9 +163,9 @@ class TestMethodSpec:
                                    1 / 3, 0.1, 1e-7, 0.9999999999])
     def test_kd_label_round_trips_k(self, k):
         # a k that six significant digits would round keeps its repr
-        spec = MethodSpec.kd(k)
+        spec = MethodSpec("kd", k=k)
         assert MethodSpec.parse(spec.label).k == k
-        hybrid = MethodSpec.hybrid(spec, MethodSpec.pg())
+        hybrid = MethodSpec("hybrid", major=spec, sub=MethodSpec("pg"))
         assert MethodSpec.parse(hybrid.label) == hybrid
 
     def test_k_values_equal_to_six_digits_are_distinct_methods(self):
@@ -172,9 +174,15 @@ class TestMethodSpec:
         assert [m.label for m in cfg.methods] == ["kd:0.1234567", "kd:0.1234568"]
 
     def test_parse_rejects_garbage(self):
-        for text in ["nope", "kd", "kd:2", "ar+pg", "kd:0.5+kd:0.5"]:
+        for text in ["nope", "kd", "kd:2", "ar+pg", "kd:0.5+kd:0.5", "kdx:0.5", "pr:0.5"]:
             with pytest.raises(DomainError):
                 MethodSpec.parse(text)
+
+    @pytest.mark.parametrize("label", ["kd:0.1+ar+pg", "pr+ar+", "pr++ar"])
+    def test_parse_rejects_more_than_one_plus(self, label):
+        message = f"hybrid {label!r} must be <major>+<sub>, with one '+'"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            MethodSpec.parse(label)
 
 
 class TestScoredList:

@@ -23,7 +23,7 @@ dyadic_k = st.integers(0, 16).map(lambda i: i / 16)
 def relation(a, b, k=None):
     """[a beats b, b beats a] under Pareto dominance, or k-dominance at k."""
     c = CandidateSet.from_pairs("u", [("a", a), ("b", b)])
-    scores = method_scores(c, MethodSpec.pr() if k is None else MethodSpec.kd(k))
+    scores = method_scores(c, MethodSpec("pr") if k is None else MethodSpec("kd", k=k))
     return scores.tolist()
 
 

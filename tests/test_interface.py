@@ -10,12 +10,15 @@ from conftest import random_candidate_set
 from mcrank import (
     Dataset,
     DatasetValidationError,
+    MethodSpec,
     ParseError,
     RatingRecord,
+    rank_candidates,
     synth_generate,
     validate_dataset,
 )
 from mcrank.cli import cli_main
+from mcrank.core import MAJOR_KINDS, RANKING_KINDS, SUB_KINDS
 from mcrank.io import (
     emit_report,
     experiment_config_from_dict,
@@ -268,13 +271,42 @@ class TestCliRank:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("U1\tT3\t")
 
-    def test_missing_k_is_a_usage_error(self, vectors_file):
+    def test_missing_k_is_a_usage_error(self, vectors_file, capsys):
         assert run_cli("rank", "--input", vectors_file, "--method", "kd",
                        "--predicted") == 1
+        assert capsys.readouterr().err == "usage error: --method kd requires --k\n"
 
-    def test_k_with_non_kd_is_a_usage_error(self, vectors_file):
-        assert run_cli("rank", "--input", vectors_file, "--method", "pr",
-                       "--k", "0.5", "--predicted") == 1
+    def test_k_with_non_kd_is_a_usage_error(self, vectors_file, capsys):
+        for method in ("pr", "ar"):
+            assert run_cli("rank", "--input", vectors_file, "--method", method,
+                           "--k", "0.5", "--predicted") == 1
+            assert capsys.readouterr().err == "usage error: --k only applies to --method kd\n"
+
+    def test_sub_with_non_major_method_is_a_usage_error(self, vectors_file, capsys):
+        assert run_cli("rank", "--input", vectors_file, "--method", "ar",
+                       "--sub", "pg", "--predicted") == 1
+        assert capsys.readouterr().err == "usage error: hybrid major must be pr or kd\n"
+
+    def test_every_method_flag_ranks_as_its_label(self, tmp_path, capsys):
+        # the CLI flags and MethodSpec.parse read one vocabulary from core
+        rng = np.random.default_rng(9)
+        path = tmp_path / "vectors.csv"
+        path.write_text("user_id,item_id,a,b,c\n" + "".join(
+            f"u{u},i{i:02d},{','.join(map(str, rng.integers(1, 6, 3)))}\n"
+            for u in range(2) for i in range(12)))
+        sets = load_candidate_sets(path)
+        for kind in RANKING_KINDS:
+            k_flags, major = (["--k", "0.5"], "kd:0.5") if kind == "kd" else ([], kind)
+            for sub in (None, *SUB_KINDS) if kind in MAJOR_KINDS else (None,):
+                sub_flags, label = ([], major) if sub is None else (["--sub", sub],
+                                                                    f"{major}+{sub}")
+                assert run_cli("rank", "--input", str(path), "--predicted",
+                               "--method", kind, *k_flags, *sub_flags) == 0
+                got = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+                want = [[user, item, repr(score)] for user in sorted(sets)
+                        for item, score in rank_candidates(sets[user],
+                                                           MethodSpec.parse(label))]
+                assert got == want, label
 
     def test_unknown_flag_is_a_usage_error(self, vectors_file):
         assert run_cli("rank", "--input", vectors_file, "--method", "pr",
@@ -578,6 +610,18 @@ class TestCliPipelines:
         assert "Traceback" not in err
         assert f"{cfg}: {key}" in err
         assert not out.exists()
+
+    def test_label_with_two_pluses_names_the_file_and_label(self, data_file, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "plus.json"
+        cfg.write_text('{"methods": ["pr", "kd:0.1+ar+pg"]}')
+        message = f"{cfg}: hybrid 'kd:0.1+ar+pg' must be <major>+<sub>, with one '+'"
+        with pytest.raises(ParseError) as caught:
+            load_experiment_config(cfg)
+        assert str(caught.value) == message
+        assert run_cli("evaluate", "--input", data_file, "--config", str(cfg),
+                       "--out", str(tmp_path / "r.json")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("doc", [{"folds": "x"}, {"folds": 1}])
     def test_config_error_names_the_file(self, data_file, tmp_path, capsys, doc):

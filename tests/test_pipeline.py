@@ -202,8 +202,8 @@ class TestRunExperiment:
         train, test = kfold_split(ds, 3, seed=9)[0]
         model = fit(train, FAST_TRAIN)
         cands, _, _ = build_candidates(model, test)
-        major = MethodSpec.kd(0.5)
-        hybrid = MethodSpec.hybrid(major, MethodSpec.pg())
+        major = MethodSpec("kd", k=0.5)
+        hybrid = MethodSpec("hybrid", major=major, sub=MethodSpec("pg"))
         for cset in cands.values():
             major_rank = {i: p for p, i in
                           enumerate(rank_candidates(cset, major).item_ids)}
@@ -342,7 +342,7 @@ class TestSweepK:
         for cset in list(cands.values())[:10]:
             previous = None
             for k in (0.0, 0.25, 0.5, 0.75, 1.0):
-                scores = method_scores(cset, MethodSpec.kd(k))
+                scores = method_scores(cset, MethodSpec("kd", k=k))
                 if previous is not None:
                     assert np.all(scores >= previous)
                 previous = scores

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from naive import naive_fit
@@ -248,3 +250,16 @@ class TestModelRoundTrip:
             load_model(path)
         with pytest.raises(ParseError, match="absent.json: cannot read"):
             load_model(tmp_path / "absent.json")
+        # each id list must hold strings, and each array the shape they give
+        save_model(fit(constant_dataset(users=5), FAST), path)
+        saved = json.loads(path.read_text())
+        for key, value, message in [
+            ("user_factors", [rows[:2] for rows in saved["user_factors"]],
+             r"model user_factors has shape \(2, 2, 4\), expected \(2, 5, 4\)"),
+            ("global_means", saved["global_means"][:1],
+             r"model global_means has shape \(1,\), expected \(2,\)"),
+            ("criteria", "abc", "model criteria must be a list of strings"),
+            ("users", [0, 1, 2, 3, 4], "model users must be a list of strings")]:
+            path.write_text(json.dumps({**saved, key: value}))
+            with pytest.raises(ParseError, match="junk.json: " + message):
+                load_model(path)

@@ -41,7 +41,7 @@ def subsort_share(c, kind):
     """The [0, 1) subsort part of the pr+kind hybrid, up to the rounding
     of the sum."""
     return (method_scores(c, MethodSpec.parse(f"pr+{kind}"))
-            - method_scores(c, MethodSpec.pr()))
+            - method_scores(c, MethodSpec("pr")))
 
 
 class TestGoldenFiveCandidates:
@@ -56,7 +56,7 @@ class TestGoldenFiveCandidates:
 
     def test_per_criterion_ranks_first_column(self, five_candidates):
         # ratings (5,4,3,4,4): the three 4s share positions 2..4
-        ranks = average_ranks(five_candidates.matrix[:, 0], descending=True)
+        ranks = average_ranks(five_candidates.matrix[:, 0])
         assert ranks.tolist() == [1, 3, 5, 3, 3]
 
     def test_ar(self, five_candidates):
@@ -84,11 +84,11 @@ class TestGoldenFiveCandidates:
         assert vec == pytest.approx(GOLDEN_HYBRID_PR_PG, abs=1e-12)
 
     def test_ranked_order(self, five_candidates):
-        ranked = rank_candidates(five_candidates, MethodSpec.pr())
+        ranked = rank_candidates(five_candidates, MethodSpec("pr"))
         assert ranked.item_ids == ["T1", "T2", "T5", "T4", "T3"]
 
     def test_top_n(self, five_candidates):
-        ranked = rank_candidates(five_candidates, MethodSpec.pr())
+        ranked = rank_candidates(five_candidates, MethodSpec("pr"))
         assert top_n(ranked, 1).item_ids == ["T1"]
         assert top_n(ranked, 3).item_ids == ["T1", "T2", "T5"]
         assert top_n(ranked, 99) == ranked
@@ -104,7 +104,7 @@ class TestDegenerateSets:
         assert scores_of(c, "gd") == [0.0]
         assert scores_of(c, "pg") == [0.0]
         assert scores_of(c, "pr+ar") == [0.0]
-        assert rank_candidates(c, MethodSpec.pg()).item_ids == ["only"]
+        assert rank_candidates(c, MethodSpec("pg")).item_ids == ["only"]
 
     def test_all_identical_candidates(self):
         c = identical_set(4)
@@ -115,30 +115,30 @@ class TestDegenerateSets:
 
     def test_constant_column_ranks(self):
         c = identical_set(5)
-        assert average_ranks(c.matrix[:, 0], descending=True).tolist() == [3.0] * 5
+        assert average_ranks(c.matrix[:, 0]).tolist() == [3.0] * 5
 
     def test_strictly_decreasing_column(self):
         c = CandidateSet.from_pairs("u", [(f"i{j}", (5.0 - j,)) for j in range(4)])
-        assert average_ranks(c.matrix[:, 0], descending=True).tolist() == [1, 2, 3, 4]
+        assert average_ranks(c.matrix[:, 0]).tolist() == [1, 2, 3, 4]
 
     def test_top_n_requires_positive(self, five_candidates):
-        ranked = rank_candidates(five_candidates, MethodSpec.pr())
+        ranked = rank_candidates(five_candidates, MethodSpec("pr"))
         with pytest.raises(DomainError):
             top_n(ranked, 0)
 
     def test_hybrid_rejects_wrong_part_kinds(self, five_candidates):
         with pytest.raises(DomainError):
-            MethodSpec.hybrid(MethodSpec.ar(), MethodSpec.pr())
+            MethodSpec("hybrid", major=MethodSpec("ar"), sub=MethodSpec("pr"))
         with pytest.raises(DomainError):
-            MethodSpec.hybrid(MethodSpec.pr(), MethodSpec.kd(0.5))
+            MethodSpec("hybrid", major=MethodSpec("pr"), sub=MethodSpec("kd", k=0.5))
 
 
 class TestAverageRanks:
     @staticmethod
     def assert_matches_oracle(values):
         values = [float(v) for v in values]
-        desc = average_ranks(np.array(values), descending=True).tolist()
-        asc = average_ranks(np.array(values), descending=False).tolist()
+        desc = average_ranks(np.array(values)).tolist()
+        asc = average_ranks(-np.array(values)).tolist()
         assert desc == naive.ranks_desc(values)
         assert asc == naive.ranks_desc([-v for v in values])
 
@@ -161,8 +161,8 @@ class TestAverageRanks:
                 values = rng.uniform(-2.0, 2.0, size=n)
             self.assert_matches_oracle(values.tolist())
 
-    @pytest.mark.parametrize("descending", [True, False])
-    def test_rows_rank_like_one_row_at_a_time(self, descending):
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rows_rank_like_one_row_at_a_time(self, sign):
         rng = np.random.default_rng(68)
         tables = [np.array([[3.0], [-0.0]]),  # n = 1
                   np.full((3, 4), 2.0),
@@ -177,8 +177,8 @@ class TestAverageRanks:
                 table = rng.uniform(-2.0, 2.0, size=shape)
             tables.append(table)
         for table in tables:
-            got = average_ranks(table, descending=descending)
-            want = np.array([average_ranks(row, descending=descending) for row in table])
+            got = average_ranks(sign * table)
+            want = np.array([average_ranks(sign * row) for row in table])
             assert got.shape == table.shape and got.tobytes() == want.tobytes()
 
 
@@ -246,14 +246,14 @@ class TestHybridFloatLimit:
 
     def test_scalar_encoding_is_hybrid_scores(self):
         rng = np.random.default_rng(5)
-        major_spec = MethodSpec.kd(0.5)
+        major_spec = MethodSpec("kd", k=0.5)
         for _ in range(20):
             c = random_candidate_set(rng, min_n=2)
-            for sub in (MethodSpec.ar(), MethodSpec.pg()):
+            for sub in (MethodSpec("ar"), MethodSpec("pg")):
                 major = method_scores(c, major_spec)
-                rho = average_ranks(method_scores(c, sub),
-                                    descending=sub.kind == "pg")
-                got = method_scores(c, MethodSpec.hybrid(major_spec, sub)).tolist()
+                scores = method_scores(c, sub)  # ar positions rank lowest first
+                rho = average_ranks(scores if sub.kind == "pg" else -scores)
+                got = method_scores(c, MethodSpec("hybrid", major=major_spec, sub=sub)).tolist()
                 assert got == [self.encode(a, r, c.n) for a, r in zip(major, rho)]
 
     def test_holds_at_two_to_the_26(self):
@@ -301,8 +301,9 @@ class TestOracleEquivalence:
             vectors = [tuple(row) for row in c.matrix]
             for major_kind, k in (("pr", None), ("kd", 0.5)):
                 for sub_kind in ("ar", "mr", "gd", "pg"):
-                    major = MethodSpec.pr() if major_kind == "pr" else MethodSpec.kd(k)
-                    got = method_scores(c, MethodSpec.hybrid(major, MethodSpec(sub_kind))).tolist()
+                    major = MethodSpec("pr") if major_kind == "pr" else MethodSpec("kd", k=k)
+                    got = method_scores(c, MethodSpec("hybrid", major=major,
+                                                      sub=MethodSpec(sub_kind))).tolist()
                     expected = naive.hybrid_list(vectors, major_kind, k, sub_kind)
                     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -474,7 +475,7 @@ class TestSharedPass:
 
     def test_arrays_are_fresh(self):
         c = random_candidate_set(np.random.default_rng(92), min_n=3)
-        first, second = score_methods(c, [MethodSpec.pr(), MethodSpec.kd(0.0)])
+        first, second = score_methods(c, [MethodSpec("pr"), MethodSpec("kd", k=0.0)])
         assert first is not second and first.flags.writeable
         first += 1.0
         assert second.tolist() == scores_of(c, "pr")
@@ -517,7 +518,7 @@ class TestRankCandidatesOrder:
     def test_non_string_ids_order_as_strings(self):
         c = CandidateSet(user_id="u", item_ids=(9, 10, 11),
                          matrix=np.array([[1.0], [1.0], [2.0]]))
-        assert rank_candidates(c, MethodSpec.pr()).entries == \
+        assert rank_candidates(c, MethodSpec("pr")).entries == \
             (("11", 2.0), ("10", 0.0), ("9", 0.0))
 
     @pytest.mark.parametrize("rows", [[(1.0,), (2.0,)], [(1.0,), (1.0,)]],
@@ -528,7 +529,7 @@ class TestRankCandidatesOrder:
         real = np.lexsort
         monkeypatch.setattr(np, "lexsort", lambda keys: real(keys)[..., ::-1])
         with pytest.raises(DomainError, match="non-increasing"):
-            rank_candidates(c, MethodSpec.pr())
+            rank_candidates(c, MethodSpec("pr"))
 
 
 class TestGainOverflow:
@@ -584,7 +585,7 @@ class TestStructuralProperties:
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]
         for _ in range(50):
             c = random_candidate_set(rng)
-            rows = [method_scores(c, MethodSpec.kd(k)) for k in grid]
+            rows = [method_scores(c, MethodSpec("kd", k=k)) for k in grid]
             for lo, hi in zip(rows, rows[1:]):
                 assert np.all(hi >= lo)
 
@@ -592,11 +593,12 @@ class TestStructuralProperties:
         rng = np.random.default_rng(41)
         for _ in range(60):
             c = random_candidate_set(rng, min_n=2)
-            major_spec = MethodSpec.kd(0.5)
+            major_spec = MethodSpec("kd", k=0.5)
             for sub_kind in ("ar", "mr", "gd", "pg"):
                 major = method_scores(c, major_spec)
                 sub = method_scores(c, MethodSpec(sub_kind))
-                hybrid = method_scores(c, MethodSpec.hybrid(major_spec, MethodSpec(sub_kind)))
+                hybrid = method_scores(
+                    c, MethodSpec("hybrid", major=major_spec, sub=MethodSpec(sub_kind)))
                 for i in range(c.n):
                     for j in range(c.n):
                         if major[i] > major[j]:
@@ -606,7 +608,7 @@ class TestStructuralProperties:
 
     def test_lower_better_methods_negated_in_list(self):
         c = CandidateSet.from_pairs("u", [("a", (5.0,)), ("b", (3.0,)), ("c", (4.0,))])
-        ranked = rank_candidates(c, MethodSpec.ar())
+        ranked = rank_candidates(c, MethodSpec("ar"))
         assert ranked.item_ids == ["a", "c", "b"]
         assert ranked.scores == [-1.0, -2.0, -3.0]
 
@@ -614,17 +616,17 @@ class TestStructuralProperties:
         rng = np.random.default_rng(53)
         for _ in range(50):
             c = random_candidate_set(rng)
-            assert rank_candidates(c, MethodSpec.kd(0.0)) == \
-                rank_candidates(c, MethodSpec.pr())
+            assert rank_candidates(c, MethodSpec("kd", k=0.0)) == \
+                rank_candidates(c, MethodSpec("pr"))
 
     def test_hybrid_with_constant_sub_is_major_plus_offset(self):
         # identical candidates: every sub score ties, so the hybrid is the
         # major score shifted by one constant and the ordering is unchanged
         c = identical_set(4, (2.0, 3.0))
-        spec = MethodSpec.hybrid(MethodSpec.pr(), MethodSpec.ar())
+        spec = MethodSpec("hybrid", major=MethodSpec("pr"), sub=MethodSpec("ar"))
         hybrid = method_scores(c, spec).tolist()
         major = scores_of(c, "pr")
         offset = (4 - 2.5) / 4
         assert hybrid == [m + offset for m in major]
         assert rank_candidates(c, spec).item_ids == \
-            rank_candidates(c, MethodSpec.pr()).item_ids
+            rank_candidates(c, MethodSpec("pr")).item_ids
