@@ -97,8 +97,7 @@ def _cmd_rank(args) -> int:
     else:
         dataset = io.load_dataset(args.input)
         candidate_sets = {
-            user: CandidateSet.from_pairs(
-                user, sorted((r.item_id, r.criteria) for r in records))
+            user: CandidateSet.from_pairs(user, ((r.item_id, r.criteria) for r in records))
             for user, records in dataset.by_user().items()
         }
     if args.user is not None:

@@ -57,11 +57,11 @@ class RatingRecord:
 class Dataset:
     """A multi-criteria rating dataset on the fixed ``SCALE``.
 
-    ``criteria_names`` fixes the criterion count M; every record is
-    expected to carry M criteria values within ``SCALE``. Construction
-    checks only the structural invariant M >= 1; per-record problems are
-    surfaced by ``validate_dataset`` so that callers can report them all
-    at once.
+    ``criteria_names`` fixes the criterion count M >= 1, and construction
+    refuses, with a DimensionError naming it, the first record that does
+    not carry M criteria values. Values outside ``SCALE`` and repeated
+    pairs are surfaced by ``validate_dataset``, so that callers can report
+    them all at once.
     """
 
     criteria_names: tuple[str, ...]
@@ -70,8 +70,14 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "criteria_names", tuple(self.criteria_names))
         object.__setattr__(self, "records", tuple(self.records))
-        if len(self.criteria_names) < 1:
+        m = len(self.criteria_names)
+        if m < 1:
             raise DomainError("dataset needs at least one criterion")
+        for idx, rec in enumerate(self.records):
+            if len(rec.criteria) != m:
+                raise DimensionError(
+                    f"record {idx} ({rec.user_id}, {rec.item_id}): expected {m} "
+                    f"criteria values, got {len(rec.criteria)}")
 
     @property
     def n_criteria(self) -> int:
@@ -96,7 +102,7 @@ class Dataset:
 class Violation:
     """One dataset invariant violation, with enough context to locate it."""
 
-    kind: str  # "out_of_range" | "duplicate_pair" | "criteria_length"
+    kind: str  # "out_of_range" | "duplicate_pair"
     record_index: int
     user_id: str
     item_id: str
@@ -117,7 +123,7 @@ def validate_dataset(dataset: Dataset) -> tuple[Violation, ...]:
     expected input, not a programming error. An empty tuple means valid.
     """
     violations: list[Violation] = []
-    m = dataset.n_criteria
+    names = ("overall", *dataset.criteria_names)
     lo, hi = SCALE
     seen: set[tuple[str, str]] = set()
     for idx, rec in enumerate(dataset.records):
@@ -128,15 +134,7 @@ def validate_dataset(dataset: Dataset) -> tuple[Violation, ...]:
                           "duplicate (user, item) pair")
             )
         seen.add(key)
-        if len(rec.criteria) != m:
-            violations.append(
-                Violation("criteria_length", idx, rec.user_id, rec.item_id,
-                          f"expected {m} criteria values, got {len(rec.criteria)}")
-            )
-        for value, name in [(rec.overall, "overall")] + [
-            (v, dataset.criteria_names[i] if i < m else f"criterion {i}")
-            for i, v in enumerate(rec.criteria)
-        ]:
+        for value, name in zip((rec.overall, *rec.criteria), names):
             if not np.isfinite(value) or value < lo or value > hi:
                 violations.append(
                     Violation("out_of_range", idx, rec.user_id, rec.item_id,
@@ -150,7 +148,9 @@ class CandidateSet:
     """One user's items to rank, with their (possibly predicted) criteria vectors.
 
     Stored as an id tuple plus an (n, M) float matrix so that scoring can
-    stay vectorized; row j of ``matrix`` is item ``item_ids[j]``.
+    stay vectorized; row j of ``matrix`` is item ``item_ids[j]``. The ids
+    are kept as ``str`` in ascending order, the rows reordered with them,
+    so a set scores and ranks the same whatever order its rows come in.
     """
 
     user_id: str
@@ -158,29 +158,30 @@ class CandidateSet:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "item_ids", tuple(self.item_ids))
+        ids = tuple(map(str, self.item_ids))
         mat = np.asarray(self.matrix, dtype=np.float64)
         if mat.ndim != 2:
             raise DimensionError(f"candidate matrix must be 2-D, got shape {mat.shape}")
-        if mat.shape[0] != len(self.item_ids):
-            raise DimensionError(
-                f"{len(self.item_ids)} item ids but {mat.shape[0]} criteria rows"
-            )
+        if mat.shape[0] != len(ids):
+            raise DimensionError(f"{len(ids)} item ids but {mat.shape[0]} criteria rows")
         if mat.shape[0] == 0 or mat.shape[1] == 0:
             raise DimensionError("candidate set must have at least one item and one criterion")
         if not np.all(np.isfinite(mat)):
             raise DimensionError("candidate matrix contains non-finite values")
-        if len(set(self.item_ids)) != len(self.item_ids):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids = tuple(ids[j] for j in order)
+        if any(a == b for a, b in zip(ids, ids[1:])):
             raise DomainError(f"duplicate item ids in candidate set for user {self.user_id!r}")
-        mat = mat.copy()
+        mat = mat[order]
         mat.flags.writeable = False
+        object.__setattr__(self, "item_ids", ids)
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
     def from_pairs(cls, user_id: str,
                    pairs: Iterable[tuple[str, Sequence[float]]]) -> "CandidateSet":
         pairs = list(pairs)
-        ids = tuple(str(i) for i, _ in pairs)
+        ids = [i for i, _ in pairs]
         if not pairs:
             raise DimensionError("candidate set must have at least one item")
         try:

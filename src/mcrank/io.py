@@ -13,6 +13,7 @@ import contextlib
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -142,8 +143,8 @@ def load_candidate_sets(path: str | Path) -> dict[str, CandidateSet]:
     Header is ``user_id,item_id,<criterion,...>``; a full dataset file
     (with an ``overall`` column) is also accepted, the overall being
     ignored since ranking uses criteria values only. Values may be
-    continuous and are not checked against a rating scale. Each set
-    holds its items in id order, whatever the order of the file's rows.
+    continuous and are not checked against a rating scale. Rows may come
+    in any order; each ``CandidateSet`` keeps its items in id order.
     """
     path, names, rows = _read_csv(path, vectors=True)
     per_user: dict[str, dict[str, list[float]]] = {}
@@ -159,7 +160,7 @@ def load_candidate_sets(path: str | Path) -> dict[str, CandidateSet]:
             raise ParseError(
                 f"{path}: line {line}: duplicate item {item!r} for user {user!r}")
         vectors[item] = vector
-    return {user: CandidateSet.from_pairs(user, sorted(vectors.items()))
+    return {user: CandidateSet.from_pairs(user, vectors.items())
             for user, vectors in per_user.items()}
 
 
@@ -304,6 +305,8 @@ def load_model(path: str | Path) -> PredictorModel:
     for key, value in ids.items():
         if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
             raise ParseError(f"{path}: model {key} must be a list of strings")
+        if repeated := [v for v, n in Counter(value).items() if n > 1]:
+            raise ParseError(f"{path}: model {key} repeats the id {repeated[0]!r}")
     for key, axes in _MODEL_ARRAYS.items():
         if arrays[key].shape != (shape := tuple(map(sizes.get, axes))):
             raise ParseError(f"{path}: model {key} has shape {arrays[key].shape}, expected {shape}")

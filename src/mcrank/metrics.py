@@ -151,7 +151,7 @@ def prefix_means(gains: np.ndarray, hits: np.ndarray, lengths: np.ndarray,
     for n in n_values:
         w = min(n, width)
         tp = tp_at[:, w - 1]
-        precision = tp / np.minimum(lengths, n)
+        precision = tp / np.minimum(lengths, w)
         recall = tp / np.maximum(n_relevant, 1)
         f1s = np.divide(2.0 * precision * recall, precision + recall,
                         out=np.zeros(users), where=tp > 0)

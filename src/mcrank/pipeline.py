@@ -250,7 +250,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
         hits = np.zeros(gains.shape, dtype=bool)
         for row, user in enumerate(users):
             c, truth, width = cands[user], truths[user], lengths[row]
-            order, _ = _best_first(score_methods(c, methods), kinds, c.item_ids)
+            order, _ = _best_first(score_methods(c, methods), kinds)
             relevant = truth.relevant
             n_relevant[row] = len(relevant)
             gain = np.array([dcg_gain(truth.ratings.get(t, 0.0)) for t in c.item_ids])

@@ -107,10 +107,6 @@ def fit(train: Dataset, cfg: TrainConfig) -> PredictorModel:
     u_idx = np.fromiter((u_index[r.user_id] for r in train.records), dtype=np.int32)
     i_idx = np.fromiter((i_index[r.item_id] for r in train.records), dtype=np.int32)
     ratings = np.asarray([r.criteria for r in train.records], dtype=np.float64)
-    if ratings.shape[1] != m:
-        raise TrainingError(
-            f"records carry {ratings.shape[1]} criteria values, dataset declares {m}"
-        )
     n_rec = len(train.records)
 
     # Entry e = c * n_rec + t is record t under criterion c. Criterion c

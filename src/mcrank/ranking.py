@@ -1,7 +1,7 @@
 """Scoring a candidate set under any ranking method.
 
 ``method_scores`` and ``score_methods`` return fresh float64 arrays
-aligned with the candidate order. Dominance counting methods (pr, kd),
+aligned with ``c.item_ids``. Dominance counting methods (pr, kd),
 degree-of-dominance methods (gd, pg) and hybrids produce higher-is-better
 scores; rank aggregation methods (ar, mr) produce positions, where
 position one is the top of the list and lower wins. ``rank_candidates``
@@ -218,24 +218,21 @@ def _major_k(spec: MethodSpec) -> float:
     return 0.0 if spec.kind == "pr" else spec.k
 
 
-def _best_first(scores: Sequence[np.ndarray], kinds: Sequence[str],
-                item_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def _best_first(scores: Sequence[np.ndarray],
+                kinds: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Candidate indices best first, one row per score array, and the
     descending-is-better keys in that order.
 
-    Positions (ar, mr) are negated once; equal keys break by ascending
-    item id. The result is checked against the ScoredList invariant.
+    Positions (ar, mr) are negated once. The sort is stable over the
+    set's id-ordered rows, so equal keys break by ascending item id. The
+    result is checked against the ScoredList invariant.
     """
     keys = np.array([-s if kind in _LOWER_BETTER else s
                      for s, kind in zip(scores, kinds)])
-    n = len(item_ids)
-    id_rank = np.empty(n, dtype=np.intp)
-    id_rank[sorted(range(n), key=item_ids.__getitem__)] = np.arange(n)
-    order = np.lexsort((np.broadcast_to(id_rank, keys.shape), -keys))
+    order = np.argsort(-keys, axis=1, kind="stable")
     keys = np.take_along_axis(keys, order, axis=1)
-    ids = id_rank[order]
     if ((keys[:, 1:] > keys[:, :-1])
-            | ((keys[:, 1:] == keys[:, :-1]) & (ids[:, 1:] <= ids[:, :-1]))).any():
+            | ((keys[:, 1:] == keys[:, :-1]) & (order[:, 1:] <= order[:, :-1]))).any():
         raise DomainError("ranked list must be non-increasing in score, with tied "
                           "scores ordered by ascending item id")
     return order, keys
@@ -247,10 +244,9 @@ def rank_candidates(c: CandidateSet, spec: MethodSpec) -> ScoredList:
     Lower-is-better positions are negated first so the list is uniformly
     ordered; remaining ties break by ascending item id.
     """
-    ids = [str(i) for i in c.item_ids]
-    order, keys = _best_first([method_scores(c, spec)], [spec.kind], ids)
+    order, keys = _best_first([method_scores(c, spec)], [spec.kind])
     return ScoredList._ordered(
-        tuple(zip([ids[i] for i in order[0].tolist()], keys[0].tolist())))
+        tuple(zip([c.item_ids[i] for i in order[0].tolist()], keys[0].tolist())))
 
 
 def top_n(scored: ScoredList, n: int) -> ScoredList:

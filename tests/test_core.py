@@ -90,10 +90,15 @@ class TestValidateDataset:
         kinds = {v.kind for v in validate_dataset(d)}
         assert kinds == {"duplicate_pair"}
 
-    def test_criteria_length_mismatch_flagged(self):
-        d = make_dataset([("u1", "i1", 4, (4, 3))])
-        kinds = {v.kind for v in validate_dataset(d)}
-        assert kinds == {"criteria_length"}
+    def test_criteria_length_mismatch_is_refused(self):
+        with pytest.raises(DimensionError, match=re.escape(
+                "record 0 (u1, i1): expected 3 criteria values, got 2")):
+            make_dataset([("u1", "i1", 4, (4, 3))])
+        # ragged records: the first one with the wrong count is named
+        with pytest.raises(DimensionError, match=re.escape(
+                "record 1 (u1, i2): expected 2 criteria values, got 1")):
+            make_dataset([("u1", "i1", 4, (4, 3)), ("u1", "i2", 3, (3,))],
+                         names=("food", "service"))
 
     def test_every_broken_invariant_is_caught(self):
         # mutate a valid dataset one invariant at a time
@@ -112,8 +117,12 @@ class TestValidateDataset:
                 mutated[idx][0], mutated[idx][1] = mutated[idx - 1][0], mutated[idx - 1][1]
             else:
                 mutated[idx][3] = mutated[idx][3][:2]
-            d = make_dataset([(u, i, o, tuple(c)) for u, i, o, c in mutated])
-            assert validate_dataset(d), kind
+            records = [(u, i, o, tuple(c)) for u, i, o, c in mutated]
+            if kind == "length":  # refused when the dataset is built
+                with pytest.raises(DimensionError, match=f"record {idx} "):
+                    make_dataset(records)
+            else:
+                assert validate_dataset(make_dataset(records)), kind
 
 
 class TestCandidateSet:

@@ -244,7 +244,7 @@ class TestPrefixMeans:
         items = [f"i{j:04d}" for j in range(1700)]
         truth = truth_for({items[1620]: 5.0}, universe=items)
         ranked = [ScoredList.from_pairs((i, 0.0) for i in items)]
-        n_values = [1620, 1621, 1700]
+        n_values = [1620, 1621, 1700, 10**23]  # N past any C long is the whole list
         assert kernel_means(ranked, [truth], n_values) == \
             per_list_means(ranked, [truth], n_values)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -259,7 +260,9 @@ class TestModelRoundTrip:
             ("global_means", saved["global_means"][:1],
              r"model global_means has shape \(1,\), expected \(2,\)"),
             ("criteria", "abc", "model criteria must be a list of strings"),
-            ("users", [0, 1, 2, 3, 4], "model users must be a list of strings")]:
+            ("users", [0, 1, 2, 3, 4], "model users must be a list of strings"),
+            ("users", saved["users"][:1] + saved["users"][:4],
+             re.escape(f"model users repeats the id {saved['users'][0]!r}"))]:
             path.write_text(json.dumps({**saved, key: value}))
             with pytest.raises(ParseError, match="junk.json: " + message):
                 load_model(path)
