@@ -36,7 +36,6 @@ from .pipeline import (
     build_candidates,
     kfold_split,
     run_experiment,
-    sweep_k,
     synth_generate,
 )
 from .predictor import PredictorModel, TrainConfig, fit, predict_many

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import io
 from .core import RANKING_KINDS, SUB_KINDS, CandidateSet, MethodSpec
 from .errors import DomainError, McrankError
-from .pipeline import Protocol, _candidate_pools, run_experiment, sweep_k, synth_generate
+from .pipeline import Protocol, _candidate_pools, run_experiment, synth_generate
 from .predictor import TrainConfig, fit, predict_many
 from .ranking import rank_candidates, top_n
 
@@ -117,15 +117,15 @@ def _cmd_rank(args) -> int:
 
 def _cmd_report(args) -> int:
     """evaluate, or sweep-k over its --k list: run and write the report."""
-    ks = None
+    swept = None
     if args.command == "sweep-k":
         try:
-            ks = [MethodSpec("kd", k=float(t)).k for t in args.k.split(",") if t.strip()]
+            swept = tuple(MethodSpec("kd", k=float(t)) for t in args.k.split(",") if t.strip())
         except DomainError as exc:  # a k outside [0, 1]
             raise _UsageError(str(exc)) from exc
         except ValueError as exc:
             raise _UsageError(f"bad --k list {args.k!r}") from exc
-        if not ks:
+        if not swept:
             raise _UsageError("--k needs at least one value")
     out = Path(args.out)
     named = [("--input", Path(args.input)), ("--config", Path(args.config)),
@@ -139,7 +139,7 @@ def _cmd_report(args) -> int:
     dataset = io.load_dataset(args.input)
     cfg = io.load_experiment_config(args.config, dataset_path=args.input)
     started = time.perf_counter()
-    report = run_experiment(dataset, cfg) if ks is None else sweep_k(dataset, ks, cfg)
+    report = run_experiment(dataset, cfg if swept is None else replace(cfg, methods=swept))
     io.emit_report(report, args.out)
     print(f"wrote {args.out} in {time.perf_counter() - started:.1f}s", file=sys.stderr)
     return 0

@@ -7,6 +7,8 @@ checks its (n, M) criteria matrix (2-D, non-empty, finite) when built.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Sequence
 
@@ -21,14 +23,18 @@ SCALE = (1.0, 5.0)  # the (min, max) of every rating file and predicted value
 
 
 def checked_number(key: str, value, integer: bool = True):
-    """An integer ``value`` (or, unless ``integer``, a float) as a Python
-    number; anything else, bools included, is a DomainError naming ``key``."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if not integer and isinstance(value, (float, np.floating)):
-        return float(value)
+    """An integer ``value`` as a Python int or, unless ``integer``, a finite
+    int or float as a Python float; anything else, bools, nan and inf
+    included, is a DomainError naming ``key``."""
+    kinds = (int, np.integer) if integer else (int, np.integer, float, np.floating)
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        if integer:
+            return int(value)
+        with contextlib.suppress(OverflowError):  # an int past the float range
+            if math.isfinite(value):
+                return float(value)
     raise DomainError(f"config key {key!r} must be "
-                      f"{'an integer' if integer else 'a number'}, got {value!r}")
+                      f"{'an integer' if integer else 'a finite number'}, got {value!r}")
 
 
 def check_config_fields(config, prefix: str = "") -> None:
@@ -283,8 +289,8 @@ class ScoredList:
     """Items with final ranking scores, best first.
 
     Invariant: scores are non-increasing, and within equal scores item
-    ids strictly ascend. Construction from unordered pairs goes through
-    ``from_pairs`` which sorts; the deterministic id tie-break replaces
+    ids strictly ascend; the constructor checks it, and ``from_pairs``
+    sorts unordered pairs first. The deterministic id tie-break replaces
     the unstable "random sequence among equals" behaviour.
     """
 
@@ -298,15 +304,6 @@ class ScoredList:
                 raise DomainError("scored list must be non-increasing in score")
             if s_b == s_a and not id_a < id_b:
                 raise DomainError("tied scores must be ordered by ascending item id")
-
-    @classmethod
-    def _ordered(cls, entries: tuple[tuple[str, float], ...]) -> "ScoredList":
-        """``entries`` of str ids and float scores, already known to hold
-        the invariant (ordered and checked by ranking, or a prefix of a
-        valid list), taken without a second check."""
-        scored = object.__new__(cls)
-        object.__setattr__(scored, "entries", entries)
-        return scored
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, float]]) -> "ScoredList":

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -69,7 +68,6 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "n_values",
                            tuple(checked_number("n_values", n) for n in self.n_values))
-        object.__setattr__(self, "relevance_threshold", float(self.relevance_threshold))
         if not self.methods:
             raise DomainError("at least one ranking method is required")
         if self.folds < 2:
@@ -82,9 +80,6 @@ class ExperimentConfig:
             raise DomainError("top-N values must be positive")
         if len(set(self.n_values)) != len(self.n_values):
             raise DomainError("top-N values must be distinct")
-        if not math.isfinite(self.relevance_threshold):
-            raise DomainError(
-                f"relevance_threshold must be finite, got {self.relevance_threshold}")
         labels = [m.label for m in self.methods]
         if len(set(labels)) != len(labels):
             raise DomainError(f"duplicate ranking methods configured: {labels}")
@@ -126,6 +121,8 @@ def kfold_split(dataset: Dataset, folds: int, seed: int) -> list[tuple[Dataset, 
     """
     if checked_number("folds", folds) < 2:
         raise DomainError(f"fold count must be >= 2, got {folds}")
+    if checked_number("seed", seed) < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     n = len(dataset.records)
     if n < folds:
         raise SplitError(f"{n} records cannot fill {folds} folds")
@@ -309,16 +306,6 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
         "users_skipped": users_skipped,
     }
     return MetricsReport(metadata=metadata, cells=tuple(cells))
-
-
-def sweep_k(dataset: Dataset, k_values, cfg: ExperimentConfig) -> MetricsReport:
-    """Evaluate a KD(k) variant per requested k, same protocol as run_experiment.
-
-    ``MethodSpec`` rejects a k outside [0, 1]; ``ExperimentConfig``
-    rejects an empty or duplicated k list.
-    """
-    swept = replace(cfg, methods=tuple(MethodSpec("kd", k=k) for k in k_values))
-    return run_experiment(dataset, swept)
 
 
 def synth_generate(users: int, items: int, n_criteria: int,

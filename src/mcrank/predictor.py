@@ -55,6 +55,8 @@ class PredictorModel:
     Arrays are stacked along the criterion axis: biases are (M, U) and
     (M, I), factors are (M, U, d) and (M, I, d). ``loss_history`` holds
     the training MSE per criterion, entry 0 being the pre-training loss.
+    Each table is kept with a zero row appended for ids unseen in training
+    (index -1); the field is a view that leaves that row out.
     """
 
     criteria_names: tuple[str, ...]
@@ -73,6 +75,12 @@ class PredictorModel:
                            {u: i for i, u in enumerate(self.user_ids)})
         object.__setattr__(self, "_item_index",
                            {t: i for i, t in enumerate(self.item_ids)})
+        padded = []
+        for name in ("user_biases", "item_biases", "user_factors", "item_factors"):
+            a = getattr(self, name)  # np.zeros: zeros_like(a[:, :1]) is empty if a is
+            padded.append(np.concatenate([a, np.zeros((a.shape[0], 1, *a.shape[2:]))], axis=1))
+            object.__setattr__(self, name, padded[-1][:, :-1])
+        object.__setattr__(self, "_padded", tuple(padded))
 
     @property
     def n_criteria(self) -> int:
@@ -221,26 +229,15 @@ def predict_many(model: PredictorModel, user_id: str, item_ids) -> np.ndarray:
     """Predicted criteria vectors for one user over many items, shape (n, M),
     clamped to ``SCALE``.
 
-    Cold cases fall back instead of failing: unseen item uses the user's
-    bias-adjusted mean, unseen user the item's, and a fully unseen pair
-    the per-criterion global means.
+    One formula for every pair: global mean + user bias + item bias + dot
+    product. An unseen id reads each table's zero row, and adding 0.0 leaves
+    a finite sum bit-equal, so an unseen item falls back to the user's
+    bias-adjusted mean, an unseen user to the item's, and a fully unseen
+    pair to the per-criterion global means.
     """
-    item_ids = list(item_ids)
-    n, m = len(item_ids), model.n_criteria
-    u = model._user_index.get(user_id)
-    base = np.tile(model.global_means, (n, 1))  # (n, M)
-    if u is not None:
-        base += model.user_biases[:, u]
-
-    known = np.fromiter((model._item_index.get(t, -1) for t in item_ids),
-                        dtype=np.int64, count=n)
-    mask = known >= 0
-    if mask.any():
-        idx = known[mask]
-        base[mask] += model.item_biases[:, idx].T
-        if u is not None:
-            # (M, k, d) . (M, d) summed over d, transposed to (k, M)
-            dots = np.einsum("mkd,md->mk", model.item_factors[:, idx, :],
-                             model.user_factors[:, u, :])
-            base[mask] += dots.T
-    return np.clip(base, *SCALE)
+    bu, bi, p, q = model._padded
+    u = model._user_index.get(user_id, -1)
+    i = np.fromiter((model._item_index.get(t, -1) for t in item_ids), dtype=np.int64)
+    # (M, n, d) . (M, d) summed over d, transposed to (n, M)
+    dots = np.einsum("mkd,md->mk", q[:, i, :], p[:, u, :])
+    return np.clip((model.global_means + bu[:, u]) + bi[:, i].T + dots.T, *SCALE)

@@ -225,7 +225,8 @@ def _best_first(scores: Sequence[np.ndarray],
 
     Positions (ar, mr) are negated once. The sort is stable over the
     set's id-ordered rows, so equal keys break by ascending item id. The
-    result is checked against the ScoredList invariant.
+    result is checked against the ScoredList invariant here, as the
+    evaluate path builds no ScoredList.
     """
     keys = np.array([-s if kind in _LOWER_BETTER else s
                      for s, kind in zip(scores, kinds)])
@@ -245,7 +246,7 @@ def rank_candidates(c: CandidateSet, spec: MethodSpec) -> ScoredList:
     ordered; remaining ties break by ascending item id.
     """
     order, keys = _best_first([method_scores(c, spec)], [spec.kind])
-    return ScoredList._ordered(
+    return ScoredList(
         tuple(zip([c.item_ids[i] for i in order[0].tolist()], keys[0].tolist())))
 
 
@@ -253,4 +254,4 @@ def top_n(scored: ScoredList, n: int) -> ScoredList:
     """First min(n, length) entries; a prefix of a valid list is valid."""
     if n < 1:
         raise DomainError(f"top-n length must be positive, got {n}")
-    return ScoredList._ordered(scored.entries[:n])
+    return ScoredList(scored.entries[:n])

@@ -539,6 +539,7 @@ class TestCliPipelines:
         # checked before any file is read, as rank --method kd --k checks it
         for k, message in [
             ("0,zebra", "bad --k list '0,zebra'"),
+            (",", "--k needs at least one value"),
             ("2", "relaxation factor k must lie in [0, 1], got 2.0"),
             ("nan", "relaxation factor k must lie in [0, 1], got nan"),
             ("0.5,-0.5", "relaxation factor k must lie in [0, 1], got -0.5"),
@@ -547,6 +548,15 @@ class TestCliPipelines:
                            "--config", str(tmp_path / "absent.json"), "--out",
                            str(tmp_path / "x.json")) == 1
             assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    def test_sweep_k_repeated_value_is_a_data_error(self, data_file, config_file,
+                                                     tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        assert run_cli("sweep-k", "--input", data_file, "--k", "0.5,0.5",
+                       "--config", config_file, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: duplicate ranking methods configured: ['kd:0.5', 'kd:0.5']\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "sweep-k"])
     @pytest.mark.parametrize("out, flags", [
@@ -597,8 +607,12 @@ class TestCliPipelines:
 
     @pytest.mark.parametrize("text, key", [
         ('{"n_values": []}', "n_values"),
-        ('{"relevance_threshold": 1e999}', "relevance_threshold"),
-    ], ids=["empty-n_values", "infinite-threshold"])
+        ('{"relevance_threshold": 1e999}', "config key 'relevance_threshold'"),
+        ('{"train": {"reg": NaN}}',
+         "config key 'train.reg' must be a finite number, got nan"),
+        ('{"train": {"learning_rate": 1e999}}',
+         "config key 'train.learning_rate' must be a finite number, got inf"),
+    ], ids=["empty-n_values", "infinite-threshold", "nan-reg", "infinite-learning_rate"])
     def test_out_of_domain_config_value_is_a_data_error(self, data_file, tmp_path,
                                                         capsys, text, key):
         cfg = tmp_path / "domain.json"

@@ -24,12 +24,12 @@ from mcrank import (
     predict_many,
     rank_candidates,
     run_experiment,
-    sweep_k,
     synth_generate,
     top_n,
     validate_dataset,
 )
 from mcrank import pipeline
+from mcrank.io import experiment_config_from_dict
 
 FAST_TRAIN = TrainConfig(latent_dim=4, epochs=3, seed=5)
 
@@ -46,6 +46,11 @@ def small_config(methods, **kwargs):
 
 
 class TestKfoldSplit:
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_bad_seed_is_a_domain_error_naming_it(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            kfold_split(small_dataset(), 2, seed)
+
     def test_balanced_partition(self):
         ds = small_dataset()
         n = len(ds.records)
@@ -274,9 +279,13 @@ class TestConfigTypes:
         (lambda: small_config(["pr"], seed=None), "'seed'"),
         (lambda: small_config(["pr"], relevance_threshold=True), "'relevance_threshold'"),
         (lambda: kfold_split(small_dataset(), 2.5, 0), "'folds'"),
+        (lambda: kfold_split(small_dataset(), 2, -1), "seed must be non-negative"),
+        (lambda: kfold_split(small_dataset(), 2, 2.5), "'seed'"),
+        (lambda: kfold_split(small_dataset(), 2, True), "'seed'"),
     ], ids=["float-epochs", "bool-latent_dim", "bool-epochs", "str-learning_rate",
             "float-n_values", "float-folds", "none-seed", "bool-threshold",
-            "kfold_split-float-folds"])
+            "kfold_split-float-folds", "kfold_split-negative-seed",
+            "kfold_split-float-seed", "kfold_split-bool-seed"])
     def test_mistyped_value_names_its_key(self, build, key):
         with pytest.raises(DomainError, match=key):
             build()
@@ -295,6 +304,18 @@ class TestConfigTypes:
         assert doc["train"] == {"latent_dim": 2, "learning_rate": 0.5, "reg": 0.02,
                                 "epochs": 1, "seed": 3}
         assert len(kfold_split(small_dataset(), np.int64(3), 0)) == 3
+
+    def test_integer_valued_floats_echo_as_floats(self):
+        def echo(train):
+            doc = pipeline.config_to_dict(
+                experiment_config_from_dict({"methods": ["pr"], "train": train}))
+            return doc, json.dumps(doc, sort_keys=True)  # what config_hash digests
+
+        ints, floats = echo({"reg": 0, "learning_rate": 1}), \
+            echo({"reg": 0.0, "learning_rate": 1.0})
+        assert ints == floats
+        assert type(ints[0]["train"]["reg"]) is float
+        assert type(ints[0]["relevance_threshold"]) is float
 
 
 class TestBenchmarkContract:
@@ -323,7 +344,8 @@ class TestBenchmarkContract:
 class TestSweepK:
     def test_k_zero_row_equals_pr(self):
         ds = small_dataset(15)
-        report = sweep_k(ds, [0.0], small_config(["pr"]))
+        report = run_experiment(ds, replace(small_config(["pr"]), methods=tuple(
+            MethodSpec("kd", k=k) for k in [0.0])))
         for cell in report.cells:
             if cell.method == "kd:0":
                 twin = report.cell("pr", cell.n, cell.fold)
@@ -331,7 +353,8 @@ class TestSweepK:
 
     def test_three_values_three_rows(self):
         ds = small_dataset(16)
-        report = sweep_k(ds, [0.0, 0.5, 1.0], small_config(["pr"]))
+        report = run_experiment(ds, replace(small_config(["pr"]), methods=tuple(
+            MethodSpec("kd", k=k) for k in [0.0, 0.5, 1.0])))
         assert {c.method for c in report.cells} == {"pr", "kd:0", "kd:0.5", "kd:1"}
 
     def test_kd_scores_nondecreasing_in_k_on_real_candidates(self):
@@ -349,12 +372,10 @@ class TestSweepK:
 
     def test_invalid_k_rejected(self):
         ds = small_dataset(18)
-        with pytest.raises(DomainError):
-            sweep_k(ds, [0.5, 1.5], small_config(["pr"]))
-        with pytest.raises(DomainError):
-            sweep_k(ds, [], small_config(["pr"]))
-        with pytest.raises(DomainError):
-            sweep_k(ds, [0.5, 0.5], small_config(["pr"]))
+        for ks in ([0.5, 1.5], [], [0.5, 0.5]):
+            with pytest.raises(DomainError):
+                run_experiment(ds, replace(small_config(["pr"]), methods=tuple(
+                    MethodSpec("kd", k=k) for k in ks)))
 
 
 class TestSynthGenerate:

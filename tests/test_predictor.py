@@ -8,6 +8,7 @@ from naive import naive_fit
 from mcrank import (
     Dataset,
     DomainError,
+    PredictorModel,
     RatingRecord,
     TrainConfig,
     TrainingError,
@@ -206,6 +207,57 @@ class TestPredict:
         batch = predict_many(model, user, items)
         for row, item in zip(batch, items):
             assert row.tolist() == predict_many(model, user, [item])[0].tolist()
+
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_batch_is_bitwise_the_per_pair_fallback_rules(self, seed):
+        ds = random_dataset(seed, users=30, items=20, density=0.08)
+        train = Dataset(criteria_names=ds.criteria_names,
+                        records=ds.records[:len(ds.records) * 2 // 3])
+        model = fit(train, FAST)
+        users = sorted({r.user_id for r in ds.records}) + ["ghost"]
+        items = sorted({r.item_id for r in ds.records}) + ["nowhere"]
+        assert set(users) - set(model.user_ids) and set(items) - set(model.item_ids)
+        for user in users:
+            expected = [reference_prediction(model, user, item) for item in items]
+            assert predict_many(model, user, items).tobytes() == \
+                np.array(expected).tobytes()
+            assert predict_many(model, user, []).shape == (0, 3)
+
+    @pytest.mark.parametrize("n_users, n_items", [(0, 2), (2, 0), (0, 0)])
+    def test_model_with_no_users_or_no_items_predicts_the_fallbacks(self, n_users,
+                                                                    n_items):
+        rng = np.random.default_rng(5)
+        model = PredictorModel(
+            criteria_names=("a", "b"),
+            user_ids=tuple(f"u{n}" for n in range(n_users)),
+            item_ids=tuple(f"i{n}" for n in range(n_items)),
+            latent_dim=3, global_means=np.array([2.0, 3.5]),
+            user_biases=rng.normal(size=(2, n_users)),
+            item_biases=rng.normal(size=(2, n_items)),
+            user_factors=rng.normal(size=(2, n_users, 3)),
+            item_factors=rng.normal(size=(2, n_items, 3)))
+        for user in [*model.user_ids, "ghost"]:
+            items = [*model.item_ids, "nowhere"]
+            expected = [reference_prediction(model, user, item) for item in items]
+            assert predict_many(model, user, items).tobytes() == \
+                np.array(expected).tobytes()
+
+
+def reference_prediction(model, user, item):
+    """One pair by the cold-start rules: the global means, plus the user's
+    bias if the user was seen, plus the item's bias if the item was seen,
+    plus the factor product if both were."""
+    value = model.global_means.copy()
+    u = model.user_ids.index(user) if user in model.user_ids else None
+    i = model.item_ids.index(item) if item in model.item_ids else None
+    if u is not None:
+        value += model.user_biases[:, u]
+    if i is not None:
+        value += model.item_biases[:, i]
+        if u is not None:
+            value += np.einsum("mkd,md->mk", model.item_factors[:, [i], :],
+                               model.user_factors[:, u, :])[:, 0]
+    return np.clip(value, 1.0, 5.0)
 
 
 class TestModelRoundTrip:
