@@ -35,15 +35,24 @@ def format_rating(value: float) -> str:
 
 @contextlib.contextmanager
 def _reading(path: Path):
-    """A file that cannot be read, is not UTF-8 or is not JSON, as a
-    ParseError naming it. Readers decode ``utf-8-sig``, dropping a BOM."""
+    """A file that cannot be read or is not UTF-8, as a ParseError naming
+    it. Readers decode ``utf-8-sig``, dropping a BOM."""
     try:
         yield
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+
+
+def _read_json(path: Path):
+    """The JSON document in ``path``; a ParseError names the file when it
+    is not JSON, holds an integer past the digit limit or nests too deep."""
+    with _reading(path):
+        text = path.read_text(encoding="utf-8-sig")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -215,8 +224,7 @@ def experiment_config_from_dict(doc: dict, *,
 def load_experiment_config(path: str | Path, *,
                            dataset_path: str | None = None) -> ExperimentConfig:
     path = Path(path)
-    with _reading(path):
-        doc = json.loads(path.read_text(encoding="utf-8-sig"))
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     try:
@@ -252,8 +260,7 @@ def emit_report(report: MetricsReport, path: str | Path) -> None:
 
 def load_report(path: str | Path) -> MetricsReport:
     path = Path(path)
-    with _reading(path):
-        doc = json.loads(path.read_text(encoding="utf-8-sig"))
+    doc = _read_json(path)
     try:
         cells = tuple(ReportCell(**cell) for cell in doc["cells"])
         return MetricsReport(metadata=doc["metadata"], cells=cells)
@@ -287,8 +294,7 @@ def save_model(model: PredictorModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> PredictorModel:
     """A ``save_model`` file; any other file is a ParseError naming it."""
     path = Path(path)
-    with _reading(path):
-        doc = json.loads(path.read_text(encoding="utf-8-sig"))
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
         raise ParseError(f"{path}: not a {_MODEL_FORMAT} file")
     if doc.get("version") != _MODEL_VERSION:

@@ -100,8 +100,9 @@ def dcg(ranked: Sequence[str], truth: GroundTruth) -> float:
     items = list(ranked)
     if not items:
         raise EvaluationError("cannot compute dcg of an empty list")
-    return sum(dcg_gain(truth.rating(item)) / d
-               for item, d in zip(items, dcg_discounts(len(items))))
+    # np.cumsum adds in order, as prefix_means does; sum() compensates from 3.12 on
+    return np.cumsum([dcg_gain(truth.rating(item)) / d
+                      for item, d in zip(items, dcg_discounts(len(items)))])[-1].item()
 
 
 def ndcg(ranked: Sequence[str], truth: GroundTruth, *,
@@ -135,8 +136,9 @@ def prefix_means(gains: np.ndarray, hits: np.ndarray, lengths: np.ndarray,
     whether it is one of the user's ``n_relevant[u]`` relevant items;
     both are zero from column ``lengths[u]`` on. Every mean equals, bit
     for bit, the mean over rows of ``f1(confusion(top, truth))`` and
-    ``ndcg(top, truth)``: sums run in order (``np.cumsum``, like ``sum``;
-    never the pairwise ``np.sum``), and the padding only adds +0.0.
+    ``ndcg(top, truth)``: every sum runs left to right (``np.cumsum``;
+    never the pairwise ``np.sum`` nor the builtin ``sum``, which
+    compensates from Python 3.12 on), and the padding only adds +0.0.
     """
     users, width = gains.shape
     if users == 0:
@@ -160,5 +162,6 @@ def prefix_means(gains: np.ndarray, hits: np.ndarray, lengths: np.ndarray,
         ideal = np.cumsum(ideal_gains / disc[:w], axis=1)[:, -1]
         ndcgs = np.divide(dcg_at[:, w - 1], ideal, out=np.ones(users),
                           where=ideal != 0.0)
-        out.append((sum(f1s.tolist()) / users, sum(ndcgs.tolist()) / users))
+        f1_sum, ndcg_sum = np.cumsum([f1s, ndcgs], axis=1)[:, -1].tolist()
+        out.append((f1_sum / users, ndcg_sum / users))
     return out

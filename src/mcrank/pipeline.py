@@ -71,15 +71,15 @@ class ExperimentConfig:
         if not self.methods:
             raise DomainError("at least one ranking method is required")
         if self.folds < 2:
-            raise DomainError(f"fold count must be >= 2, got {self.folds}")
+            raise DomainError(f"folds must be >= 2, got {self.folds}")
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative, got {self.seed}")
         if not self.n_values:
             raise DomainError("n_values must hold at least one top-N length")
         if any(n < 1 for n in self.n_values):
-            raise DomainError("top-N values must be positive")
+            raise DomainError(f"n_values must be positive, got {list(self.n_values)}")
         if len(set(self.n_values)) != len(self.n_values):
-            raise DomainError("top-N values must be distinct")
+            raise DomainError(f"n_values must be distinct, got {list(self.n_values)}")
         labels = [m.label for m in self.methods]
         if len(set(labels)) != len(labels):
             raise DomainError(f"duplicate ranking methods configured: {labels}")
@@ -120,7 +120,7 @@ def kfold_split(dataset: Dataset, folds: int, seed: int) -> list[tuple[Dataset, 
     order within each part.
     """
     if checked_number("folds", folds) < 2:
-        raise DomainError(f"fold count must be >= 2, got {folds}")
+        raise DomainError(f"folds must be >= 2, got {folds}")
     if checked_number("seed", seed) < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     n = len(dataset.records)
@@ -143,23 +143,18 @@ def _candidate_pools(test: Dataset, protocol: Protocol, train: Dataset | None):
     user's test items (TEST_ITEMS), or every item of either fold that
     the user did not rate in ``train`` (ALL_UNRATED), in id order.
     """
-    if protocol is Protocol.ALL_UNRATED and train is None:
-        raise DomainError("all_unrated protocol needs the training fold")
-    test_by_user: dict[str, dict[str, float]] = {}
-    for r in test.records:
-        test_by_user.setdefault(r.user_id, {})[r.item_id] = r.overall
+    tests = test.by_user()
     if protocol is Protocol.ALL_UNRATED:
-        universe = sorted({r.item_id for r in train.records}
-                          | {r.item_id for r in test.records})
-        rated_in_train: dict[str, set[str]] = {}
-        for r in train.records:
-            rated_in_train.setdefault(r.user_id, set()).add(r.item_id)
-    for user in sorted(test_by_user):
-        overalls = test_by_user[user]
+        if train is None:
+            raise DomainError("all_unrated protocol needs the training fold")
+        universe = sorted({*train.items(), *test.items()})
+        trains = train.by_user()
+    for user in sorted(tests):
+        overalls = {r.item_id: r.overall for r in tests[user]}
         if protocol is Protocol.TEST_ITEMS:
             yield user, overalls, sorted(overalls)
         else:
-            rated = rated_in_train.get(user, ())
+            rated = {r.item_id for r in trains.get(user, ())}
             yield user, overalls, [t for t in universe if t not in rated]
 
 
@@ -224,12 +219,13 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
     kinds = [spec.kind for spec in methods]
     n_values = list(cfg.n_values)
     max_n = max(n_values)  # no list is read past max_n
-    # (label, n, fold or "avg") -> (mean f1, mean ndcg) over users
-    measured: dict[tuple[str, int, int | str], tuple[float, float]] = {}
+    folds = cfg.folds
+    # (method, N, fold, f1 | ndcg) mean over users; fold slot `folds` is the average
+    means = np.zeros((len(methods), len(n_values), folds + 1, 2))
     users_evaluated: list[int] = []
     users_skipped: list[int] = []
 
-    for fold, (train_d, test_d) in enumerate(kfold_split(dataset, cfg.folds, cfg.seed)):
+    for fold, (train_d, test_d) in enumerate(kfold_split(dataset, folds, cfg.seed)):
         model = fit(train_d, replace(cfg.train, seed=cfg.train.seed + fold))
         cands, truths, skipped = build_candidates(
             model, test_d, cfg.protocol, train=train_d,
@@ -255,26 +251,20 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
             gains[:, row, :width] = gain[order[:, :width]]
             hits[:, row, :width] = hit[order[:, :width]]
 
-        for spec, gain, hit in zip(methods, gains, hits):
-            means = prefix_means(gain, hit, lengths, n_relevant, n_values)
-            for n, mean in zip(n_values, means):
-                measured[(spec.label, n, fold)] = mean
+        for j, (gain, hit) in enumerate(zip(gains, hits)):
+            means[j, :, fold] = prefix_means(gain, hit, lengths, n_relevant, n_values)
 
-    folds = cfg.folds
-    for spec in methods:
-        for n in n_values:
-            f1s, ndcgs = zip(*(measured[(spec.label, n, f)] for f in range(folds)))
-            measured[(spec.label, n, "avg")] = (sum(f1s) / folds, sum(ndcgs) / folds)
-
+    # np.cumsum adds the folds left to right, as prefix_means adds the users
+    means[:, :, folds] = np.cumsum(means[:, :, :folds], axis=2)[:, :, -1] / folds
+    base = means[[m.label for m in methods].index(BASELINE_LABEL)].tolist()
+    fold_names = [*map(str, range(folds)), "avg"]
     cells: list[ReportCell] = []
-    for spec in methods:
+    for spec, rows in zip(methods, means.tolist()):
         label, k, sub = _cell_identity(spec)
-        for n in n_values:
-            for fold in [*range(folds), "avg"]:
-                f1v, ndv = measured[(label, n, fold)]
-                bf1, bnd = measured[(BASELINE_LABEL, n, fold)]
+        for n, row, base_row in zip(n_values, rows, base):
+            for fold, (f1v, ndv), (bf1, bnd) in zip(fold_names, row, base_row):
                 cells.append(ReportCell(
-                    method=label, k=k, sub=sub, n=n, fold=str(fold),
+                    method=label, k=k, sub=sub, n=n, fold=fold,
                     f1=f1v, ndcg=ndv,
                     improvement_f1=_ratio(f1v, bf1),
                     improvement_ndcg=_ratio(ndv, bnd)))

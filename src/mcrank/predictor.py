@@ -37,15 +37,15 @@ class TrainConfig:
     def __post_init__(self):
         check_config_fields(self, "train.")
         if self.latent_dim < 1:
-            raise DomainError(f"latent_dim must be >= 1, got {self.latent_dim}")
+            raise DomainError(f"train.latent_dim must be >= 1, got {self.latent_dim}")
         if self.learning_rate <= 0:
-            raise DomainError(f"learning_rate must be positive, got {self.learning_rate}")
+            raise DomainError(f"train.learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:
-            raise DomainError(f"epochs must be >= 1, got {self.epochs}")
+            raise DomainError(f"train.epochs must be >= 1, got {self.epochs}")
         if self.reg < 0:
-            raise DomainError(f"reg must be non-negative, got {self.reg}")
+            raise DomainError(f"train.reg must be non-negative, got {self.reg}")
         if self.seed < 0:
-            raise DomainError(f"seed must be non-negative, got {self.seed}")
+            raise DomainError(f"train.seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

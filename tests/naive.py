@@ -8,7 +8,9 @@ loop that the library's level-scheduled ``fit`` must reproduce bit for
 bit.
 """
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -75,13 +77,19 @@ def mr_list(vectors):
     return [min(column_ranks[c][i] for c in range(m)) for i in range(len(vectors))]
 
 
+def ordered_sum(values):
+    """Left-to-right float sum: the builtin ``sum`` compensates from
+    Python 3.12 on, and the library adds in order on every version."""
+    return reduce(operator.add, values, 0.0)
+
+
 def gain(a, b):
-    return sum(max(0.0, x - y) for x, y in zip(a, b, strict=True))
+    return ordered_sum(max(0.0, x - y) for x, y in zip(a, b, strict=True))
 
 
 def gd_list(vectors):
     return [
-        sum(gain(a, b) for j, b in enumerate(vectors) if j != i)
+        ordered_sum(gain(a, b) for j, b in enumerate(vectors) if j != i)
         for i, a in enumerate(vectors)
     ]
 

@@ -25,6 +25,7 @@ from mcrank.io import (
     load_candidate_sets,
     load_dataset,
     load_experiment_config,
+    load_model,
     load_report,
     save_dataset,
     save_predictions,
@@ -404,6 +405,17 @@ def test_empty_ids_are_a_data_error(tmp_path, capsys, command, row):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("load", [load_experiment_config, load_report, load_model],
+                         ids=["config", "report", "model"])
+@pytest.mark.parametrize("text", ['{"folds": ' + "1" * 5000 + "}", "[" * 200_000],
+                         ids=["long-integer", "deep-nesting"])
+def test_json_the_parser_refuses_is_a_parse_error(tmp_path, load, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="bad.json: invalid JSON: "):
+        load(path)
+
+
 @pytest.mark.parametrize("role", ["dataset", "predicted", "config"])
 def test_utf8_bom_is_accepted(tmp_path, role):
     data = tmp_path / "data.csv"
@@ -612,7 +624,15 @@ class TestCliPipelines:
          "config key 'train.reg' must be a finite number, got nan"),
         ('{"train": {"learning_rate": 1e999}}',
          "config key 'train.learning_rate' must be a finite number, got inf"),
-    ], ids=["empty-n_values", "infinite-threshold", "nan-reg", "infinite-learning_rate"])
+        ('{"train": {"seed": -1}}', "train.seed must be non-negative, got -1"),
+        ('{"folds": 1}', "folds must be >= 2, got 1"),
+        ('{"n_values": [5, 0]}', "n_values must be positive, got [5, 0]"),
+        ('{"train": {"epochs": 0}}', "train.epochs must be >= 1, got 0"),
+        ('{"folds": ' + "1" * 5000 + "}", "invalid JSON: Exceeds the limit"),
+        ("[" * 200_000, "invalid JSON: maximum recursion depth exceeded"),
+    ], ids=["empty-n_values", "infinite-threshold", "nan-reg", "infinite-learning_rate",
+            "negative-train.seed", "one-fold", "zero-n_values", "zero-train.epochs",
+            "long-integer", "deep-nesting"])
     def test_out_of_domain_config_value_is_a_data_error(self, data_file, tmp_path,
                                                         capsys, text, key):
         cfg = tmp_path / "domain.json"

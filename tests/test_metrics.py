@@ -15,6 +15,7 @@ from mcrank import (
     top_n,
 )
 from mcrank.metrics import dcg_gain, prefix_means
+from naive import ordered_sum
 
 
 def truth_for(ratings, threshold=3.0, universe=()):
@@ -190,7 +191,7 @@ def per_list_means(ranked, truths, n_values):
         tops = [top_n(r, n).item_ids for r in ranked]
         f1s = [f1(confusion(t, truth)) for t, truth in zip(tops, truths)]
         nds = [ndcg(t, truth) for t, truth in zip(tops, truths)]
-        out.append((sum(f1s) / len(tops), sum(nds) / len(tops)))
+        out.append((ordered_sum(f1s) / len(tops), ordered_sum(nds) / len(tops)))
     return out
 
 

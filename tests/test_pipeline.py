@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,8 +29,9 @@ from mcrank import (
     top_n,
     validate_dataset,
 )
-from mcrank import pipeline
+from mcrank import metrics, pipeline
 from mcrank.io import experiment_config_from_dict
+from naive import ordered_sum
 
 FAST_TRAIN = TrainConfig(latent_dim=4, epochs=3, seed=5)
 
@@ -218,14 +220,20 @@ class TestRunExperiment:
             for earlier, later in zip(hybrid_ids, hybrid_ids[1:]):
                 assert major_score[earlier] >= major_score[later]
 
-    @pytest.mark.parametrize("protocol", list(Protocol))
-    @pytest.mark.parametrize("threshold", [3.0, 0.0])
-    def test_every_cell_equals_per_list_evaluation(self, protocol, threshold):
+    @pytest.mark.parametrize("threshold, protocol, methods, folds", [
+        *(pytest.param(t, p, ["kd:0.5", "ar", "mr", "gd", "kd:0.5+pg"], 3, id=f"{t}-{p}")
+          for t in (3.0, 0.0) for p in Protocol),
+        # past 8 folds, where a pairwise sum would no longer add in fold
+        # order, and with the baseline row last
+        pytest.param(3.0, Protocol.TEST_ITEMS, ["kd:0.5", "ar", "gd", "pr"], 9,
+                     id="nine-folds-pr-last")])
+    def test_every_cell_equals_per_list_evaluation(self, threshold, protocol,
+                                                   methods, folds):
         # the oracle scores each (fold, method, user, N) list on its own
         # with the per-list metrics; at threshold 0 an unrated candidate
         # must still count as non-relevant
         ds = small_dataset(15)
-        cfg = small_config(["kd:0.5", "ar", "mr", "gd", "kd:0.5+pg"],
+        cfg = small_config(methods, folds=folds,
                            protocol=protocol, relevance_threshold=threshold,
                            n_values=(1, 2, 3, 5, 8, 12, 40))
         report = run_experiment(ds, cfg)
@@ -243,17 +251,35 @@ class TestRunExperiment:
                     tops = [top_n(r, n).item_ids for r in ranked]
                     f1s = [f1(confusion(t, truths[u])) for t, u in zip(tops, users)]
                     nds = [ndcg(t, truths[u]) for t, u in zip(tops, users)]
-                    means[(spec.label, n)] = (sum(f1s) / len(users),
-                                              sum(nds) / len(users))
+                    means[(spec.label, n)] = (ordered_sum(f1s) / len(users),
+                                              ordered_sum(nds) / len(users))
             per_fold.append(means)
+        per_fold.append({key: tuple(ordered_sum(m[key][i] for m in per_fold) / cfg.folds
+                                    for i in range(2))
+                         for key in per_fold[0]})
+
+        def ratio(value, base):
+            return (value - base) / base if base else (0.0 if value == base else None)
+
         for spec in methods:
             for n in cfg.n_values:
-                for fold, means in enumerate(per_fold):
-                    cell = report.cell(spec.label, n, str(fold))
-                    assert (cell.f1, cell.ndcg) == means[(spec.label, n)]
-                avg = report.cell(spec.label, n)
-                assert avg.f1 == sum(m[(spec.label, n)][0] for m in per_fold) / cfg.folds
-                assert avg.ndcg == sum(m[(spec.label, n)][1] for m in per_fold) / cfg.folds
+                for fold, means in zip([*map(str, range(cfg.folds)), "avg"], per_fold):
+                    cell = report.cell(spec.label, n, fold)
+                    (f1v, ndv), (bf1, bnd) = means[(spec.label, n)], means[("pr", n)]
+                    assert (cell.f1, cell.ndcg) == (f1v, ndv)
+                    assert cell.improvement_f1 == ratio(f1v, bf1)
+                    assert cell.improvement_ndcg == ratio(ndv, bnd)
+
+    def test_reported_sums_do_not_use_the_builtin_sum(self, monkeypatch):
+        # Python 3.12's sum() compensates; a report must not depend on it
+        ds = synth_generate(40, 25, 3, 0.4, seed=2)
+        cfg = ExperimentConfig(methods=(MethodSpec("pr"), MethodSpec.parse("kd:0.5+pg")),
+                               folds=3, n_values=(2, 5),
+                               train=TrainConfig(latent_dim=2, epochs=2))
+        plain = run_experiment(ds, cfg).cells
+        for module in (metrics, pipeline):
+            monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+        assert run_experiment(ds, cfg).cells == plain
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
