@@ -1,4 +1,4 @@
-"""Scoring a candidate set under any ranking method.
+"""Scoring candidate sets under any ranking method.
 
 ``method_scores`` and ``score_methods`` return fresh float64 arrays
 aligned with ``c.item_ids``. Dominance counting methods (pr, kd),
@@ -7,23 +7,28 @@ scores; rank aggregation methods (ar, mr) produce positions, where
 position one is the top of the list and lower wins. ``rank_candidates``
 negates those once and always returns a descending-is-better ScoredList.
 
-All pairwise scoring is one vectorized pass over cache-sized row chunks,
-so peak memory stays bounded for large candidate sets.
+Scoring works on batches: a stack of B sets of equal size n, shape
+(B, n, M), becomes one (B, methods, n) table, and a single set is the
+batch B = 1. The pairwise pass walks cache-sized chunks of the batch: as
+many whole sets as fit in ``_CHUNK_CELLS`` cells, or, for a set too large
+for that, row chunks of the one set, so peak memory stays bounded. Every
+set scores bit for bit as it does alone, whatever batch it is in.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import MAJOR_KINDS, CandidateSet, MethodSpec, ScoredList
 from .errors import DomainError
 
-# Rows per chunk are sized so that one chunk's (rows, n) differences, taken
-# over all M criteria, number at most this many cells: 16 rows at n = 2,000,
-# M = 4, which keeps each (rows, n) temporary (256 KB as float64) in cache.
+# A chunk's (sets, rows, n) differences, taken over all M criteria, number
+# at most this many cells: 7 whole sets at n = 67, M = 4, or 16 rows of
+# one set at n = 2,000, M = 4, which keeps each temporary (256 KB as
+# float64) in cache.
 _CHUNK_CELLS = 1 << 17
 
 # From here up the spacing of float64 values is at least 2^-1022, the
@@ -36,6 +41,21 @@ _LOWER_BETTER = ("ar", "mr")
 
 def _chunk_rows(n: int, m: int) -> int:
     return max(1, _CHUNK_CELLS // max(1, n * m))
+
+
+def _chunks(b: int, n: int, m: int) -> Iterator[tuple[slice, slice]]:
+    """(sets, rows) slices of a (b, n, m) batch, one chunk each: runs of
+    whole sets when one set's n * n * m cells fit in ``_CHUNK_CELLS``,
+    else ``_chunk_rows`` rows of a single set."""
+    sets = _CHUNK_CELLS // max(1, n * n * m)
+    if sets:
+        for s in range(0, b, sets):
+            yield slice(s, min(s + sets, b)), slice(0, n)
+    else:
+        rows = _chunk_rows(n, m)
+        for s in range(b):
+            for r in range(0, n, rows):
+                yield slice(s, s + 1), slice(r, min(r + rows, n))
 
 
 def _counter_dtype(m: int) -> type:
@@ -60,50 +80,52 @@ def _least_better(m: int, k: float) -> np.ndarray:
     return table
 
 
-def _pairwise(c: CandidateSet, ks: set[float],
-              gains: set[str]) -> tuple[dict[float, np.ndarray], dict[str, np.ndarray]]:
+def _pairwise(x: np.ndarray, ks: set[float], gains: set[str], user_ids: Sequence[str]
+              ) -> tuple[dict[float, np.ndarray], dict[str, np.ndarray]]:
     """Dominance counts for every k in ``ks`` and the gd/pg scores named in
-    ``gains``, all from one pass over the pairs.
+    ``gains``, all from one pass over the pairs of each set of the (B, n, M)
+    batch ``x``.
 
-    Returns ({k: how many others each candidate k-dominates}, {kind:
-    scores}); k = 0 is Pareto dominance. Per row chunk and criterion a - b
-    is formed once, max(a - b, 0) is the gain, summed in criterion order,
-    and a > b, a == b are read as a - b > 0, a - b == 0. That reading is
-    exact whatever the floating-point mode when no nonzero value lies below
-    2^-970: then two distinct values are at least 2^-1022 apart, so their
-    difference is never subnormal and never flushed to zero (an overflowed
-    difference keeps its sign). A set with such a value compares a with b
-    directly for dominance. Every k reads the same per-pair counts (n_b, n_e)
-    of better and equal criteria; Pareto dominance alone is cheaper as two
-    boolean planes, any worse and any better.
+    Returns ({k: (B, n) how many others each candidate k-dominates},
+    {kind: (B, n) scores}); k = 0 is Pareto dominance. Per chunk and
+    criterion a - b is formed once, max(a - b, 0) is the gain, summed in
+    criterion order, and a > b, a == b are read as a - b > 0, a - b == 0.
+    That reading is exact whatever the floating-point mode when no nonzero
+    value lies below 2^-970: then two distinct values are at least 2^-1022
+    apart, so their difference is never subnormal and never flushed to zero
+    (an overflowed difference keeps its sign). A batch with such a value
+    compares a with b directly for dominance. Every k reads the same
+    per-pair counts (n_b, n_e) of better and equal criteria; Pareto
+    dominance alone is cheaper as two boolean planes, any worse and any
+    better. ``user_ids`` name the sets in an overflow error.
     """
-    x = c.matrix
-    n, m = x.shape
+    b, n, m = x.shape
     pareto = ks == {0.0}
     tables = {} if pareto else {k: _least_better(m, k) for k in ks}
     mag = np.abs(x)
     direct = bool(((mag > 0.0) & (mag < _EXACT_DIFF)).any())
-    cols = np.ascontiguousarray(x.T)
-    chunk = _chunk_rows(n, m)
-    counts = {k: np.zeros(n) for k in ks}
-    scored = {kind: np.zeros(n) for kind in gains}
-    best_in = np.full(n, -np.inf)
-    diff = np.empty((min(chunk, n), n))
+    cols = np.ascontiguousarray(x.transpose(2, 0, 1))
+    counts = {k: np.zeros((b, n)) for k in ks}
+    scored = {kind: np.zeros((b, n)) for kind in gains}
+    best_in = np.full((b, n), -np.inf)
+    sets, rows = next(_chunks(b, n, m))
+    diff = np.empty((sets.stop, rows.stop, n))
     flag = np.empty(diff.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n, chunk):
-            rows = min(chunk, n - s)
-            d, f = diff[:rows], flag[:rows]
+        for sets, rows in _chunks(b, n, m):
+            d = diff[:sets.stop - sets.start, :rows.stop - rows.start]
+            f = flag[:sets.stop - sets.start, :rows.stop - rows.start]
             if pareto:  # no criterion worse and one better
-                worse, better = np.zeros((2, rows, n), dtype=bool)
+                worse, better = np.zeros((2, *d.shape), dtype=bool)
             elif tables:
-                n_b, n_e = np.zeros((2, rows, n), dtype=_counter_dtype(m))
+                n_b, n_e = np.zeros((2, *d.shape), dtype=_counter_dtype(m))
             if gains:
-                plane = np.zeros((rows, n))
+                plane = np.zeros(d.shape)
             for j in range(m):
-                a, b = cols[j, s:s + rows, None], cols[j]
-                np.subtract(a, b, out=d)
-                lhs, rhs = (a, b) if direct else (d, 0.0)
+                lhs, rhs = cols[j, sets, rows, None], cols[j, sets, None]
+                np.subtract(lhs, rhs, out=d)
+                if not direct:
+                    lhs, rhs = d, 0.0
                 if pareto:
                     worse |= np.less(lhs, rhs, out=f)
                     better |= np.greater(lhs, rhs, out=f)
@@ -115,24 +137,25 @@ def _pairwise(c: CandidateSet, ks: set[float],
             # self pairs are equal on every criterion, so never dominated;
             # int32 row counts are exact below 2^31 candidates
             if pareto:
-                counts[0.0][s:s + rows] = (better > worse).sum(axis=1, dtype=np.int32)
+                counts[0.0][sets, rows] = (better > worse).sum(axis=2, dtype=np.int32)
             for k, least in tables.items():
-                counts[k][s:s + rows] = (n_b >= least.take(n_e)).sum(
-                    axis=1, dtype=np.int32)
+                counts[k][sets, rows] = (n_b >= least.take(n_e)).sum(
+                    axis=2, dtype=np.int32)
             # a self pair's gain is +0.0 and no gain is below it, so self
             # pairs change no maximum; a lone candidate's pg is 0 - 0
             if "gd" in scored:
-                scored["gd"][s:s + rows] = plane.sum(axis=1)
+                scored["gd"][sets, rows] = plane.sum(axis=2)
             if "pg" in scored:
-                scored["pg"][s:s + rows] = plane.max(axis=1)
-                np.maximum(best_in, plane.max(axis=0), out=best_in)
+                scored["pg"][sets, rows] = plane.max(axis=2)
+                np.maximum(best_in[sets], plane.max(axis=1), out=best_in[sets])
         if "pg" in scored:
             scored["pg"] -= best_in
     for kind in sorted(scored):
-        if not np.isfinite(scored[kind]).all():
+        bad = ~np.isfinite(scored[kind]).all(axis=1)
+        if bad.any():
             raise DomainError(
-                f"{kind} gains overflow for user {c.user_id!r}: n * M * (largest "
-                f"per-criterion spread) of its candidates must be finite")
+                f"{kind} gains overflow for user {user_ids[int(bad.argmax())]!r}: n * M * "
+                f"(largest per-criterion spread) of its candidates must be finite")
     return counts, scored
 
 
@@ -183,57 +206,78 @@ def score_methods(c: CandidateSet, specs: Sequence[MethodSpec]) -> list[np.ndarr
     average position best first, so it only separates candidates the major
     left tied.
 
-    The pass counts dominance for every k asked for (pr is k = 0, a
-    hybrid's major included) and forms one gains plane for gd and pg. One
-    ``average_ranks`` call ranks every criterion, for ar, mr and their
-    subsorts, and one ranks every distinct hybrid subsort. Each array is
-    fresh and equal, bit for bit, to what scoring its spec alone gives.
+    ``c`` is scored as a batch of one set (see ``_score_batch``), and the
+    arrays are the rows of that fresh table: no two share memory, and each
+    equals, bit for bit, what scoring its spec alone gives.
     """
+    return list(_score_batch(c.matrix[None], specs, [c.user_id])[0])
+
+
+def _score_batch(x: np.ndarray, specs: Sequence[MethodSpec],
+                 user_ids: Sequence[str]) -> np.ndarray:
+    """Scores of each set of the (B, n, M) batch ``x`` under each spec, as a
+    fresh (B, len(specs), n) table; row [b, i] is what ``score_methods``
+    gives set b alone for ``specs[i]``. ``user_ids`` name the sets.
+
+    One pairwise pass counts dominance for every k asked for (pr is k = 0,
+    a hybrid's major included) and forms one gains plane for gd and pg.
+    One ``average_ranks`` call ranks every criterion of every set, a
+    (B * M, n) table, for ar, mr and their subsorts, and one ranks every
+    distinct hybrid subsort of every set, a (B * subsorts, n) table.
+    """
+    b, n, m = x.shape
     parts = [p for spec in specs
              for p in ((spec.major, spec.sub) if spec.kind == "hybrid" else (spec,))]
     kinds = {p.kind for p in parts}
-    counts, subs = _pairwise(c, {_major_k(p) for p in parts if p.kind in MAJOR_KINDS},
-                             kinds & {"gd", "pg"})
+    counts, subs = _pairwise(x, {_major_k(p) for p in parts if p.kind in MAJOR_KINDS},
+                             kinds & {"gd", "pg"}, user_ids)
     if kinds & set(_LOWER_BETTER):
-        ranks = average_ranks(np.ascontiguousarray(c.matrix.T))
+        ranks = average_ranks(x.transpose(0, 2, 1).reshape(b * m, n)).reshape(b, m, n)
         if "ar" in kinds:
-            subs["ar"] = ranks.sum(axis=0)
+            subs["ar"] = ranks.sum(axis=1)
         if "mr" in kinds:
-            subs["mr"] = ranks.min(axis=0)
+            subs["mr"] = ranks.min(axis=1)
     sub_kinds = sorted({spec.sub.kind for spec in specs if spec.kind == "hybrid"})
     if sub_kinds:
         # positions negated rank best first too; -0.0 == 0.0 keeps ties
-        rho = average_ranks(np.array([-subs[k] if k in _LOWER_BETTER else subs[k]
-                                      for k in sub_kinds]))
-        shares = dict(zip(sub_kinds, (c.n - rho) / c.n))
+        keys = np.empty((b, len(sub_kinds), n))
+        for i, kind in enumerate(sub_kinds):
+            keys[:, i] = -subs[kind] if kind in _LOWER_BETTER else subs[kind]
+        rho = average_ranks(keys.reshape(-1, n)).reshape(keys.shape)
+        shares = dict(zip(sub_kinds, ((n - rho) / n).transpose(1, 0, 2)))
 
     def part(p: MethodSpec) -> np.ndarray:
         return counts[_major_k(p)] if p.kind in MAJOR_KINDS else subs[p.kind]
 
-    return [part(spec.major) + shares[spec.sub.kind]
-            if spec.kind == "hybrid" else part(spec).copy() for spec in specs]
+    table = np.empty((b, len(specs), n))
+    for i, spec in enumerate(specs):
+        if spec.kind == "hybrid":
+            np.add(part(spec.major), shares[spec.sub.kind], out=table[:, i])
+        else:
+            table[:, i] = part(spec)
+    return table
 
 
 def _major_k(spec: MethodSpec) -> float:
     return 0.0 if spec.kind == "pr" else spec.k
 
 
-def _best_first(scores: Sequence[np.ndarray],
-                kinds: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate indices best first, one row per score array, and the
-    descending-is-better keys in that order.
+def _best_first(table: np.ndarray, kinds: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate indices best first along the last axis of a (..., specs, n)
+    score table, ``kinds[i]`` being the method kind of row i of the specs
+    axis, and the descending-is-better keys in that order.
 
-    Positions (ar, mr) are negated once. The sort is stable over the
-    set's id-ordered rows, so equal keys break by ascending item id. The
-    result is checked against the ScoredList invariant here, as the
-    evaluate path builds no ScoredList.
+    Positions (ar, mr) are negated once, in ``table`` itself. The sort is
+    stable over each set's id-ordered candidates, so equal keys break by
+    ascending item id. The result is checked against the ScoredList
+    invariant here, as the evaluate path builds no ScoredList.
     """
-    keys = np.array([-s if kind in _LOWER_BETTER else s
-                     for s, kind in zip(scores, kinds)])
-    order = np.argsort(-keys, axis=1, kind="stable")
-    keys = np.take_along_axis(keys, order, axis=1)
-    if ((keys[:, 1:] > keys[:, :-1])
-            | ((keys[:, 1:] == keys[:, :-1]) & (order[:, 1:] <= order[:, :-1]))).any():
+    lower = [i for i, kind in enumerate(kinds) if kind in _LOWER_BETTER]
+    table[..., lower, :] = -table[..., lower, :]
+    order = np.argsort(-table, axis=-1, kind="stable")
+    keys = np.take_along_axis(table, order, axis=-1)
+    if ((keys[..., 1:] > keys[..., :-1])
+            | ((keys[..., 1:] == keys[..., :-1]) & (order[..., 1:] <= order[..., :-1]))).any():
         raise DomainError("ranked list must be non-increasing in score, with tied "
                           "scores ordered by ascending item id")
     return order, keys
@@ -245,7 +289,7 @@ def rank_candidates(c: CandidateSet, spec: MethodSpec) -> ScoredList:
     Lower-is-better positions are negated first so the list is uniformly
     ordered; remaining ties break by ascending item id.
     """
-    order, keys = _best_first([method_scores(c, spec)], [spec.kind])
+    order, keys = _best_first(method_scores(c, spec)[None], [spec.kind])
     return ScoredList(
         tuple(zip([c.item_ids[i] for i in order[0].tolist()], keys[0].tolist())))
 

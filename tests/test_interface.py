@@ -789,6 +789,15 @@ class TestBenchQualityContract:
         rmse = workloads.heldout_rmse(kept)
         assert np.isfinite(rmse) and 0.0 < rmse < 4.0
 
+    def test_tracer_hooks_exist(self):
+        # bench/traced.py patches names in mcrank's modules (pipeline's
+        # unused imports among them); a dropped one fails here, not only in
+        # a traced benchmark run
+        import traced
+
+        with traced.instrument(traced.Tracer(run_id="guard")):
+            pass
+
     def test_rank_quality_of_a_loaded_file(self, tmp_path, capsys):
         import workloads
 

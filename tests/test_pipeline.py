@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from mcrank import (
     top_n,
     validate_dataset,
 )
-from mcrank import metrics, pipeline
+from mcrank import metrics, pipeline, ranking
 from mcrank.io import experiment_config_from_dict
 from naive import ordered_sum
 
@@ -38,6 +42,18 @@ FAST_TRAIN = TrainConfig(latent_dim=4, epochs=3, seed=5)
 
 def small_dataset(seed=0):
     return synth_generate(20, 12, 3, 0.6, seed=seed)
+
+
+def dataset_with_a_full_rater():
+    """48 users: 47 synth users with records, plus ``u99``, who rates every
+    item. With ``small_config``'s split, one fold's test part holds just
+    one of u99's records, so under ``all_unrated`` that fold ranks a pool
+    of one item for u99."""
+    ds = synth_generate(48, 10, 3, 0.3, seed=6)
+    full = [RatingRecord(user_id="u99", item_id=item, overall=float(1 + j % 5),
+                         criteria=(float(1 + j % 5), float(1 + (j * 3) % 5), 3.0))
+            for j, item in enumerate(ds.items())]
+    return replace(ds, records=ds.records + tuple(full))
 
 
 def small_config(methods, **kwargs):
@@ -220,23 +236,46 @@ class TestRunExperiment:
             for earlier, later in zip(hybrid_ids, hybrid_ids[1:]):
                 assert major_score[earlier] >= major_score[later]
 
-    @pytest.mark.parametrize("threshold, protocol, methods, folds", [
-        *(pytest.param(t, p, ["kd:0.5", "ar", "mr", "gd", "kd:0.5+pg"], 3, id=f"{t}-{p}")
+    @pytest.mark.parametrize("threshold, protocol, methods, folds, ds, split", [
+        *(pytest.param(t, p, ["kd:0.5", "ar", "mr", "gd", "kd:0.5+pg"], 3,
+                       small_dataset(15), False, id=f"{t}-{p}")
           for t in (3.0, 0.0) for p in Protocol),
         # past 8 folds, where a pairwise sum would no longer add in fold
         # order, and with the baseline row last
         pytest.param(3.0, Protocol.TEST_ITEMS, ["kd:0.5", "ar", "gd", "pr"], 9,
-                     id="nine-folds-pr-last")])
-    def test_every_cell_equals_per_list_evaluation(self, threshold, protocol,
-                                                   methods, folds):
+                     small_dataset(15), False, id="nine-folds-pr-last"),
+        # every size group split over several score calls, sets scored
+        # several to a chunk and in row chunks, and a one-item pool
+        pytest.param(3.0, Protocol.ALL_UNRATED, ["kd:0.5", "ar", "mr", "gd", "kd:0.5+pg"],
+                     3, dataset_with_a_full_rater(), True, id="all_unrated-split")])
+    def test_every_cell_equals_per_list_evaluation(self, monkeypatch, threshold, protocol,
+                                                   methods, folds, ds, split):
         # the oracle scores each (fold, method, user, N) list on its own
         # with the per-list metrics; at threshold 0 an unrated candidate
         # must still count as non-relevant
-        ds = small_dataset(15)
         cfg = small_config(methods, folds=folds,
                            protocol=protocol, relevance_threshold=threshold,
                            n_values=(1, 2, 3, 5, 8, 12, 40))
+        if split:
+            batches = []
+            real = pipeline._score_batch
+
+            def recorder(x, *args):
+                batches.append(x.shape)
+                return real(x, *args)
+
+            monkeypatch.setattr(pipeline, "_score_batch", recorder)
+            monkeypatch.setattr(pipeline, "_SLICE_CELLS", 200)
+            monkeypatch.setattr(ranking, "_CHUNK_CELLS", 150)
         report = run_experiment(ds, cfg)
+        if split:
+            sizes = [n for _, n, _ in batches]
+            assert 1 in sizes and len(ds.users()) >= 40
+            assert len(sizes) > len(set(sizes)) + 5  # groups span several slices
+            # slices of sets that fit a chunk span several chunks, and
+            # slices of larger sets are scored in row chunks
+            assert any(1 <= 150 // (n * n * m) < b for b, n, m in batches)
+            assert any(b > 1 and n * n * m > 150 for b, n, m in batches)
         methods = [MethodSpec.parse(m) for m in report.metadata["methods"]]
         per_fold = []
         for fold, (train, test) in enumerate(kfold_split(ds, cfg.folds, cfg.seed)):
@@ -280,6 +319,28 @@ class TestRunExperiment:
         for module in (metrics, pipeline):
             monkeypatch.setattr(module, "sum", math.fsum, raising=False)
         assert run_experiment(ds, cfg).cells == plain
+
+    def test_evaluate_leaves_numpy_ma_unimported(self):
+        # numpy imports numpy.ma on the first np.unique call, which costs
+        # about 1 MB of RSS; a fresh process shows whether evaluate does
+        code = """if True:
+            import sys
+            from mcrank import ExperimentConfig, MethodSpec, Protocol, TrainConfig
+            from mcrank import run_experiment, synth_generate
+            ds = synth_generate(20, 12, 3, 0.6, seed=0)
+            labels = ["pr", "kd:0.5", "ar", "mr", "gd", "pg", "kd:0.5+pg", "kd:0.5+ar"]
+            for protocol in Protocol:
+                run_experiment(ds, ExperimentConfig(
+                    methods=tuple(map(MethodSpec.parse, labels)), folds=2,
+                    protocol=protocol, train=TrainConfig(latent_dim=2, epochs=1)))
+            assert "numpy.ma" not in sys.modules
+        """
+        src = str(Path(pipeline.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -417,6 +417,31 @@ SHARED_LABELS = ["pr", "kd:0", "kd:0.25", "kd:0.5", "kd:0.75", "kd:1",
                    for sub in ("ar", "mr", "gd", "pg")]]
 
 
+def with_one_tiny_value(rng, shape):
+    # one value below 2^-970 in set 2 makes the whole batch compare directly
+    x = rng.uniform(1.0, 5.0, size=shape)
+    x[2, 1, 0] = 2.0 ** -1000
+    return x
+
+
+def ties(rng, shape):
+    return rng.integers(1, 4, size=shape).astype(np.float64)
+
+
+# (id, (B, n, M), draw(rng, shape), _CHUNK_CELLS(n, M) or None for the
+# default, sets per chunk)
+BATCH_CASES = [
+    ("lone-candidates", (5, 1, 3), lambda rng, shape: rng.uniform(1.0, 5.0, size=shape),
+     None, [5]),
+    ("integer-ties", (6, 9, 3), ties, None, [6]),
+    ("tiny-value-in-one-set", (4, 5, 2), with_one_tiny_value, None, [4]),
+    ("chunk-splits-the-batch", (5, 6, 3), ties, lambda n, m: 2 * n * n * m, [2, 2, 1]),
+    # one set no longer fits, so each set goes alone in row chunks of 2
+    ("row-chunks", (3, 7, 4), lambda rng, shape: rng.uniform(1.0, 5.0, size=shape),
+     lambda n, m: 2 * n * m, [1] * 12),
+]
+
+
 def naive_scores(label, vectors):
     spec = MethodSpec.parse(label)
     if spec.kind == "pr":
@@ -492,6 +517,28 @@ class TestSharedPass:
             c = CandidateSet.from_pairs(
                 "u", [(f"i{j}", row) for j, row in enumerate(rows[:n])])
             self.assert_shared_pass_exact(c, SHARED_LABELS, gd_tol={"abs": 0.0})
+
+    @pytest.mark.parametrize("case", BATCH_CASES, ids=[case[0] for case in BATCH_CASES])
+    def test_batch_equals_sets_one_by_one(self, monkeypatch, case):
+        # a set scores bit for bit as it does alone, whatever batch and
+        # chunks it is scored in
+        _, shape, draw, cells, chunk_sets = case
+        rng = np.random.default_rng(96)
+        b, n, m = shape
+        matrix = draw(rng, shape)
+        sets = [CandidateSet(user_id=f"u{s}", item_ids=tuple(f"i{j:03d}" for j in range(n)),
+                             matrix=matrix[s]) for s in range(b)]
+        specs = [MethodSpec.parse(label) for label in SHARED_LABELS]
+        alone = [score_methods(c, specs) for c in sets]
+        if cells is not None:
+            monkeypatch.setattr(ranking, "_CHUNK_CELLS", cells(n, m))
+        assert [s.stop - s.start for s, _ in ranking._chunks(b, n, m)] == chunk_sets
+        table = ranking._score_batch(np.stack([c.matrix for c in sets]), specs,
+                                     [c.user_id for c in sets])
+        assert table.dtype == np.float64 and table.shape == (b, len(specs), n)
+        for s, scores in enumerate(alone):
+            for label, got, want in zip(SHARED_LABELS, table[s], scores):
+                assert got.tobytes() == want.tobytes(), (s, label)
 
 
 class TestRankCandidatesOrder:
