@@ -141,7 +141,7 @@ def validate_dataset(dataset: Dataset) -> tuple[Violation, ...]:
             )
         seen.add(key)
         for value, name in zip((rec.overall, *rec.criteria), names):
-            if not np.isfinite(value) or value < lo or value > hi:
+            if not lo <= value <= hi:
                 violations.append(
                     Violation("out_of_range", idx, rec.user_id, rec.item_id,
                               f"{name} rating {value} outside [{lo}, {hi}]")

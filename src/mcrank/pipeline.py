@@ -25,7 +25,7 @@ from .core import (SCALE, CandidateSet, Dataset, MethodSpec, RatingRecord,
 from .errors import DomainError, SplitError
 from .metrics import GroundTruth, dcg_gain, prefix_means
 from .predictor import PredictorModel, TrainConfig, fit, predict_many
-from .ranking import _CHUNK_CELLS, _best_first, _score_batch
+from .ranking import _best_first, _score_batch
 # unused here, but bench/traced.py patches these names in this module
 from .metrics import confusion, f1, ndcg  # noqa: F401
 from .ranking import rank_candidates, top_n  # noqa: F401
@@ -35,7 +35,7 @@ BASELINE_LABEL = "pr"
 # Sets of one size are scored in slices whose (sets, methods, n) score table
 # holds at most this many cells: 24 sets of 67 candidates under 10 methods.
 # Larger slices ran no faster on the unrated benchmark and hold more memory.
-_SLICE_CELLS = _CHUNK_CELLS // 8
+_SLICE_CELLS = 1 << 14
 
 
 class Protocol(enum.Enum):
@@ -255,9 +255,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
             for start in range(0, len(group), step):
                 rows = group[start:start + step]
                 sets = [cands[users[r]] for r in rows.tolist()]
-                table = _score_batch(np.stack([c.matrix for c in sets]), methods,
-                                     [c.user_id for c in sets])
-                order = _best_first(table, kinds)[0][..., :width]
+                order = _best_first(_score_batch(sets, methods), kinds)[0][..., :width]
                 # only rated items carry a gain or relevance; the ids are
                 # in order, and a rated item outside the pool is ignored
                 gain = np.zeros((len(sets), 1, size))
@@ -354,7 +352,7 @@ def synth_generate(users: int, items: int, n_criteria: int,
         RatingRecord(user_id=user_ids[u], item_id=item_ids[i],
                      overall=float(overall[u, i]),
                      criteria=tuple(ratings[u, i]))
-        for u in range(users) for i in range(items) if keep[u, i]
+        for u, i in zip(*keep.nonzero())
     ]
     names = tuple(f"c{m + 1}" for m in range(n_criteria))
     return Dataset(criteria_names=names, records=tuple(records))

@@ -7,18 +7,19 @@ scores; rank aggregation methods (ar, mr) produce positions, where
 position one is the top of the list and lower wins. ``rank_candidates``
 negates those once and always returns a descending-is-better ScoredList.
 
-Scoring works on batches: a stack of B sets of equal size n, shape
-(B, n, M), becomes one (B, methods, n) table, and a single set is the
-batch B = 1. The pairwise pass walks cache-sized chunks of the batch: as
-many whole sets as fit in ``_CHUNK_CELLS`` cells, or, for a set too large
-for that, row chunks of the one set, so peak memory stays bounded. Every
-set scores bit for bit as it does alone, whatever batch it is in.
+Scoring works on batches: B candidate sets of equal size n go in, one
+(B, methods, n) table comes out, and a single set is the batch B = 1.
+The pairwise pass walks the batch in chunks laid out by one rule,
+``_tiling``: each chunk holds as many rows of a set as fit in
+``_CHUNK_CELLS`` cells, so as many whole sets as fit, or else a run of
+rows of one set, and peak memory stays bounded. Every set scores bit
+for bit as it does alone, whatever batch it is in.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Iterator, Sequence
+import itertools
+from typing import Sequence
 
 import numpy as np
 
@@ -39,30 +40,18 @@ _EXACT_DIFF = 2.0 ** -970
 _LOWER_BETTER = ("ar", "mr")
 
 
-def _chunk_rows(n: int, m: int) -> int:
-    return max(1, _CHUNK_CELLS // max(1, n * m))
-
-
-def _chunks(b: int, n: int, m: int) -> Iterator[tuple[slice, slice]]:
-    """(sets, rows) slices of a (b, n, m) batch, one chunk each: runs of
-    whole sets when one set's n * n * m cells fit in ``_CHUNK_CELLS``,
-    else ``_chunk_rows`` rows of a single set."""
-    sets = _CHUNK_CELLS // max(1, n * n * m)
-    if sets:
-        for s in range(0, b, sets):
-            yield slice(s, min(s + sets, b)), slice(0, n)
-    else:
-        rows = _chunk_rows(n, m)
-        for s in range(b):
-            for r in range(0, n, rows):
-                yield slice(s, s + 1), slice(r, min(r + rows, n))
+def _tiling(n: int, m: int) -> tuple[int, int]:
+    """(sets, rows) of one chunk of a batch of sets of n candidates over m
+    criteria: ``rows`` rows of each set fit in ``_CHUNK_CELLS`` cells, and
+    a chunk is as many whole sets as fit, or else ``rows`` rows of one."""
+    rows = max(1, _CHUNK_CELLS // (n * m))
+    return max(1, rows // n), min(rows, n)
 
 
 def _counter_dtype(m: int) -> type:
     return np.int8 if m <= 127 else np.int32
 
 
-@functools.lru_cache(maxsize=64)
 def _least_better(m: int, k: float) -> np.ndarray:
     """Per count n_e of equal criteria, the least count n_b of better ones
     with which one candidate k-dominates another.
@@ -76,15 +65,14 @@ def _least_better(m: int, k: float) -> np.ndarray:
     for n_e in range(m):
         table[n_e] = min(n_b for n_b in range(m - n_e + 1)
                          if n_b * (k + 1.0) >= m - n_e)
-    table.flags.writeable = False
     return table
 
 
-def _pairwise(x: np.ndarray, ks: set[float], gains: set[str], user_ids: Sequence[str]
+def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
               ) -> tuple[dict[float, np.ndarray], dict[str, np.ndarray]]:
     """Dominance counts for every k in ``ks`` and the gd/pg scores named in
     ``gains``, all from one pass over the pairs of each set of the (B, n, M)
-    batch ``x``.
+    batch ``x``, chunk by chunk as ``_tiling`` lays them out.
 
     Returns ({k: (B, n) how many others each candidate k-dominates},
     {kind: (B, n) scores}); k = 0 is Pareto dominance. Per chunk and
@@ -97,7 +85,7 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str], user_ids: Sequence
     compares a with b directly for dominance. Every k reads the same
     per-pair counts (n_b, n_e) of better and equal criteria; Pareto
     dominance alone is cheaper as two boolean planes, any worse and any
-    better. ``user_ids`` name the sets in an overflow error.
+    better.
     """
     b, n, m = x.shape
     pareto = ks == {0.0}
@@ -108,13 +96,14 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str], user_ids: Sequence
     counts = {k: np.zeros((b, n)) for k in ks}
     scored = {kind: np.zeros((b, n)) for kind in gains}
     best_in = np.full((b, n), -np.inf)
-    sets, rows = next(_chunks(b, n, m))
-    diff = np.empty((sets.stop, rows.stop, n))
+    step_sets, step_rows = _tiling(n, m)
+    diff = np.empty((min(step_sets, b), step_rows, n))
     flag = np.empty(diff.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for sets, rows in _chunks(b, n, m):
-            d = diff[:sets.stop - sets.start, :rows.stop - rows.start]
-            f = flag[:sets.stop - sets.start, :rows.stop - rows.start]
+        for s, r in itertools.product(range(0, b, step_sets), range(0, n, step_rows)):
+            sets, rows = slice(s, s + step_sets), slice(r, r + step_rows)
+            d = diff[:min(step_sets, b - s), :min(step_rows, n - r)]
+            f = flag[:d.shape[0], :d.shape[1]]
             if pareto:  # no criterion worse and one better
                 worse, better = np.zeros((2, *d.shape), dtype=bool)
             elif tables:
@@ -150,12 +139,6 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str], user_ids: Sequence
                 np.maximum(best_in[sets], plane.max(axis=1), out=best_in[sets])
         if "pg" in scored:
             scored["pg"] -= best_in
-    for kind in sorted(scored):
-        bad = ~np.isfinite(scored[kind]).all(axis=1)
-        if bad.any():
-            raise DomainError(
-                f"{kind} gains overflow for user {user_ids[int(bad.argmax())]!r}: n * M * "
-                f"(largest per-criterion spread) of its candidates must be finite")
     return counts, scored
 
 
@@ -210,27 +193,35 @@ def score_methods(c: CandidateSet, specs: Sequence[MethodSpec]) -> list[np.ndarr
     arrays are the rows of that fresh table: no two share memory, and each
     equals, bit for bit, what scoring its spec alone gives.
     """
-    return list(_score_batch(c.matrix[None], specs, [c.user_id])[0])
+    return list(_score_batch([c], specs)[0])
 
 
-def _score_batch(x: np.ndarray, specs: Sequence[MethodSpec],
-                 user_ids: Sequence[str]) -> np.ndarray:
-    """Scores of each set of the (B, n, M) batch ``x`` under each spec, as a
-    fresh (B, len(specs), n) table; row [b, i] is what ``score_methods``
-    gives set b alone for ``specs[i]``. ``user_ids`` name the sets.
+def _score_batch(sets: Sequence[CandidateSet], specs: Sequence[MethodSpec]) -> np.ndarray:
+    """Scores of each of the B ``sets``, all of one size n, under each spec,
+    as a fresh (B, len(specs), n) table; row [b, i] is what
+    ``score_methods`` gives ``sets[b]`` alone for ``specs[i]``.
 
-    One pairwise pass counts dominance for every k asked for (pr is k = 0,
-    a hybrid's major included) and forms one gains plane for gd and pg.
-    One ``average_ranks`` call ranks every criterion of every set, a
-    (B * M, n) table, for ar, mr and their subsorts, and one ranks every
-    distinct hybrid subsort of every set, a (B * subsorts, n) table.
+    One pairwise pass over the stacked (B, n, M) matrices counts dominance
+    for every k asked for (pr is k = 0, a hybrid's major included) and
+    forms one gains plane for gd and pg. One ``average_ranks`` call ranks
+    every criterion of every set, a (B * M, n) table, for ar, mr and their
+    subsorts, and one ranks every distinct hybrid subsort of every set, a
+    (B * subsorts, n) table. A gd or pg gain that overflows is refused,
+    naming the user of the first set it overflows in.
     """
+    x = np.stack([c.matrix for c in sets])
     b, n, m = x.shape
     parts = [p for spec in specs
              for p in ((spec.major, spec.sub) if spec.kind == "hybrid" else (spec,))]
     kinds = {p.kind for p in parts}
     counts, subs = _pairwise(x, {_major_k(p) for p in parts if p.kind in MAJOR_KINDS},
-                             kinds & {"gd", "pg"}, user_ids)
+                             kinds & {"gd", "pg"})
+    for kind in sorted(subs):
+        bad = ~np.isfinite(subs[kind]).all(axis=1)
+        if bad.any():
+            raise DomainError(
+                f"{kind} gains overflow for user {sets[int(bad.argmax())].user_id!r}: "
+                f"n * M * (largest per-criterion spread) of its candidates must be finite")
     if kinds & set(_LOWER_BETTER):
         ranks = average_ranks(x.transpose(0, 2, 1).reshape(b * m, n)).reshape(b, m, n)
         if "ar" in kinds:
@@ -240,22 +231,17 @@ def _score_batch(x: np.ndarray, specs: Sequence[MethodSpec],
     sub_kinds = sorted({spec.sub.kind for spec in specs if spec.kind == "hybrid"})
     if sub_kinds:
         # positions negated rank best first too; -0.0 == 0.0 keeps ties
-        keys = np.empty((b, len(sub_kinds), n))
-        for i, kind in enumerate(sub_kinds):
-            keys[:, i] = -subs[kind] if kind in _LOWER_BETTER else subs[kind]
+        keys = np.stack([-subs[kind] if kind in _LOWER_BETTER else subs[kind]
+                         for kind in sub_kinds], axis=1)
         rho = average_ranks(keys.reshape(-1, n)).reshape(keys.shape)
         shares = dict(zip(sub_kinds, ((n - rho) / n).transpose(1, 0, 2)))
 
-    def part(p: MethodSpec) -> np.ndarray:
-        return counts[_major_k(p)] if p.kind in MAJOR_KINDS else subs[p.kind]
-
-    table = np.empty((b, len(specs), n))
-    for i, spec in enumerate(specs):
+    def score(spec: MethodSpec) -> np.ndarray:
         if spec.kind == "hybrid":
-            np.add(part(spec.major), shares[spec.sub.kind], out=table[:, i])
-        else:
-            table[:, i] = part(spec)
-    return table
+            return counts[_major_k(spec.major)] + shares[spec.sub.kind]
+        return counts[_major_k(spec)] if spec.kind in MAJOR_KINDS else subs[spec.kind]
+
+    return np.stack([score(spec) for spec in specs], axis=1)
 
 
 def _major_k(spec: MethodSpec) -> float:

@@ -144,6 +144,15 @@ class TestCandidateSet:
         with pytest.raises(DimensionError):
             CandidateSet.from_pairs("u", [])
 
+    def test_ids_and_rows_must_match(self):
+        with pytest.raises(DimensionError, match="2 item ids but 1 criteria rows"):
+            CandidateSet(user_id="u", item_ids=("a", "b"), matrix=np.ones((1, 2)))
+
+    def test_non_numeric_value_is_not_a_shape_error(self):
+        with pytest.raises(ValueError, match="could not convert") as caught:
+            CandidateSet.from_pairs("u", [("a", ("x",))])
+        assert type(caught.value) is ValueError
+
 
 class TestMethodSpec:
     def test_kd_range_enforced(self):
@@ -160,6 +169,18 @@ class TestMethodSpec:
             MethodSpec("hybrid", major=MethodSpec("ar"), sub=MethodSpec("pg"))
         with pytest.raises(DomainError):
             MethodSpec("hybrid", major=MethodSpec("pr"), sub=MethodSpec("kd", k=0.5))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: MethodSpec("hybrid", k=0.5, major=MethodSpec("pr"), sub=MethodSpec("ar")),
+         "k belongs on the major spec, not the hybrid"),
+        (lambda: MethodSpec("kd"), "kd requires a relaxation factor k"),
+        (lambda: MethodSpec("ar", k=0.5), "method ar does not take k"),
+        (lambda: MethodSpec("pr", major=MethodSpec("pr")), "method pr does not take major/sub"),
+        (lambda: MethodSpec("zz"), "unknown ranking method 'zz'"),
+    ], ids=["hybrid-with-k", "kd-without-k", "ar-with-k", "pr-with-major", "unknown-kind"])
+    def test_malformed_spec_refused(self, build, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            build()
 
     @pytest.mark.parametrize("label", ["pr", "ar", "mr", "gd", "pg",
                                        "kd:0.5", "kd:0.5+pg", "pr+ar",
@@ -183,7 +204,8 @@ class TestMethodSpec:
         assert [m.label for m in cfg.methods] == ["kd:0.1234567", "kd:0.1234568"]
 
     def test_parse_rejects_garbage(self):
-        for text in ["nope", "kd", "kd:2", "ar+pg", "kd:0.5+kd:0.5", "kdx:0.5", "pr:0.5"]:
+        for text in ["nope", "kd", "kd:2", "kd:x", "ar+pg", "kd:0.5+kd:0.5", "kdx:0.5",
+                     "pr:0.5"]:
             with pytest.raises(DomainError):
                 MethodSpec.parse(text)
 

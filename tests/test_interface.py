@@ -17,6 +17,7 @@ from mcrank import (
     synth_generate,
     validate_dataset,
 )
+from mcrank import pipeline
 from mcrank.cli import cli_main
 from mcrank.core import MAJOR_KINDS, RANKING_KINDS, SUB_KINDS
 from mcrank.io import (
@@ -30,7 +31,7 @@ from mcrank.io import (
     save_dataset,
     save_predictions,
 )
-from mcrank.pipeline import config_to_dict, run_experiment
+from mcrank.pipeline import MetricsReport, ReportCell, config_to_dict, run_experiment
 
 GOLDEN_CSV = """user_id,item_id,overall,food,service,ambience,value
 U1,T3,4,4,3,4,4
@@ -196,6 +197,15 @@ class TestReportFiles:
         assert pr_rows and all(c["improvement_f1"] == 0 and c["improvement_ndcg"] == 0
                                for c in pr_rows)
 
+    def test_undefined_improvement_is_an_empty_csv_field(self, tmp_path):
+        # a method that scores where the baseline scores 0 has no ratio
+        assert pipeline._ratio(0.25, 0.0) is None
+        cell = ReportCell(method="kd:0.5", k=0.5, sub=None, n=5, fold="avg", f1=0.25,
+                          ndcg=0.5, improvement_f1=None, improvement_ndcg=1.0)
+        emit_report(MetricsReport(metadata={}, cells=(cell,)), tmp_path / "r.json")
+        rows = (tmp_path / "r.csv").read_text().splitlines()
+        assert rows[1] == "kd:0.5,0.5,,5,avg,0.25,0.5,,1.0"
+
     def test_numbers_keep_full_precision(self, tmp_path):
         report = tiny_report(23)
         path = tmp_path / "report.json"
@@ -271,6 +281,11 @@ class TestCliRank:
                        "--user", "U1") == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("U1\tT3\t")
+
+    def test_non_positive_top_n_is_a_usage_error(self, vectors_file, capsys):
+        assert run_cli("rank", "--input", vectors_file, "--method", "pr",
+                       "--top-n", "0", "--predicted") == 1
+        assert capsys.readouterr().err == "usage error: --top-n must be positive, got 0\n"
 
     def test_missing_k_is_a_usage_error(self, vectors_file, capsys):
         assert run_cli("rank", "--input", vectors_file, "--method", "kd",
@@ -413,6 +428,18 @@ def test_json_the_parser_refuses_is_a_parse_error(tmp_path, load, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(ParseError, match="bad.json: invalid JSON: "):
+        load(path)
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_experiment_config, "[]", "config must be a JSON object"),
+    (load_report, "{}", "not a report file: 'cells'"),
+    (load_model, '{"format": "mcrank-model", "version": 2}', "unsupported model version 2"),
+], ids=["config", "report", "model"])
+def test_json_of_the_wrong_shape_is_a_parse_error(tmp_path, load, text, message):
+    path = tmp_path / "other.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"other.json: {message}"):
         load(path)
 
 
@@ -628,10 +655,14 @@ class TestCliPipelines:
         ('{"folds": 1}', "folds must be >= 2, got 1"),
         ('{"n_values": [5, 0]}', "n_values must be positive, got [5, 0]"),
         ('{"train": {"epochs": 0}}', "train.epochs must be >= 1, got 0"),
+        ('{"train": {"reg": -1}}', "train.reg must be non-negative, got -1"),
+        ('{"seed": -1}', "seed must be non-negative, got -1"),
+        ('{"protocol": "bogus"}', "unknown candidate protocol 'bogus'"),
         ('{"folds": ' + "1" * 5000 + "}", "invalid JSON: Exceeds the limit"),
         ("[" * 200_000, "invalid JSON: maximum recursion depth exceeded"),
     ], ids=["empty-n_values", "infinite-threshold", "nan-reg", "infinite-learning_rate",
             "negative-train.seed", "one-fold", "zero-n_values", "zero-train.epochs",
+            "negative-train.reg", "negative-seed", "unknown-protocol",
             "long-integer", "deep-nesting"])
     def test_out_of_domain_config_value_is_a_data_error(self, data_file, tmp_path,
                                                         capsys, text, key):

@@ -166,6 +166,25 @@ class TestBuildCandidates:
                 assert truth.rating(unrated[0]) == 0.0
                 assert unrated[0] not in truth.relevant
 
+    def test_a_user_with_an_empty_pool_is_skipped(self):
+        # a test record that repeats a training pair, which load_dataset
+        # refuses but a Dataset built in code may hold, leaves u1, who
+        # rated every item in training, nothing unrated to rank
+        def record(user, item, value):
+            return RatingRecord(user_id=user, item_id=item, overall=value,
+                                criteria=(value, value, value))
+
+        names = ("c1", "c2", "c3")
+        train = Dataset(criteria_names=names, records=(
+            *(record("u1", f"i{j}", 1.0 + j) for j in range(4)), record("u2", "i0", 3.0)))
+        test = Dataset(criteria_names=names,
+                       records=(record("u1", "i2", 4.0), record("u2", "i1", 2.0)))
+        cands, truths, skipped = build_candidates(
+            fit(train, FAST_TRAIN), test, Protocol.ALL_UNRATED, train=train)
+        assert skipped == ["u1"]
+        assert set(cands) == set(truths) == {"u2"}
+        assert cands["u2"].item_ids == ("i1", "i2", "i3")
+
     def test_all_unrated_requires_train(self):
         ds = small_dataset(6)
         train, test = kfold_split(ds, 4, seed=5)[0]
@@ -212,6 +231,8 @@ class TestRunExperiment:
                     for n in cfg.n_values for f in folds}
         assert {(c.method, c.n, c.fold) for c in report.cells} == expected
         assert len(report.cells) == len(expected)
+        with pytest.raises(KeyError, match="no cell for method='kd:0.5' n=4 fold='avg'"):
+            report.cell("kd:0.5", 4)
 
     def test_hybrid_cells_carry_k_and_sub(self):
         report = run_experiment(small_dataset(13),
@@ -260,9 +281,9 @@ class TestRunExperiment:
             batches = []
             real = pipeline._score_batch
 
-            def recorder(x, *args):
-                batches.append(x.shape)
-                return real(x, *args)
+            def recorder(sets, *args):
+                batches.append((len(sets), *sets[0].matrix.shape))
+                return real(sets, *args)
 
             monkeypatch.setattr(pipeline, "_score_batch", recorder)
             monkeypatch.setattr(pipeline, "_SLICE_CELLS", 200)

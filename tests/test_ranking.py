@@ -1,5 +1,10 @@
 import functools
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,7 +381,7 @@ class TestChunkedPairwise:
                      for label in PAIRWISE_ORACLES}
             with monkeypatch.context() as patch:
                 patch.setattr(ranking, "_CHUNK_CELLS", rows * c.n * c.n_criteria)
-                assert ranking._chunk_rows(c.n, c.n_criteria) == rows
+                assert ranking._tiling(c.n, c.n_criteria) == (1, rows)
                 for label in PAIRWISE_ORACLES:
                     got = method_scores(c, MethodSpec.parse(label))
                     assert np.array_equal(got, whole[label]), label
@@ -407,6 +412,43 @@ class TestChunkedPairwise:
         least_normal = np.finfo(np.float64).smallest_normal
         assert np.nextafter(x, np.inf) - x == least_normal
         assert x - np.nextafter(x, 0.0) < least_normal
+
+    @pytest.mark.skipif(
+        platform.machine() != "x86_64" or not sys.platform.startswith("linux")
+        or platform.libc_ver()[0] != "glibc",
+        reason="sets flush-to-zero through glibc's x86-64 fenv_t (MXCSR at byte 28)")
+    def test_tiny_values_compare_directly_under_flush_to_zero(self):
+        # 2^-1020 + 2^-1070 and 2^-1020 are normal, their difference is not:
+        # flushed to zero it would read as a tie, so a batch holding them
+        # must compare a with b directly. The mode is set for the whole
+        # process, so the check runs in a fresh one.
+        code = """if True:
+            import ctypes, ctypes.util
+            import naive
+            from mcrank import CandidateSet, MethodSpec, method_scores
+            env = (ctypes.c_uint8 * 32)()
+            libm = ctypes.CDLL(ctypes.util.find_library("m"))
+            assert libm.fegetenv(env) == 0
+            mxcsr = int.from_bytes(bytes(env[28:32]), "little") | 1 << 15  # FTZ only
+            env[28:32] = (ctypes.c_uint8 * 4)(*mxcsr.to_bytes(4, "little"))
+            assert libm.fesetenv(env) == 0
+            a, b = 2.0 ** -1020 + 2.0 ** -1070, 2.0 ** -1020
+            assert a > b and a - b == 0.0, "flush-to-zero is not in effect"
+            vectors = [(a, 1.0), (b, 1.0)]
+            c = CandidateSet.from_pairs("u", [("i0", vectors[0]), ("i1", vectors[1])])
+            for label, want in (("pr", naive.pr_list(vectors)),
+                                ("kd:0.5", naive.kd_list(vectors, 0.5)),
+                                ("kd:0.5+ar", naive.hybrid_list(vectors, "kd", 0.5, "ar"))):
+                got = method_scores(c, MethodSpec.parse(label)).tolist()
+                assert got == want, (label, got, want)
+            assert naive.hybrid_list(vectors, "kd", 0.5, "ar") == [1.5, 0.0]
+        """
+        paths = [str(Path(ranking.__file__).parents[1]), str(Path(__file__).parent),
+                 os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 # every plain method, k in {0, 0.25, 0.5, 0.75, 1}, and four majors with
@@ -482,7 +524,7 @@ class TestSharedPass:
             if rows is not None:
                 monkeypatch.setattr(ranking, "_CHUNK_CELLS",
                                     rows * c.n * c.n_criteria)
-                assert ranking._chunk_rows(c.n, c.n_criteria) == rows
+                assert ranking._tiling(c.n, c.n_criteria) == (1, rows)
             self.assert_shared_pass_exact(c, SHARED_LABELS)
 
     @pytest.mark.parametrize("labels", [
@@ -532,9 +574,10 @@ class TestSharedPass:
         alone = [score_methods(c, specs) for c in sets]
         if cells is not None:
             monkeypatch.setattr(ranking, "_CHUNK_CELLS", cells(n, m))
-        assert [s.stop - s.start for s, _ in ranking._chunks(b, n, m)] == chunk_sets
-        table = ranking._score_batch(np.stack([c.matrix for c in sets]), specs,
-                                     [c.user_id for c in sets])
+        per_chunk, rows = ranking._tiling(n, m)
+        assert [min(per_chunk, b - s) for s in range(0, b, per_chunk)
+                for _ in range(0, n, rows)] == chunk_sets
+        table = ranking._score_batch(sets, specs)
         assert table.dtype == np.float64 and table.shape == (b, len(specs), n)
         for s, scores in enumerate(alone):
             for label, got, want in zip(SHARED_LABELS, table[s], scores):
