@@ -179,26 +179,20 @@ _COMMANDS = {
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help prints and exits 0
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except (McrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def main() -> int:
-    return cli_main()
+main = cli_main  # the console-script entry point
 
 
 if __name__ == "__main__":

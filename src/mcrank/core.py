@@ -20,6 +20,7 @@ RANKING_KINDS = ("pr", "kd", "ar", "mr", "gd", "pg")
 MAJOR_KINDS = ("pr", "kd")
 SUB_KINDS = ("ar", "mr", "gd", "pg")
 SCALE = (1.0, 5.0)  # the (min, max) of every rating file and predicted value
+MAX_FLOATS = np.iinfo(np.intp).max // 8  # the most float64 values one numpy array holds
 
 
 def checked_number(key: str, value, integer: bool = True):

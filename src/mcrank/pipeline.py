@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import (SCALE, CandidateSet, Dataset, MethodSpec, RatingRecord,
+from .core import (MAX_FLOATS, SCALE, CandidateSet, Dataset, MethodSpec, RatingRecord,
                    check_config_fields, checked_number)
 from .errors import DomainError, SplitError
 from .metrics import GroundTruth, dcg_gain, prefix_means
@@ -224,7 +224,6 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
 
     kinds = [spec.kind for spec in methods]
     n_values = list(cfg.n_values)
-    max_n = max(n_values)  # no list is read past max_n
     folds = cfg.folds
     # (method, N, fold, f1 | ndcg) mean over users; fold slot `folds` is the average
     means = np.zeros((len(methods), len(n_values), folds + 1, 2))
@@ -241,37 +240,33 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
         users_skipped.append(len(skipped))
 
         sizes = np.array([cands[u].n for u in users], dtype=np.int64)
-        lengths = np.minimum(sizes, max_n)
+        lengths = np.minimum(sizes, max(n_values))  # no list is read past max(N)
         n_relevant = np.array([len(truths[u].relevant) for u in users], dtype=np.int64)
-        # Per method, each user's ranked list as the gains and relevance of
-        # its candidates in best-first order, zero-padded past the list. An
-        # unrated candidate rates 0, and dcg_gain(0.0) is 0.0.
-        gains = np.zeros((len(methods), len(users), int(lengths.max(initial=0))))
-        hits = np.zeros(gains.shape, dtype=bool)
+        # Candidate table: user u's candidates in id order, as gain and relevance,
+        # which only rated test items in the pool have; one more column stays 0.
+        gain = np.zeros((len(users), int(sizes.max(initial=0)) + 1))
+        hit = np.zeros(gain.shape, dtype=bool)
+        for u, user in enumerate(users):
+            ids, truth = cands[user].item_ids, truths[user]
+            for item, rating in truth.ratings.items():
+                i = bisect_left(ids, item)
+                if i < len(ids) and ids[i] == item:
+                    gain[u, i] = dcg_gain(rating)
+                    hit[u, i] = rating >= truth.threshold
+        # Order table: user u's list under method j as candidate columns, best
+        # first and cut at max(N); the -1 past a shorter list reads that 0 column.
+        order = np.full((len(users), len(methods), int(lengths.max(initial=0))), -1)
         for size in sorted(set(sizes.tolist())):
             group = (sizes == size).nonzero()[0]
             step = max(1, _SLICE_CELLS // (len(methods) * size))
-            width = min(size, max_n)
             for start in range(0, len(group), step):
                 rows = group[start:start + step]
-                sets = [cands[users[r]] for r in rows.tolist()]
-                order = _best_first(_score_batch(sets, methods), kinds)[0][..., :width]
-                # only rated items carry a gain or relevance; the ids are
-                # in order, and a rated item outside the pool is ignored
-                gain = np.zeros((len(sets), 1, size))
-                hit = np.zeros(gain.shape, dtype=bool)
-                for b, c in enumerate(sets):
-                    truth = truths[c.user_id]
-                    for item, rating in truth.ratings.items():
-                        i = bisect_left(c.item_ids, item)
-                        if i < size and c.item_ids[i] == item:
-                            gain[b, 0, i] = dcg_gain(rating)
-                            hit[b, 0, i] = rating >= truth.threshold
-                gains[:, rows, :width] = np.take_along_axis(gain, order, axis=2).swapaxes(0, 1)
-                hits[:, rows, :width] = np.take_along_axis(hit, order, axis=2).swapaxes(0, 1)
+                scores = _score_batch([cands[users[r]] for r in rows.tolist()], methods)
+                order[rows, :, :size] = _best_first(scores, kinds)[0][..., :order.shape[2]]
 
-        for j, (gain, hit) in enumerate(zip(gains, hits)):
-            means[j, :, fold] = prefix_means(gain, hit, lengths, n_relevant, n_values)
+        for j in range(len(methods)):
+            gains, hits = (np.take_along_axis(t, order[:, j], axis=1) for t in (gain, hit))
+            means[j, :, fold] = prefix_means(gains, hits, lengths, n_relevant, n_values)
 
     # np.cumsum adds the folds left to right, as prefix_means adds the users
     means[:, :, folds] = np.cumsum(means[:, :, :folds], axis=2)[:, :, -1] / folds
@@ -333,16 +328,23 @@ def synth_generate(users: int, items: int, n_criteria: int,
         raise DomainError(f"density must lie in (0, 1], got {density}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
+    d = 6  # factor width; the largest array is (users, items, criteria) or (count, d)
+    values = max(users * items * n_criteria, d * max(users, items, n_criteria))
+    wanted = f"synth {users} x {items} x {n_criteria} needs an array of {values} values"
+    if values > MAX_FLOATS:
+        raise DomainError(f"{wanted}, past numpy's limit of {MAX_FLOATS}")
     rng = np.random.default_rng(seed)
-    d = 6
-    u_fac = rng.normal(0.0, 1.0, size=(users, d))
-    i_fac = rng.normal(0.0, 1.0, size=(items, d))
-    c_fac = rng.normal(0.0, 1.0, size=(n_criteria, d))
-    affinity = np.einsum("ud,id,cd->uic", u_fac, i_fac, c_fac) / np.sqrt(d)
-    ratings = np.clip(np.rint(3.0 + affinity), *SCALE)
-    noise = rng.normal(0.0, 0.3, size=(users, items))
-    overall = np.clip(np.rint(ratings.mean(axis=2) + noise), *SCALE)
-    keep = rng.random(size=(users, items)) < density
+    try:
+        u_fac = rng.normal(0.0, 1.0, size=(users, d))
+        i_fac = rng.normal(0.0, 1.0, size=(items, d))
+        c_fac = rng.normal(0.0, 1.0, size=(n_criteria, d))
+        affinity = np.einsum("ud,id,cd->uic", u_fac, i_fac, c_fac) / np.sqrt(d)
+        ratings = np.clip(np.rint(3.0 + affinity), *SCALE)
+        noise = rng.normal(0.0, 0.3, size=(users, items))
+        overall = np.clip(np.rint(ratings.mean(axis=2) + noise), *SCALE)
+        keep = rng.random(size=(users, items)) < density
+    except MemoryError as exc:
+        raise DomainError(f"{wanted}, more than fits in memory") from exc
 
     uw = len(str(users))
     iw = len(str(items))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SCALE, Dataset, check_config_fields
+from .core import MAX_FLOATS, SCALE, Dataset, check_config_fields
 from .errors import DomainError, TrainingError
 
 
@@ -111,6 +111,9 @@ def fit(train: Dataset, cfg: TrainConfig) -> PredictorModel:
     i_index = {t: i for i, t in enumerate(items)}
     n_u, n_i, m = len(users), len(items), train.n_criteria
     d = cfg.latent_dim
+    wanted = f"train.latent_dim {d} needs a {(m, max(n_u, n_i), d)} factor table"
+    if m * max(n_u, n_i) * d > MAX_FLOATS:
+        raise TrainingError(f"{wanted}, past numpy's limit of {MAX_FLOATS} values")
 
     u_idx = np.fromiter((u_index[r.user_id] for r in train.records), dtype=np.int32)
     i_idx = np.fromiter((i_index[r.item_id] for r in train.records), dtype=np.int32)
@@ -130,11 +133,11 @@ def fit(train: Dataset, cfg: TrainConfig) -> PredictorModel:
 
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, c]))
             for c in range(m)]
-    user_factors = np.empty((m, n_u, d))
-    item_factors = np.empty((m, n_i, d))
-    for c, rng in enumerate(rngs):
-        user_factors[c] = rng.normal(0.0, 0.05, size=(n_u, d))
-        item_factors[c] = rng.normal(0.0, 0.05, size=(n_i, d))
+    try:  # each criterion's stream draws its user factors, then its item factors
+        user_factors = np.stack([rng.normal(0.0, 0.05, size=(n_u, d)) for rng in rngs])
+        item_factors = np.stack([rng.normal(0.0, 0.05, size=(n_i, d)) for rng in rngs])
+    except MemoryError as exc:
+        raise TrainingError(f"{wanted}, more than fits in memory") from exc
     user_biases = np.zeros((m, n_u))
     item_biases = np.zeros((m, n_i))
     p = user_factors.reshape(m * n_u, d)

@@ -3,12 +3,14 @@
 Each example takes a valid dataset CSV, predicted-vector CSV or config
 JSON, applies a few byte-level edits, and runs a subcommand on it in
 process, so an uncaught exception fails the test with its traceback.
-Exit code 1 is allowed only for a usage error.
+Other examples give the numeric flags, and ``train.latent_dim``, drawn
+values on valid files. Exit code 1 is allowed only for a usage error.
 """
 
 import contextlib
 import io as textio
 import json
+import operator
 import tempfile
 from pathlib import Path
 
@@ -48,6 +50,42 @@ MUTABLE = {"rank": ["data.csv"], "rank-predicted": ["predicted.csv"],
            "sweep-k": ["data.csv", "config.json"],
            "predict-observed": ["data.csv"], "predict-unrated": ["data.csv"],
            "predict-all": ["data.csv"]}
+
+
+# Whole numbers are small or far past any array size limit, never between,
+# so no example allocates a large array. A flag value is a whole number,
+# any float (nan and the infinities included) or a spelling no parser takes.
+HUGE = st.integers(10**20, 10**40)
+WHOLE = st.one_of(st.integers(-6, 6), HUGE, HUGE.map(operator.neg))
+FLAG = st.one_of(WHOLE.map(str), st.floats().map(str),
+                 st.sampled_from(["", "x", "0x10", "1e400", "-inf", "nan"]))
+SIZE = st.one_of(WHOLE.map(str), FLAG)
+UNIT = st.one_of(st.floats(0.0, 1.0).map(str), FLAG)  # a density or a k
+
+
+def synth_argv(flag: str, value) -> list[str]:
+    """synth with ``flag`` given ``value`` and every other flag valid."""
+    values = {"users": 4, "items": 3, "criteria": 2, "density": 0.5, "seed": 0, flag: value}
+    return ["synth", *(f"--{k}={v}" for k, v in values.items()), "--out", "out.csv"]
+
+
+# (argv, {file: bytes} replacing a valid file); --flag=value passes a value
+# that starts with "-" to the flag rather than reading it as an option
+NUMERIC = {
+    "synth": st.one_of(st.tuples(st.sampled_from(["users", "items", "criteria", "seed"]), SIZE),
+                       st.tuples(st.just("density"), UNIT)).map(
+        lambda drawn: (synth_argv(*drawn), {})),
+    "rank --top-n": FLAG.map(lambda n: ([*COMMANDS["rank"], f"--top-n={n}"], {})),
+    "sweep-k --k": st.lists(UNIT, max_size=3).map(lambda ks: (
+        ["sweep-k", "--input", "data.csv", f"--k={','.join(ks)}", "--config", "config.json",
+         "--out", "report.json"], {})),
+    "predict --seed": FLAG.map(lambda seed: (
+        [*COMMANDS["predict-all"], f"--seed={seed}"], {})),
+    "train.latent_dim": st.one_of(WHOLE, st.floats()).map(lambda dim: (
+        COMMANDS["evaluate"],
+        {"config.json": json.dumps({**CONFIG, "train": {**CONFIG["train"],
+                                                        "latent_dim": dim}}).encode()})),
+}
 
 
 @pytest.fixture(scope="module")
@@ -110,10 +148,29 @@ def test_mutated_input_is_reported_not_raised(valid_files, command):
                 (workdir / name).write_bytes(
                     apply_edits(data, steps) if name == target else data)
             code, err = run_cli(COMMANDS[command], workdir)
-        assert "Traceback" not in err
-        assert code in (0, 2) or (code == 1 and err.startswith("usage error")), \
-            (code, err)
-        if code == 2:
-            assert err.startswith("error: ") and len(err.strip()) > len("error:")
+        assert_reported(code, err)
 
     check()
+
+
+@pytest.mark.parametrize("case", sorted(NUMERIC))
+def test_numeric_flag_is_reported_not_raised(valid_files, case):
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(example=NUMERIC[case])
+    def check(example):
+        argv, replaced = example
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp)
+            for name, data in {**valid_files, **replaced}.items():
+                (workdir / name).write_bytes(data)
+            code, err = run_cli(argv, workdir)
+        assert_reported(code, err)
+
+    check()
+
+
+def assert_reported(code: int, err: str) -> None:
+    assert "Traceback" not in err
+    assert code in (0, 2) or (code == 1 and err.startswith("usage error")), (code, err)
+    if code == 2:
+        assert err.startswith("error: ") and len(err.strip()) > len("error:")

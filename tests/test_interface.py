@@ -706,6 +706,31 @@ class TestCliPipelines:
         assert "error: seed must be non-negative, got -1" in err
         assert "Traceback" not in err
 
+    # refused by the size arithmetic before any array is made
+    @pytest.mark.parametrize("users, criteria, values", [
+        (10**30, 2, 3 * 2 * 10**30), (3, 10**21, 3 * 3 * 10**21)])
+    def test_synth_past_the_array_size_limit_is_a_data_error(self, tmp_path, capsys,
+                                                             users, criteria, values):
+        out = tmp_path / "s.csv"
+        assert run_cli("synth", "--users", str(users), "--items", "3",
+                       "--criteria", str(criteria), "--density", "0.5",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: synth {users} x 3 x {criteria} needs an array of "
+                       f"{values} values, past numpy's limit of {2**60 - 1}\n")
+        assert not out.exists()
+
+    def test_latent_dim_past_the_array_size_limit_is_a_data_error(self, data_file, tmp_path,
+                                                                  capsys):
+        cfg = tmp_path / "wide.json"
+        cfg.write_text('{"train": {"latent_dim": 1' + "0" * 30 + "}}")
+        assert run_cli("evaluate", "--input", data_file, "--config", str(cfg),
+                       "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: train.latent_dim {10**30} needs a (3, ")
+        assert err.endswith(f", {10**30}) factor table, past numpy's limit of "
+                            f"{2**60 - 1} values\n")
+
     def test_diverging_training_is_a_data_error(self, data_file, tmp_path, capsys):
         cfg = tmp_path / "diverge.json"
         cfg.write_text('{"methods": ["pr"], "folds": 2, '
