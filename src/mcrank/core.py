@@ -237,7 +237,8 @@ class MethodSpec:
         elif self.kind == "kd":
             if self.k is None:
                 raise DomainError("kd requires a relaxation factor k")
-            object.__setattr__(self, "k", float(self.k))
+            # -0.0 + 0.0 is 0.0: kd:-0 is kd:0, one method with one label
+            object.__setattr__(self, "k", float(self.k) + 0.0)
             if not 0.0 <= self.k <= 1.0:
                 raise DomainError(f"relaxation factor k must lie in [0, 1], got {self.k}")
         elif self.kind in RANKING_KINDS:

@@ -75,24 +75,35 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
     batch ``x``, chunk by chunk as ``_tiling`` lays them out.
 
     Returns ({k: (B, n) how many others each candidate k-dominates},
-    {kind: (B, n) scores}); k = 0 is Pareto dominance. Per chunk and
-    criterion a - b is formed once, max(a - b, 0) is the gain, summed in
-    criterion order, and a > b, a == b are read as a - b > 0, a - b == 0.
-    That reading is exact whatever the floating-point mode when no nonzero
-    value lies below 2^-970: then two distinct values are at least 2^-1022
-    apart, so their difference is never subnormal and never flushed to zero
-    (an overflowed difference keeps its sign). A batch with such a value
-    compares a with b directly for dominance. Every k reads the same
-    per-pair counts (n_b, n_e) of better and equal criteria; Pareto
-    dominance alone is cheaper as two boolean planes, any worse and any
-    better.
+    {kind: (B, n) scores}); k = 0 is Pareto dominance. Dominance reads, per
+    pair and criterion, whether a is better than, equal to or at least b
+    from one of two operand sources:
+
+    - the batch's rank codes (``_rank_codes``), which compare exactly in
+      any floating-point mode, unless gains are asked for;
+    - else the difference a - b, which the gains plane forms anyway
+      (max(a - b, 0) is the gain, summed in criterion order), read as
+      a - b > 0, == 0, >= 0. That reading is exact whatever the
+      floating-point mode when no nonzero value lies below 2^-970: then
+      two distinct values are at least 2^-1022 apart, so their difference
+      is never subnormal and never flushed to zero (an overflowed
+      difference keeps its sign). A batch with such a value reads codes.
+
+    Every k > 0 reads the same per-pair counts (n_b, n_e) of better and
+    equal criteria, as does k = 0 scored beside them. Pareto dominance
+    alone counts the others that are at most the candidate on every
+    criterion (one compare and one AND per criterion) and subtracts the
+    size of its all-equal group (``_tie_sizes``), itself included.
     """
     b, n, m = x.shape
+    if not (ks or gains):
+        return {}, {}
     pareto = ks == {0.0}
     tables = {} if pareto else {k: _least_better(m, k) for k in ks}
     mag = np.abs(x)
-    direct = bool(((mag > 0.0) & (mag < _EXACT_DIFF)).any())
+    tiny = bool(((mag > 0.0) & (mag < _EXACT_DIFF)).any())
     cols = np.ascontiguousarray(x.transpose(2, 0, 1))
+    codes = _rank_codes(cols) if ks and (tiny or not gains) else None
     counts = {k: np.zeros((b, n)) for k in ks}
     scored = {kind: np.zeros((b, n)) for kind in gains}
     best_in = np.full((b, n), -np.inf)
@@ -104,20 +115,21 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
             sets, rows = slice(s, s + step_sets), slice(r, r + step_rows)
             d = diff[:min(step_sets, b - s), :min(step_rows, n - r)]
             f = flag[:d.shape[0], :d.shape[1]]
-            if pareto:  # no criterion worse and one better
-                worse, better = np.zeros((2, *d.shape), dtype=bool)
+            if pareto:
+                at_most = np.ones(d.shape, dtype=bool)
             elif tables:
                 n_b, n_e = np.zeros((2, *d.shape), dtype=_counter_dtype(m))
             if gains:
                 plane = np.zeros(d.shape)
             for j in range(m):
-                lhs, rhs = cols[j, sets, rows, None], cols[j, sets, None]
-                np.subtract(lhs, rhs, out=d)
-                if not direct:
+                if gains or codes is None:
+                    np.subtract(cols[j, sets, rows, None], cols[j, sets, None], out=d)
+                if codes is None:
                     lhs, rhs = d, 0.0
+                else:
+                    lhs, rhs = codes[j, sets, rows, None], codes[j, sets, None]
                 if pareto:
-                    worse |= np.less(lhs, rhs, out=f)
-                    better |= np.greater(lhs, rhs, out=f)
+                    at_most &= np.greater_equal(lhs, rhs, out=f)
                 elif tables:
                     n_b += np.greater(lhs, rhs, out=f).view(np.int8)
                     n_e += np.equal(lhs, rhs, out=f).view(np.int8)
@@ -126,7 +138,7 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
             # self pairs are equal on every criterion, so never dominated;
             # int32 row counts are exact below 2^31 candidates
             if pareto:
-                counts[0.0][sets, rows] = (better > worse).sum(axis=2, dtype=np.int32)
+                counts[0.0][sets, rows] = at_most.sum(axis=2, dtype=np.int32)
             for k, least in tables.items():
                 counts[k][sets, rows] = (n_b >= least.take(n_e)).sum(
                     axis=2, dtype=np.int32)
@@ -139,7 +151,65 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
                 np.maximum(best_in[sets], plane.max(axis=1), out=best_in[sets])
         if "pg" in scored:
             scored["pg"] -= best_in
+    if pareto:
+        counts[0.0] -= _tie_sizes(cols if codes is None else codes)
     return counts, scored
+
+
+def _rank_codes(cols: np.ndarray) -> np.ndarray:
+    """Dense rank codes of the (M, B, n) table of every criterion column of
+    every set of a batch, in the same layout: in each column the lowest
+    value codes 0 and each next distinct value one more, so codes compare
+    as the values do, and equal values (-0.0 and 0.0 included) share a
+    code. Codes are int16 while a set holds at most 2^15 candidates (codes
+    up to 32,767), else int32.
+    """
+    m, b, n = cols.shape
+    flat, row_start, run_start = _sorted_runs(cols.reshape(m * b, n))
+    runs = run_start[:-1].cumsum()
+    codes = np.empty(cols.size, dtype=np.int16 if n <= 1 << 15 else np.int32)
+    codes[flat] = runs - runs[row_start]
+    return codes.reshape(m, b, n)
+
+
+def _tie_sizes(cols: np.ndarray) -> np.ndarray:
+    """How many candidates of its set equal each one on every criterion,
+    itself included, as a (B, n) table, from the (M, B, n) columns of a
+    batch's values or of their rank codes: one ``np.lexsort`` of every
+    candidate keyed by its set index, then the lengths of the runs of equal
+    candidates in that order."""
+    m, b, n = cols.shape
+    rows = cols.reshape(m, b * n)
+    # a set index as narrow as it can be keeps the sort on that key cheap
+    order = np.lexsort((*rows, np.arange(b, dtype=np.min_scalar_type(b)).repeat(n)))
+    ordered = rows[:, order]
+    run_start = np.ones(b * n + 1, dtype=bool)
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=run_start[1:-1])
+    run_start[:-1:n] = True  # each set starts a run
+    lengths = np.diff(run_start.nonzero()[0])
+    sizes = np.empty(b * n, dtype=np.int32)
+    sizes[order] = lengths.repeat(lengths)
+    return sizes.reshape(b, n)
+
+
+def _sorted_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of the (rows, n) float64 table ``values`` sorted lowest
+    first, the rows laid end to end: (flat, row_start, run_start).
+    ``flat[i]`` is the position in ``values.ravel()`` of sorted position
+    i, ``row_start[i]`` where the row of sorted position i begins, and
+    ``run_start[i]`` whether i begins a run of equal values (each row
+    begins one); ``run_start`` has one more entry, True, at the end."""
+    n, size = values.shape[-1], values.size
+    # the order within a run is never read; the stable sort is the faster
+    # one on the short rows most candidate sets give
+    order = values.argsort(axis=-1, kind="stable")
+    row_start = np.arange(0, size, max(n, 1)).repeat(n)
+    flat = order.ravel() + row_start
+    sorted_vals = values.ravel()[flat]
+    run_start = np.ones(size + 1, dtype=bool)
+    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=run_start[1:size])
+    run_start[:size:max(n, 1)] = True
+    return flat, row_start, run_start
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -147,26 +217,17 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     (negate to rank the lowest first); tied values share the average
     position. Each row of a 2-D array is ranked on its own."""
     values = np.asarray(values, dtype=np.float64)
-    n, size = values.shape[-1], values.size
-    order = (-values).argsort(axis=-1, kind="stable")
-    # the rows, each sorted, laid end to end; row_start[i] is where the row
-    # of flat position i begins
-    row_start = np.arange(0, size, max(n, 1)).repeat(n)
-    flat = order.ravel() + row_start
-    sorted_vals = values.ravel()[flat]
-    # tie groups are runs in that order, and each row starts a new run; run
-    # [s, e) of the row starting at r spans positions s-r+1 .. e-r, whose
-    # average (s + e + 1 - 2r) / 2 is exact in float64. Array methods, not
-    # np.* wrappers: most sets are a few items long, so per-call overhead
-    # is the cost here.
-    run_start = np.ones(size + 1, dtype=bool)
-    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=run_start[1:size])
-    run_start[:size:max(n, 1)] = True
+    flat, row_start, run_start = _sorted_runs(values)
+    # run [s, e) of the row starting at r spans ascending positions
+    # s-r+1 .. e-r, so highest-first positions n+1-(e-r) .. n-(s-r), whose
+    # average (2n + 1 + 2r - s - e) / 2 is exact in float64. Array methods,
+    # not np.* wrappers: most sets are a few items long, so per-call
+    # overhead is the cost here.
     bounds = run_start.nonzero()[0]
     starts, ends = bounds[:-1], bounds[1:]
     ranks = np.empty(values.shape)
-    ranks.reshape(-1)[flat] = ((starts + ends + 1 - 2 * row_start[starts]) / 2.0
-                               ).repeat(ends - starts)
+    ranks.reshape(-1)[flat] = ((2 * values.shape[-1] + 1 + 2 * row_start[starts]
+                                - starts - ends) / 2.0).repeat(ends - starts)
     return ranks
 
 

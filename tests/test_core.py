@@ -198,6 +198,12 @@ class TestMethodSpec:
         hybrid = MethodSpec("hybrid", major=spec, sub=MethodSpec("pg"))
         assert MethodSpec.parse(hybrid.label) == hybrid
 
+    @pytest.mark.parametrize("spec", [MethodSpec("kd", k=-0.0), MethodSpec.parse("kd:-0"),
+                                      MethodSpec.parse("kd:-0+ar").major])
+    def test_negative_zero_k_is_zero(self, spec):
+        assert spec == MethodSpec("kd", k=0.0) and spec.label == "kd:0"
+        assert not np.signbit(spec.k)
+
     def test_k_values_equal_to_six_digits_are_distinct_methods(self):
         cfg = ExperimentConfig(methods=(MethodSpec.parse("kd:0.1234567"),
                                         MethodSpec.parse("kd:0.1234568")))

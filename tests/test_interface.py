@@ -597,6 +597,16 @@ class TestCliPipelines:
             "error: duplicate ranking methods configured: ['kd:0.5', 'kd:0.5']\n")
         assert not out.exists()
 
+    def test_sweep_k_negative_zero_repeats_zero(self, data_file, config_file,
+                                                tmp_path, capsys):
+        # k = -0.0 is stored as 0.0, so kd:-0 is the method kd:0 once more
+        out = tmp_path / "sweep.json"
+        assert run_cli("sweep-k", "--input", data_file, "--k=0,-0",
+                       "--config", config_file, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: duplicate ranking methods configured: ['kd:0', 'kd:0']\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "sweep-k"])
     @pytest.mark.parametrize("out, flags", [
         ("data.json", ("the CSV next to --out", "--input")),

@@ -396,9 +396,10 @@ class TestChunkedPairwise:
 
     @pytest.mark.parametrize("rows", EXTREME_ROWS.values(), ids=EXTREME_ROWS.keys())
     def test_comparisons_match_the_oracle_at_the_float_extremes(self, rows):
-        # the kernels read a > b and a == b from a - b unless a nonzero value
-        # lies below 2^-970; the oracle compares directly. n * M * spread
-        # stays finite, so gd and pg are defined
+        # dominance reads rank codes, or a - b when gd or pg is scored in the
+        # same pass and no nonzero value lies below 2^-970; the oracle
+        # compares directly. n * M * spread stays finite, so gd and pg are
+        # defined
         for n in range(2, len(rows) + 1):
             c = CandidateSet.from_pairs(
                 "u", [(f"i{j}", row) for j, row in enumerate(rows[:n])])
@@ -460,7 +461,7 @@ SHARED_LABELS = ["pr", "kd:0", "kd:0.25", "kd:0.5", "kd:0.75", "kd:1",
 
 
 def with_one_tiny_value(rng, shape):
-    # one value below 2^-970 in set 2 makes the whole batch compare directly
+    # one value below 2^-970 in set 2 makes the whole batch read rank codes
     x = rng.uniform(1.0, 5.0, size=shape)
     x[2, 1, 0] = 2.0 ** -1000
     return x
@@ -584,6 +585,81 @@ class TestSharedPass:
                 assert got.tobytes() == want.tobytes(), (s, label)
 
 
+def candidate_set(user_id, rows):
+    return CandidateSet(user_id=user_id, item_ids=tuple(f"i{j:03d}" for j in range(len(rows))),
+                        matrix=np.array(rows, dtype=np.float64))
+
+
+# label groups scored together: the first four read rank codes, the last
+# two, which score pg, read a - b
+ROUTE_LABEL_GROUPS = [["pr"], ["kd:0.5"], ["pr+ar"], ["pr", "kd:0.5", "kd:0.5+mr"],
+                      ["pr", "pg"], ["pr+pg"]]
+
+
+class TestRankCodes:
+    """Dominance reads each criterion's dense rank codes, unless gd or pg is
+    scored in the same pass; Pareto alone subtracts each candidate's
+    all-equal group, which never reaches into another set."""
+
+    @staticmethod
+    def assert_batch_is_sets_alone_and_oracle(sets, label_groups=ROUTE_LABEL_GROUPS):
+        for labels in label_groups:
+            specs = [MethodSpec.parse(label) for label in labels]
+            table = ranking._score_batch(sets, specs)
+            for s, c in enumerate(sets):
+                vectors = [tuple(row) for row in c.matrix.tolist()]
+                for label, spec, got in zip(labels, specs, table[s]):
+                    assert got.tobytes() == method_scores(c, spec).tobytes(), (s, label)
+                    assert got.tolist() == naive_scores(label, vectors), (s, label)
+
+    def test_adjacent_sets_with_identical_rows(self):
+        rows = [(1.0, 2.0), (1.0, 2.0), (2.0, 1.0), (3.0, 3.0), (1.0, 2.0)]
+        self.assert_batch_is_sets_alone_and_oracle(
+            [candidate_set(f"u{s}", rows) for s in range(4)])
+
+    def test_set_of_one_repeated_row(self):
+        # the last candidate of the first set in lexsort order equals the
+        # first of the second, in values and in codes
+        sets = [candidate_set("u0", [(2.0, 2.0)] * 4),
+                candidate_set("u1", [(2.0, 2.0), (2.0, 2.0), (5.0, 5.0), (2.0, 2.0)]),
+                candidate_set("u2", [(7.0, -0.0)] * 3 + [(7.0, 0.0)])]
+        self.assert_batch_is_sets_alone_and_oracle(sets)
+        for label in ("pr", "kd:0.5", "kd:1"):
+            assert scores_of(sets[0], label) == [0.0] * 4
+            assert scores_of(sets[2], label) == [0.0] * 4
+
+    def test_more_criteria_than_int8_counts(self, monkeypatch):
+        c = many_criteria_set()
+        calls = []
+        real = ranking._rank_codes
+        monkeypatch.setattr(ranking, "_rank_codes",
+                            lambda cols: calls.append(cols.shape) or real(cols))
+        self.assert_batch_is_sets_alone_and_oracle(
+            [c, CandidateSet(user_id="v", item_ids=c.item_ids, matrix=c.matrix)],
+            ROUTE_LABEL_GROUPS[:4])
+        assert calls and {shape[0] for shape in calls} == {130}
+
+    def test_equal_values_share_a_code(self):
+        # two sets of three candidates over two criteria; each column codes
+        # on its own, lowest value 0
+        x = np.array([[[-0.0, 2.0], [0.0, 2.0], [-3.0, -1.0]],
+                      [[5e-324, 9.0], [0.0, 8.0], [5e-324, 9.0]]])
+        codes = ranking._rank_codes(x.transpose(2, 0, 1))
+        assert codes.dtype == np.int16
+        assert codes.tolist() == [[[1, 1, 0], [1, 0, 1]], [[1, 1, 0], [1, 0, 1]]]
+
+    @pytest.mark.parametrize("n, dtype", [(1 << 15, np.int16), ((1 << 15) + 1, np.int32),
+                                          (40_000, np.int32)])
+    def test_codes_reach_n_minus_one_without_wrapping(self, n, dtype):
+        # the code builder alone, on one column of distinct values 0 .. n-1,
+        # which code as themselves; the O(n^2) pass never runs here
+        values = np.random.default_rng(n).permutation(n).astype(np.float64)
+        codes = ranking._rank_codes(values.reshape(1, 1, n))
+        assert codes.dtype == dtype and codes.shape == (1, 1, n)
+        assert codes.max() == n - 1
+        assert np.array_equal(codes[0, 0], values)
+
+
 class TestRankCandidatesOrder:
     """Lists are best first with ties by ascending item id, whatever order
     a candidate set's rows are given in: the set keeps them in id order."""
@@ -668,7 +744,9 @@ class TestStructuralProperties:
             c = random_candidate_set(rng, min_n=2)
             transformed = CandidateSet(user_id=c.user_id, item_ids=c.item_ids,
                                        matrix=np.exp(c.matrix / 2.0))
-            for label in ("pr", "ar", "mr"):
+            # every one of these reads only each criterion's order
+            for label in ("pr", "kd:0.25", "kd:0.5", "kd:1", "ar", "mr",
+                          "pr+ar", "kd:0.5+mr"):
                 assert scores_of(c, label) == scores_of(transformed, label), label
 
     def test_kd_scores_nondecreasing_in_k(self):
