@@ -25,17 +25,12 @@ from .core import (MAX_FLOATS, SCALE, CandidateSet, Dataset, MethodSpec, RatingR
 from .errors import DomainError, SplitError
 from .metrics import GroundTruth, dcg_gain, prefix_means
 from .predictor import PredictorModel, TrainConfig, fit, predict_many
-from .ranking import _best_first, _score_batch
+from .ranking import ranked_slices
 # unused here, but bench/traced.py patches these names in this module
 from .metrics import confusion, f1, ndcg  # noqa: F401
 from .ranking import rank_candidates, top_n  # noqa: F401
 
 BASELINE_LABEL = "pr"
-
-# Sets of one size are scored in slices whose (sets, methods, n) score table
-# holds at most this many cells: 24 sets of 67 candidates under 10 methods.
-# Larger slices ran no faster on the unrated benchmark and hold more memory.
-_SLICE_CELLS = 1 << 14
 
 
 class Protocol(enum.Enum):
@@ -222,15 +217,15 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
     if BASELINE_LABEL not in (m.label for m in methods):
         methods.insert(0, MethodSpec(BASELINE_LABEL))
 
-    kinds = [spec.kind for spec in methods]
     n_values = list(cfg.n_values)
     folds = cfg.folds
+    splits = kfold_split(dataset, folds, cfg.seed)  # refuses folds past the records
     # (method, N, fold, f1 | ndcg) mean over users; fold slot `folds` is the average
     means = np.zeros((len(methods), len(n_values), folds + 1, 2))
     users_evaluated: list[int] = []
     users_skipped: list[int] = []
 
-    for fold, (train_d, test_d) in enumerate(kfold_split(dataset, folds, cfg.seed)):
+    for fold, (train_d, test_d) in enumerate(splits):
         model = fit(train_d, replace(cfg.train, seed=cfg.train.seed + fold))
         cands, truths, skipped = build_candidates(
             model, test_d, cfg.protocol, train=train_d,
@@ -240,11 +235,13 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
         users_skipped.append(len(skipped))
 
         sizes = np.array([cands[u].n for u in users], dtype=np.int64)
-        lengths = np.minimum(sizes, max(n_values))  # no list is read past max(N)
+        largest = int(sizes.max(initial=0))
+        # no list is read past max(N), cut in Python as an N may pass int64
+        lengths = np.minimum(sizes, min(max(n_values), largest))
         n_relevant = np.array([len(truths[u].relevant) for u in users], dtype=np.int64)
         # Candidate table: user u's candidates in id order, as gain and relevance,
         # which only rated test items in the pool have; one more column stays 0.
-        gain = np.zeros((len(users), int(sizes.max(initial=0)) + 1))
+        gain = np.zeros((len(users), largest + 1))
         hit = np.zeros(gain.shape, dtype=bool)
         for u, user in enumerate(users):
             ids, truth = cands[user].item_ids, truths[user]
@@ -256,13 +253,8 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
         # Order table: user u's list under method j as candidate columns, best
         # first and cut at max(N); the -1 past a shorter list reads that 0 column.
         order = np.full((len(users), len(methods), int(lengths.max(initial=0))), -1)
-        for size in sorted(set(sizes.tolist())):
-            group = (sizes == size).nonzero()[0]
-            step = max(1, _SLICE_CELLS // (len(methods) * size))
-            for start in range(0, len(group), step):
-                rows = group[start:start + step]
-                scores = _score_batch([cands[users[r]] for r in rows.tolist()], methods)
-                order[rows, :, :size] = _best_first(scores, kinds)[0][..., :order.shape[2]]
+        for rows, ranked, _ in ranked_slices([cands[u] for u in users], methods):
+            order[rows, :, :ranked.shape[2]] = ranked[..., :order.shape[2]]
 
         for j in range(len(methods)):
             gains, hits = (np.take_along_axis(t, order[:, j], axis=1) for t in (gain, hit))

@@ -1,25 +1,24 @@
-"""Scoring candidate sets under any ranking method.
+"""Scoring candidate sets under any ranking method, and ranking them.
 
 ``method_scores`` and ``score_methods`` return fresh float64 arrays
 aligned with ``c.item_ids``. Dominance counting methods (pr, kd),
 degree-of-dominance methods (gd, pg) and hybrids produce higher-is-better
 scores; rank aggregation methods (ar, mr) produce positions, where
-position one is the top of the list and lower wins. ``rank_candidates``
-negates those once and always returns a descending-is-better ScoredList.
+position one is the top of the list and lower wins.
 
-Scoring works on batches: B candidate sets of equal size n go in, one
-(B, methods, n) table comes out, and a single set is the batch B = 1.
-The pairwise pass walks the batch in chunks laid out by one rule,
-``_tiling``: each chunk holds as many rows of a set as fit in
-``_CHUNK_CELLS`` cells, so as many whole sets as fit, or else a run of
-rows of one set, and peak memory stays bounded. Every set scores bit
-for bit as it does alone, whatever batch it is in.
+``ranked_slices`` is the one path to best-first lists, for
+``rank_candidates`` and the evaluate path alike. It scores equal-size
+sets as batches, B sets of n candidates in, one (B, methods, n) table
+out, and one budget, ``_CHUNK_CELLS``, bounds both that table and each
+chunk of the pairwise pass, laid out by ``_tiling``: as many whole sets
+as fit, or else a run of rows of one set. Every set scores bit for bit
+as it does alone, whatever batch it is in.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +28,8 @@ from .errors import DomainError
 # A chunk's (sets, rows, n) differences, taken over all M criteria, number
 # at most this many cells: 7 whole sets at n = 67, M = 4, or 16 rows of
 # one set at n = 2,000, M = 4, which keeps each temporary (256 KB as
-# float64) in cache.
+# float64) in cache. A slice's (sets, methods, n) score table holds at
+# most as many: 195 sets of 67 candidates under 10 methods.
 _CHUNK_CELLS = 1 << 17
 
 # From here up the spacing of float64 values is at least 2^-1022, the
@@ -89,21 +89,22 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
       is never subnormal and never flushed to zero (an overflowed
       difference keeps its sign). A batch with such a value reads codes.
 
-    Every k > 0 reads the same per-pair counts (n_b, n_e) of better and
-    equal criteria, as does k = 0 scored beside them. Pareto dominance
-    alone counts the others that are at most the candidate on every
-    criterion (one compare and one AND per criterion) and subtracts the
-    size of its all-equal group (``_tie_sizes``), itself included.
+    Every k reads the same per-pair counts (n_b, n_e) of better and equal
+    criteria through its ``_least_better`` table, but for Pareto dominance
+    alone on rank codes: that counts the others that are at most the
+    candidate on every criterion (one compare and one AND per criterion)
+    and subtracts the size of its all-equal group (``_tie_sizes``), itself
+    included.
     """
     b, n, m = x.shape
     if not (ks or gains):
         return {}, {}
-    pareto = ks == {0.0}
-    tables = {} if pareto else {k: _least_better(m, k) for k in ks}
     mag = np.abs(x)
     tiny = bool(((mag > 0.0) & (mag < _EXACT_DIFF)).any())
     cols = np.ascontiguousarray(x.transpose(2, 0, 1))
     codes = _rank_codes(cols) if ks and (tiny or not gains) else None
+    pareto = ks == {0.0} and codes is not None
+    tables = {} if pareto else {k: _least_better(m, k) for k in ks}
     counts = {k: np.zeros((b, n)) for k in ks}
     scored = {kind: np.zeros((b, n)) for kind in gains}
     best_in = np.full((b, n), -np.inf)
@@ -152,7 +153,7 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
         if "pg" in scored:
             scored["pg"] -= best_in
     if pareto:
-        counts[0.0] -= _tie_sizes(cols if codes is None else codes)
+        counts[0.0] -= _tie_sizes(codes)
     return counts, scored
 
 
@@ -172,14 +173,14 @@ def _rank_codes(cols: np.ndarray) -> np.ndarray:
     return codes.reshape(m, b, n)
 
 
-def _tie_sizes(cols: np.ndarray) -> np.ndarray:
+def _tie_sizes(codes: np.ndarray) -> np.ndarray:
     """How many candidates of its set equal each one on every criterion,
-    itself included, as a (B, n) table, from the (M, B, n) columns of a
-    batch's values or of their rank codes: one ``np.lexsort`` of every
-    candidate keyed by its set index, then the lengths of the runs of equal
-    candidates in that order."""
-    m, b, n = cols.shape
-    rows = cols.reshape(m, b * n)
+    itself included, as a (B, n) table, from the (M, B, n) rank codes of a
+    batch (``_rank_codes``): one ``np.lexsort`` of every candidate's
+    integer codes keyed by its set index, then the lengths of the runs of
+    equal candidates in that order."""
+    m, b, n = codes.shape
+    rows = codes.reshape(m, b * n)
     # a set index as narrow as it can be keeps the sort on that key cheap
     order = np.lexsort((*rows, np.arange(b, dtype=np.min_scalar_type(b)).repeat(n)))
     ordered = rows[:, order]
@@ -309,36 +310,41 @@ def _major_k(spec: MethodSpec) -> float:
     return 0.0 if spec.kind == "pr" else spec.k
 
 
-def _best_first(table: np.ndarray, kinds: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate indices best first along the last axis of a (..., specs, n)
-    score table, ``kinds[i]`` being the method kind of row i of the specs
-    axis, and the descending-is-better keys in that order.
+def ranked_slices(sets: Sequence[CandidateSet], specs: Sequence[MethodSpec]
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every list of ``sets`` under ``specs`` best first, slice by slice.
 
-    Positions (ar, mr) are negated once, in ``table`` itself. The sort is
-    stable over each set's id-ordered candidates, so equal keys break by
-    ascending item id. The result is checked against the ScoredList
-    invariant here, as the evaluate path builds no ScoredList.
+    Equal-size sets are scored together (``_score_batch``) in slices whose
+    (sets, specs, n) table holds at most ``_CHUNK_CELLS`` cells. A slice
+    yields (rows, order, keys): ``rows`` index ``sets``, and row [s, i] of
+    ``order`` and ``keys`` is ``sets[rows[s]]``'s candidate indices under
+    ``specs[i]`` best first and their descending-is-better keys, positions
+    (ar, mr) negated. The stable sort breaks equal keys by ascending item
+    id, and every list is checked against the ScoredList invariant.
     """
-    lower = [i for i, kind in enumerate(kinds) if kind in _LOWER_BETTER]
-    table[..., lower, :] = -table[..., lower, :]
-    order = np.argsort(-table, axis=-1, kind="stable")
-    keys = np.take_along_axis(table, order, axis=-1)
-    if ((keys[..., 1:] > keys[..., :-1])
-            | ((keys[..., 1:] == keys[..., :-1]) & (order[..., 1:] <= order[..., :-1]))).any():
-        raise DomainError("ranked list must be non-increasing in score, with tied "
-                          "scores ordered by ascending item id")
-    return order, keys
+    sizes = np.array([c.n for c in sets], dtype=np.int64)
+    lower = [i for i, spec in enumerate(specs) if spec.kind in _LOWER_BETTER]
+    for size in sorted(set(sizes.tolist())):
+        group = (sizes == size).nonzero()[0]
+        step = max(1, _CHUNK_CELLS // (len(specs) * size))
+        for start in range(0, len(group), step):
+            rows = group[start:start + step]
+            table = _score_batch([sets[r] for r in rows.tolist()], specs)
+            table[:, lower] = -table[:, lower]
+            order = np.argsort(-table, axis=-1, kind="stable")
+            keys = np.take_along_axis(table, order, axis=-1)
+            if ((keys[..., 1:] > keys[..., :-1]) | ((keys[..., 1:] == keys[..., :-1])
+                                                    & (order[..., 1:] <= order[..., :-1]))).any():
+                raise DomainError("ranked list must be non-increasing in score, with tied "
+                                  "scores ordered by ascending item id")
+            yield rows, order, keys
 
 
 def rank_candidates(c: CandidateSet, spec: MethodSpec) -> ScoredList:
-    """Score and materialize the descending-is-better list.
-
-    Lower-is-better positions are negated first so the list is uniformly
-    ordered; remaining ties break by ascending item id.
-    """
-    order, keys = _best_first(method_scores(c, spec)[None], [spec.kind])
+    """``c``'s descending-is-better list under ``spec`` (``ranked_slices``)."""
+    [(_, order, keys)] = ranked_slices([c], [spec])
     return ScoredList(
-        tuple(zip([c.item_ids[i] for i in order[0].tolist()], keys[0].tolist())))
+        tuple(zip([c.item_ids[i] for i in order[0, 0].tolist()], keys[0, 0].tolist())))
 
 
 def top_n(scored: ScoredList, n: int) -> ScoredList:

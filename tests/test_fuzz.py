@@ -3,11 +3,14 @@
 Each example takes a valid dataset CSV, predicted-vector CSV or config
 JSON, applies a few byte-level edits, and runs a subcommand on it in
 process, so an uncaught exception fails the test with its traceback.
-Other examples give the numeric flags, and ``train.latent_dim``, drawn
-values on valid files. Exit code 1 is allowed only for a usage error.
+Other examples give the numeric flags, and the config's ``folds``,
+``seed``, ``n_values`` and ``train.latent_dim``, drawn values on valid
+files. ``train.epochs`` is left out: a huge value is a long run, not an
+error. Exit code 1 is allowed only for a usage error.
 """
 
 import contextlib
+import functools
 import io as textio
 import json
 import operator
@@ -61,6 +64,17 @@ FLAG = st.one_of(WHOLE.map(str), st.floats().map(str),
                  st.sampled_from(["", "x", "0x10", "1e400", "-inf", "nan"]))
 SIZE = st.one_of(WHOLE.map(str), FLAG)
 UNIT = st.one_of(st.floats(0.0, 1.0).map(str), FLAG)  # a density or a k
+NUMBER = st.one_of(WHOLE, st.floats())  # a config value
+
+
+def evaluate_with(key: str, value):
+    """evaluate on CONFIG with the config ``key`` (``train.`` keys nested)
+    set to ``value``."""
+    if key.startswith("train."):
+        config = {**CONFIG, "train": {**CONFIG["train"], key[len("train."):]: value}}
+    else:
+        config = {**CONFIG, key: value}
+    return COMMANDS["evaluate"], {"config.json": json.dumps(config).encode()}
 
 
 def synth_argv(flag: str, value) -> list[str]:
@@ -81,10 +95,10 @@ NUMERIC = {
          "--out", "report.json"], {})),
     "predict --seed": FLAG.map(lambda seed: (
         [*COMMANDS["predict-all"], f"--seed={seed}"], {})),
-    "train.latent_dim": st.one_of(WHOLE, st.floats()).map(lambda dim: (
-        COMMANDS["evaluate"],
-        {"config.json": json.dumps({**CONFIG, "train": {**CONFIG["train"],
-                                                        "latent_dim": dim}}).encode()})),
+    **{key: values.map(functools.partial(evaluate_with, key))
+       for key, values in [("folds", NUMBER), ("seed", NUMBER),
+                           ("n_values", st.lists(NUMBER, max_size=3)),
+                           ("train.latent_dim", NUMBER)]},
 }
 
 

@@ -741,6 +741,34 @@ class TestCliPipelines:
         assert err.endswith(f", {10**30}) factor table, past numpy's limit of "
                             f"{2**60 - 1} values\n")
 
+    def test_n_values_past_int64_read_every_list_whole(self, data_file, tmp_path):
+        # max(N) is cut at the largest set before numpy sees it, and the
+        # report keeps the N as configured
+        cells = {}
+        for n in (2**63 - 1, 2**63, 10**30):
+            cfg, out = tmp_path / f"{n}.json", tmp_path / f"{n}-report.json"
+            cfg.write_text(json.dumps({"methods": ["pr", "kd:0.5+ar"], "folds": 2,
+                                       "n_values": [3, n], "train": {"epochs": 2}}))
+            assert run_cli("evaluate", "--input", data_file, "--config", str(cfg),
+                           "--out", str(out)) == 0
+            report = load_report(out)
+            assert report.metadata["config"]["n_values"] == [3, n]
+            cells[n] = [(c.method, c.fold, c.f1, c.ndcg) for c in report.cells if c.n == n]
+        assert cells[2**63] == cells[2**63 - 1] == cells[10**30]
+
+    @pytest.mark.parametrize("folds", [10**12, 2**63])
+    def test_folds_past_the_records_are_refused_before_any_allocation(
+            self, data_file, tmp_path, capsys, folds):
+        cfg = tmp_path / "folds.json"
+        cfg.write_text(json.dumps({"methods": ["pr"], "folds": folds}))
+        out = tmp_path / "r.json"
+        assert run_cli("evaluate", "--input", data_file, "--config", str(cfg),
+                       "--out", str(out)) == 2
+        records = len(load_dataset(data_file).records)
+        assert capsys.readouterr().err == \
+            f"error: {records} records cannot fill {folds} folds\n"
+        assert not out.exists()
+
     def test_diverging_training_is_a_data_error(self, data_file, tmp_path, capsys):
         cfg = tmp_path / "diverge.json"
         cfg.write_text('{"methods": ["pr"], "folds": 2, '

@@ -265,8 +265,9 @@ class TestRunExperiment:
         # order, and with the baseline row last
         pytest.param(3.0, Protocol.TEST_ITEMS, ["kd:0.5", "ar", "gd", "pr"], 9,
                      small_dataset(15), False, id="nine-folds-pr-last"),
-        # every size group split over several score calls, sets scored
-        # several to a chunk and in row chunks, and a one-item pool
+        # under one cell budget: size groups split over several slices,
+        # sets scored several to a chunk and in row chunks, and a
+        # one-item pool
         pytest.param(3.0, Protocol.ALL_UNRATED, ["kd:0.5", "ar", "mr", "gd", "kd:0.5+pg"],
                      3, dataset_with_a_full_rater(), True, id="all_unrated-split")])
     def test_every_cell_equals_per_list_evaluation(self, monkeypatch, threshold, protocol,
@@ -277,26 +278,29 @@ class TestRunExperiment:
         cfg = small_config(methods, folds=folds,
                            protocol=protocol, relevance_threshold=threshold,
                            n_values=(1, 2, 3, 5, 8, 12, 40))
+        cells = 200
         if split:
             batches = []
-            real = pipeline._score_batch
+            real = ranking._score_batch
 
             def recorder(sets, *args):
                 batches.append((len(sets), *sets[0].matrix.shape))
                 return real(sets, *args)
 
-            monkeypatch.setattr(pipeline, "_score_batch", recorder)
-            monkeypatch.setattr(pipeline, "_SLICE_CELLS", 200)
-            monkeypatch.setattr(ranking, "_CHUNK_CELLS", 150)
+            monkeypatch.setattr(ranking, "_score_batch", recorder)
+            monkeypatch.setattr(ranking, "_CHUNK_CELLS", cells)
         report = run_experiment(ds, cfg)
         if split:
             sizes = [n for _, n, _ in batches]
             assert 1 in sizes and len(ds.users()) >= 40
             assert len(sizes) > len(set(sizes)) + 5  # groups span several slices
-            # slices of sets that fit a chunk span several chunks, and
-            # slices of larger sets are scored in row chunks
-            assert any(1 <= 150 // (n * n * m) < b for b, n, m in batches)
-            assert any(b > 1 and n * n * m > 150 for b, n, m in batches)
+            # every slice's score table fits the budget; slices of sets that
+            # fit a chunk span several chunks, and slices of larger sets are
+            # scored in row chunks
+            specs = len(report.metadata["methods"])
+            assert all(b == 1 or b * specs * n <= cells for b, n, _ in batches)
+            assert any(1 <= cells // (n * n * m) < b for b, n, m in batches)
+            assert any(b > 1 and n * n * m > cells for b, n, m in batches)
         methods = [MethodSpec.parse(m) for m in report.metadata["methods"]]
         per_fold = []
         for fold, (train, test) in enumerate(kfold_split(ds, cfg.folds, cfg.seed)):

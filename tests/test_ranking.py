@@ -639,6 +639,25 @@ class TestRankCodes:
             ROUTE_LABEL_GROUPS[:4])
         assert calls and {shape[0] for shape in calls} == {130}
 
+    @pytest.mark.parametrize("draw", [ties, with_one_tiny_value],
+                             ids=["integer-ties", "tiny-value-in-one-set"])
+    def test_tie_groups_read_integer_codes_only(self, monkeypatch, draw):
+        # Pareto alone subtracts its all-equal groups on the code route only;
+        # beside gd or pg, with no tiny value, it reads the k = 0 table
+        calls = []
+        real = ranking._tie_sizes
+        monkeypatch.setattr(ranking, "_tie_sizes",
+                            lambda codes: calls.append(codes.dtype) or real(codes))
+        x = draw(np.random.default_rng(97), (4, 5, 2))
+        sets = [candidate_set(f"u{s}", x[s]) for s in range(4)]
+        tiny = draw is with_one_tiny_value
+        for labels in ROUTE_LABEL_GROUPS:
+            self.assert_batch_is_sets_alone_and_oracle(sets, [labels])
+            calls.clear()
+            ranking._score_batch(sets, [MethodSpec.parse(label) for label in labels])
+            on_codes = labels in (["pr"], ["pr+ar"]) or (tiny and "pg" in labels[-1])
+            assert calls == [np.dtype(np.int16)] * on_codes, labels
+
     def test_equal_values_share_a_code(self):
         # two sets of three candidates over two criteria; each column codes
         # on its own, lowest value 0
