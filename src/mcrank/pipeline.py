@@ -1,9 +1,9 @@
 """End-to-end experiment orchestration.
 
-Splits a dataset into folds, trains the baseline predictor per fold,
-builds per-user candidate sets, ranks them under every configured
-method, and aggregates F1/NDCG at each list length with improvement
-ratios over the plain Pareto-ranking baseline.
+Splits a dataset into folds, trains every fold's baseline predictor in
+one ``fit_folds`` call, builds per-user candidate sets, ranks them under
+every configured method, and aggregates F1/NDCG at each list length with
+improvement ratios over the plain Pareto-ranking baseline.
 
 Everything is deterministic given (dataset, config): users are processed
 in sorted order, folds by index, and all reductions happen in that fixed
@@ -24,10 +24,11 @@ from .core import (MAX_FLOATS, SCALE, CandidateSet, Dataset, MethodSpec, RatingR
                    check_config_fields, checked_number)
 from .errors import DomainError, SplitError
 from .metrics import GroundTruth, dcg_gain, prefix_means
-from .predictor import PredictorModel, TrainConfig, fit, predict_many
+from .predictor import PredictorModel, TrainConfig, fit_folds, predict_many
 from .ranking import ranked_slices
 # unused here, but bench/traced.py patches these names in this module
 from .metrics import confusion, f1, ndcg  # noqa: F401
+from .predictor import fit  # noqa: F401
 from .ranking import rank_candidates, top_n  # noqa: F401
 
 BASELINE_LABEL = "pr"
@@ -224,11 +225,12 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> MetricsReport:
     means = np.zeros((len(methods), len(n_values), folds + 1, 2))
     users_evaluated: list[int] = []
     users_skipped: list[int] = []
+    models = fit_folds([train_d for train_d, _ in splits], cfg.train)  # fold f: seed + f
 
     for fold, (train_d, test_d) in enumerate(splits):
-        model = fit(train_d, replace(cfg.train, seed=cfg.train.seed + fold))
+        # each model is dropped once its fold's candidates are built
         cands, truths, skipped = build_candidates(
-            model, test_d, cfg.protocol, train=train_d,
+            models.pop(0), test_d, cfg.protocol, train=train_d,
             threshold=cfg.relevance_threshold)
         users = sorted(cands)
         users_evaluated.append(len(users))

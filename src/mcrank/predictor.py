@@ -8,16 +8,20 @@ deterministic output.
 
 Training is level-scheduled: within an epoch, two SGD steps on disjoint
 user rows and disjoint item rows commute, so each epoch's shuffled
-sequence is cut into dependency levels and every level, for all criteria
-at once, runs as one vectorised update (the conflict-free ordering of
-Gemulla et al. 2011, "Large-scale Matrix Factorization with Distributed
-Stochastic Gradient Descent"). The parameters are bitwise equal to those
-of visiting the records one at a time; ``tests/naive.py`` holds that
-sequential loop as the reference.
+sequence is cut into dependency levels and every level runs as one
+vectorised update (the conflict-free ordering of Gemulla et al. 2011,
+"Large-scale Matrix Factorization with Distributed Stochastic Gradient
+Descent"). ``fit_folds`` trains the models of every fold in one such
+schedule: every (fold, criterion) block owns rows of one factor table and
+one bias vector, so one level updates every block at once. The
+parameters are bitwise equal to those of visiting each fold's records
+one at a time; ``tests/naive.py`` holds that sequential loop as the
+reference.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,145 +91,227 @@ class PredictorModel:
         return len(self.criteria_names)
 
 
+def fit(train: Dataset, cfg: TrainConfig) -> PredictorModel:
+    """Train one biased-MF model per criterion with seeded SGD; see ``fit_folds``."""
+    return fit_folds([train], cfg)[0]
+
+
 # A diverging run reports one TrainingError, not numpy's overflow warnings.
 @np.errstate(over="ignore", invalid="ignore")
-def fit(train: Dataset, cfg: TrainConfig) -> PredictorModel:
-    """Train one biased-MF model per criterion with seeded SGD.
+def fit_folds(trains: list[Dataset], cfg: TrainConfig) -> list[PredictorModel]:
+    """One model per training set; fold f trains with seed ``cfg.seed + f``.
 
-    Records are visited in a seeded shuffle each epoch; each criterion
-    draws from its own seed stream so criteria stay fully independent.
-    The result is bitwise equal to stepping through each criterion's
-    shuffle one record at a time: each epoch is cut into dependency
-    levels (see ``_levels``) and every level, for all criteria at once,
-    is applied as one gather, update and scatter over flat parameter
-    tables. Records on one level share no user row and no item row, and
-    each row still receives its updates in shuffled order, with the same
-    floating-point operations in the same order. A run whose loss goes
-    non-finite raises TrainingError at the end of that epoch.
+    Each (fold, criterion) block visits its records in a seeded shuffle
+    each epoch, drawn from its own seed stream, so blocks stay fully
+    independent. Consecutive folds are stacked while their tables together
+    fit ``MAX_FLOATS``; see ``_fit_stack``. Every model is bitwise equal to
+    stepping through its shuffles one record at a time, as ``fit`` on that
+    fold alone.
+
+    Empty folds and tables past numpy's limit are refused in fold order
+    before any training. If losses go non-finite, the lowest such fold
+    raises TrainingError naming its first non-finite epoch, as a loop of
+    ``fit`` calls would.
     """
+    ids = [_ids(train, cfg.latent_dim) for train in trains]
+    values = [t.n_criteria * (len(u) + len(i)) * cfg.latent_dim
+              for t, (u, i) in zip(trains, ids)]  # each fold's table size
+    models: list[PredictorModel] = []
+    while len(models) < len(trains):
+        first = len(models)
+        total, stop = values[first], first + 1
+        while stop < len(trains) and total + values[stop] <= MAX_FLOATS:
+            total += values[stop]
+            stop += 1
+        models += _fit_stack(trains[first:stop], ids[first:stop], first, cfg)
+    return models
+
+
+def _ids(train: Dataset, d: int) -> tuple[list[str], list[str]]:
+    """Sorted user and item ids of a training set whose factor table fits."""
     if not train.records:
         raise TrainingError("cannot train on an empty dataset")
     users = sorted({r.user_id for r in train.records})
     items = sorted({r.item_id for r in train.records})
-    u_index = {u: i for i, u in enumerate(users)}
-    i_index = {t: i for i, t in enumerate(items)}
-    n_u, n_i, m = len(users), len(items), train.n_criteria
-    d = cfg.latent_dim
-    wanted = f"train.latent_dim {d} needs a {(m, max(n_u, n_i), d)} factor table"
-    if m * max(n_u, n_i) * d > MAX_FLOATS:
-        raise TrainingError(f"{wanted}, past numpy's limit of {MAX_FLOATS} values")
+    shape = (train.n_criteria, len(users) + len(items), d)
+    if shape[0] * shape[1] * d > MAX_FLOATS:
+        raise TrainingError(f"train.latent_dim {d} needs a {shape} factor table, "
+                            f"past numpy's limit of {MAX_FLOATS} values")
+    return users, items
 
-    u_idx = np.fromiter((u_index[r.user_id] for r in train.records), dtype=np.int32)
-    i_idx = np.fromiter((i_index[r.item_id] for r in train.records), dtype=np.int32)
-    ratings = np.asarray([r.criteria for r in train.records], dtype=np.float64)
-    n_rec = len(train.records)
 
-    # Entry e = c * n_rec + t is record t under criterion c. Criterion c
-    # owns rows c*n_u.. of the user tables and c*n_i.. of the item tables.
-    crit = np.arange(m, dtype=np.int32)[:, None]
-    e_user = (crit * n_u + u_idx).ravel()
-    e_item = (crit * n_i + i_idx).ravel()
-    e_rating = np.ascontiguousarray(ratings.T).ravel()
-    del crit, u_idx, i_idx, ratings
-    global_means = np.array([float(e_rating[c * n_rec:(c + 1) * n_rec].mean())
-                             for c in range(m)])
-    e_mean = np.repeat(global_means, n_rec)
+def _fit_stack(trains, ids, first: int, cfg: TrainConfig) -> list[PredictorModel]:
+    """``fit_folds`` on consecutive folds, the first of them fold ``first``.
 
-    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, c]))
-            for c in range(m)]
-    try:  # each criterion's stream draws its user factors, then its item factors
-        user_factors = np.stack([rng.normal(0.0, 0.05, size=(n_u, d)) for rng in rngs])
-        item_factors = np.stack([rng.normal(0.0, 0.05, size=(n_i, d)) for rng in rngs])
+    Every block's user rows and item rows live in one factor table and one
+    bias vector. Each epoch, the blocks' shuffles are cut into dependency
+    levels together (see ``_levels``), and each level runs as one gather,
+    update and scatter. Records on one level share no row, and each
+    row still receives its updates in shuffled order, with the same
+    floating-point operations in the same order.
+    """
+    d, lr, reg = cfg.latent_dim, cfg.learning_rate, cfg.reg
+    # Block (f, c) is fold f under criterion c. It owns table rows row0..,
+    # its users then its items, and entries e0.., its fold's records in order.
+    blocks = []  # (f, c, row0, users, e0, records)
+    n_rows = n_entries = 0
+    for f, (train, (users, items)) in enumerate(zip(trains, ids)):
+        for c in range(train.n_criteria):
+            blocks.append((f, c, n_rows, len(users), n_entries, len(train.records)))
+            n_rows += len(users) + len(items)
+            n_entries += len(train.records)
+    # Work space for three (2, cap, d) gathers, within the table's size for a
+    # table of six rows or more: a level of more than `cap` records runs in
+    # several steps, the same update as its rows are disjoint. Before an
+    # epoch's steps it holds the (2, N) int32 rows of the shuffled entries,
+    # then their N int64 sort keys.
+    cap = max(1, n_rows // 6)
+    e_rows = np.empty((2, n_entries), dtype=np.int32)  # each entry's user row, item row
+    e_rating = np.empty(n_entries)
+    row_mean = np.empty(n_rows)  # the global mean of each row's block
+    rngs = []
+    try:
+        table = np.empty((n_rows, d))
+        work = np.empty(max(6 * cap * d, n_entries))
+        for f, c, row0, n_u, e0, n in blocks:
+            train, (users, items) = trains[f], ids[f]
+            if c == 0:
+                u_index = {u: i for i, u in enumerate(users)}
+                i_index = {t: i for i, t in enumerate(items)}
+                u_idx = np.fromiter((u_index[r.user_id] for r in train.records),
+                                    dtype=np.int32, count=n)
+                i_idx = np.fromiter((i_index[r.item_id] for r in train.records),
+                                    dtype=np.int32, count=n)
+                ratings = np.asarray([r.criteria for r in train.records], dtype=np.float64)
+            np.add(u_idx, row0, out=e_rows[0, e0:e0 + n])
+            np.add(i_idx, row0 + n_u, out=e_rows[1, e0:e0 + n])
+            e_rating[e0:e0 + n] = ratings[:, c]
+            row_mean[row0:row0 + n_u + len(items)] = e_rating[e0:e0 + n].mean()
+            # each block's stream draws its user factors, then its item factors
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed + first + f, c]))
+            table[row0:row0 + n_u] = rng.normal(0.0, 0.05, size=(n_u, d))
+            table[row0 + n_u:row0 + n_u + len(items)] = rng.normal(
+                0.0, 0.05, size=(len(items), d))
+            rngs.append(rng)
     except MemoryError as exc:
-        raise TrainingError(f"{wanted}, more than fits in memory") from exc
-    user_biases = np.zeros((m, n_u))
-    item_biases = np.zeros((m, n_i))
-    p = user_factors.reshape(m * n_u, d)
-    q = item_factors.reshape(m * n_i, d)
-    bu = user_biases.reshape(m * n_u)
-    bi = item_biases.reshape(m * n_i)
+        raise TrainingError(f"train.latent_dim {d} needs a {(n_rows, d)} factor table, "
+                            "more than fits in memory") from exc
+    del u_idx, i_idx, ratings
+    bias = np.zeros(n_rows)
 
-    def mse() -> list[float]:
-        # One criterion at a time keeps the gathered (n_rec, d) copies small.
-        out = []
-        for c in range(m):
-            cut = slice(c * n_rec, (c + 1) * n_rec)
-            u, i = e_user[cut], e_item[cut]
-            pred = e_mean[cut] + bu[u] + bi[i] + np.einsum("nd,nd->n", p[u], q[i])
-            out.append(float(np.mean((e_rating[cut] - pred) ** 2)))
-        return out
+    def mse(row0: int, e0: int, n: int) -> float:
+        dots = np.empty(n)
+        for a in range(0, n, 3 * cap):
+            rows = e_rows[:, e0 + a:e0 + min(n, a + 3 * cap)]
+            pq = work[:rows.size * d].reshape(2, -1, d)
+            # mode "raise" would copy through a buffer; every row is in range
+            table.take(rows, axis=0, out=pq, mode="clip")
+            np.einsum("nd,nd->n", *pq, out=dots[a:a + 3 * cap])
+        u, i = e_rows[:, e0:e0 + n]
+        pred = row_mean[row0] + bias[u] + bias[i] + dots
+        return float(np.mean((e_rating[e0:e0 + n] - pred) ** 2))
 
-    history = [mse()]
-    lr, reg = cfg.learning_rate, cfg.reg
-    shuffled = np.empty(m * n_rec, dtype=np.int32)
+    history = [[mse(row0, e0, n)] for _, _, row0, _, e0, n in blocks]
+    diverged: dict[int, int] = {}  # fold -> its first epoch with a non-finite loss
+    # intp, as numpy's take would copy any other index type to it
+    shuffled = np.empty(n_entries, dtype=np.intp)
     for epoch in range(1, cfg.epochs + 1):
-        for c, rng in enumerate(rngs):
-            part = shuffled[c * n_rec:(c + 1) * n_rec]
-            part[:] = rng.permutation(n_rec)
-            part += c * n_rec
-        level = _levels(e_user[shuffled], e_item[shuffled], m * n_u, m * n_i)
-        order = shuffled[np.argsort(level, kind="stable")]
-        ends = np.cumsum(np.bincount(level)).tolist()
-        del level
-        users_o, items_o = e_user[order], e_item[order]
-        ratings_o, means_o = e_rating[order], e_mean[order]
-        del order
-        start = 0
-        for end in ends:
-            u = users_o[start:end]
-            i = items_o[start:end]
-            pu, qi, bu_u, bi_i = p[u], q[i], bu[u], bi[i]
-            # A stack of (1, d) @ (d, 1) products runs the same BLAS ddot as
-            # a single `pu @ qi`; einsum would sum in another order.
-            dot = np.matmul(pu[:, None, :], qi[:, :, None])[:, 0, 0]
-            err = ratings_o[start:end] - (means_o[start:end] + bu_u + bi_i + dot)
-            bu[u] = bu_u + lr * (err - reg * bu_u)
-            bi[i] = bi_i + lr * (err - reg * bi_i)
-            err = err[:, None]
-            p[u] = pu + lr * (err * qi - reg * pu)
-            q[i] = qi + lr * (err * pu - reg * qi)
-            start = end
-        del users_o, items_o, ratings_o, means_o
-        history.append(mse())
-        if not np.isfinite(history[-1]).all():
-            raise TrainingError(
-                f"training diverged: the loss is not finite after epoch {epoch}; "
-                f"lower learning_rate (now {lr!r})")
+        for (_, _, _, _, e0, n), rng in zip(blocks, rngs):
+            part = shuffled[e0:e0 + n]
+            part[:] = rng.permutation(n)
+            part += e0
+        # Blocks share no row, so one pass over every block gives each entry
+        # its level within its own block's shuffle. The entries are then
+        # sorted by (level, entry), packed in one int64 key, so level j is
+        # the run shuffled[ends[j - 1]:ends[j]], ends[j] counting the keys
+        # below (j + 1) << 32. Any order within a level will do, as its
+        # records share no row. Rows and keys live in the work space, so an
+        # epoch allocates no (N,) array but its levels.
+        rows = work.view(np.int32)[:2 * n_entries].reshape(2, -1)
+        e_rows.take(shuffled, axis=1, out=rows, mode="clip")
+        level = _levels(rows[0], rows[1], n_rows)
+        key = work.view(np.int64)[:n_entries]
+        np.left_shift(level, 32, out=key, dtype=np.int64)
+        key |= shuffled
+        key.sort()
+        ends = key.searchsorted(np.arange(1, level.max() + 2, dtype=np.int64) << 32).tolist()
+        np.bitwise_and(key, 0xFFFFFFFF, out=shuffled)
+        del rows, level, key
+        for start, end in zip([0, *ends], ends):
+            for a in range(start, end, cap):
+                entry = shuffled[a:min(end, a + cap)]
+                idx = e_rows.take(entry, axis=1).astype(np.intp)
+                # g: the user rows, then the item rows; t and v: work space
+                g, t, v = work[:6 * len(entry) * d].reshape(3, 2, -1, d)
+                table.take(idx, axis=0, out=g, mode="clip")
+                b = bias.take(idx)
+                # A stack of (1, d) @ (d, 1) products runs the same BLAS ddot
+                # as a single `pu @ qi`; einsum would sum in another order.
+                dot = np.matmul(g[0][:, None, :], g[1][:, :, None])[:, 0, 0]
+                err = e_rating.take(entry) - (row_mean.take(idx[0]) + b[0] + b[1] + dot)
+                bias[idx] = b + lr * (err - reg * b)
+                # g + lr * (err * g[::-1] - reg * g) by rows, as one record's
+                # update; err spread along d keeps numpy's inner loop flat
+                v[0] = err[:, None]
+                np.multiply(v[0], g[::-1], out=t)
+                np.multiply(reg, g, out=v)
+                np.subtract(t, v, out=t)
+                np.multiply(lr, t, out=t)
+                g += t
+                table[idx] = g
+        for (f, _, row0, _, e0, n), losses in zip(blocks, history):
+            losses.append(mse(row0, e0, n))
+            if not np.isfinite(losses[-1]):
+                diverged.setdefault(f, epoch)
+        if 0 in diverged:  # no lower fold is left to diverge later
+            break
+    if diverged:
+        raise TrainingError(
+            f"training diverged: the loss is not finite after epoch "
+            f"{diverged[min(diverged)]}; lower learning_rate (now {lr!r})")
+    del e_rows, e_rating, work, shuffled
 
-    return PredictorModel(
-        criteria_names=train.criteria_names,
-        user_ids=tuple(users),
-        item_ids=tuple(items),
-        latent_dim=d,
-        global_means=global_means,
-        user_biases=user_biases,
-        item_biases=item_biases,
-        user_factors=user_factors,
-        item_factors=item_factors,
-        loss_history=tuple(zip(*history)),
-    )
+    models = []
+    for f, (train, (users, items)) in enumerate(zip(trains, ids)):
+        own = [k for k, block in enumerate(blocks) if block[0] == f]
+        m, n_u, row0 = len(own), len(users), blocks[own[0]][2]
+        span = slice(row0, row0 + m * (n_u + len(items)))
+        factors = table[span].reshape(m, -1, d)
+        biases = bias[span].reshape(m, -1)
+        models.append(PredictorModel(
+            criteria_names=train.criteria_names,
+            user_ids=tuple(users),
+            item_ids=tuple(items),
+            latent_dim=d,
+            global_means=row_mean[[blocks[k][2] for k in own]],
+            user_biases=biases[:, :n_u],
+            item_biases=biases[:, n_u:],
+            user_factors=factors[:, :n_u],
+            item_factors=factors[:, n_u:],
+            loss_history=tuple(tuple(history[k]) for k in own),
+        ))
+    return models
 
 
-def _levels(user_rows: np.ndarray, item_rows: np.ndarray,
-            n_user_rows: int, n_item_rows: int) -> np.ndarray:
+def _levels(user_rows: np.ndarray, item_rows: np.ndarray, n_rows: int) -> np.ndarray:
     """Dependency level of each update in a sequence of (user row, item row).
 
-    An update's level is one more than the higher level of the previous
-    update on its user row and the previous update on its item row, so
-    updates on one level touch disjoint rows and every row's updates
-    keep their sequence order across levels.
+    User and item rows index one table, and no row is both. An update's
+    level is one more than the higher level of the previous update on its
+    user row and the previous update on its item row, so updates on one
+    level touch disjoint rows and every row's updates keep their sequence
+    order across levels.
     """
-    last_user = [-1] * n_user_rows
-    last_item = [-1] * n_item_rows
-    level = []
+    last = [-1] * n_rows
+    level = array("i")  # 4 bytes a level, where a list would hold 8
     # memoryview iteration yields plain ints without materialising a list.
     for u, i in zip(memoryview(user_rows), memoryview(item_rows)):
-        a = last_user[u]
-        b = last_item[i]
+        a = last[u]
+        b = last[i]
         lv = (a if a > b else b) + 1
-        last_user[u] = last_item[i] = lv
+        last[u] = last[i] = lv
         level.append(lv)
-    return np.array(level, dtype=np.int32)
+    return np.frombuffer(level, dtype=np.intc)
 
 
 def predict_many(model: PredictorModel, user_id: str, item_ids) -> np.ndarray:

@@ -19,7 +19,7 @@ from mcrank import (
 )
 from mcrank import pipeline
 from mcrank.cli import cli_main
-from mcrank.core import MAJOR_KINDS, RANKING_KINDS, SUB_KINDS
+from mcrank.core import MAJOR_KINDS, MAX_FLOATS, RANKING_KINDS, SUB_KINDS
 from mcrank.io import (
     emit_report,
     experiment_config_from_dict,
@@ -31,7 +31,8 @@ from mcrank.io import (
     save_dataset,
     save_predictions,
 )
-from mcrank.pipeline import MetricsReport, ReportCell, config_to_dict, run_experiment
+from mcrank.pipeline import (MetricsReport, ReportCell, config_to_dict, kfold_split,
+                             run_experiment)
 
 GOLDEN_CSV = """user_id,item_id,overall,food,service,ambience,value
 U1,T3,4,4,3,4,4
@@ -740,6 +741,24 @@ class TestCliPipelines:
         assert err.startswith(f"error: train.latent_dim {10**30} needs a (3, ")
         assert err.endswith(f", {10**30}) factor table, past numpy's limit of "
                             f"{2**60 - 1} values\n")
+
+    def test_latent_dim_past_the_limit_for_the_stacked_folds_is_a_data_error(
+            self, data_file, tmp_path, capsys):
+        # each fold's table passes numpy's limit check, the five folds' tables
+        # together would not, so each fold is allocated alone and fold 0 fails
+        ds = load_dataset(data_file)
+        rows = [len(train.users()) + len(train.items())
+                for train, _ in kfold_split(ds, 5, 0)]
+        d = MAX_FLOATS // (3 * max(rows))
+        assert 3 * sum(rows) * d > MAX_FLOATS
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"methods": ["pr"], "folds": 5, "seed": 0,
+                                   "train": {"latent_dim": d}}))
+        assert run_cli("evaluate", "--input", data_file, "--config", str(cfg),
+                       "--out", str(tmp_path / "r.json")) == 2
+        assert capsys.readouterr().err == (
+            f"error: train.latent_dim {d} needs a ({3 * rows[0]}, {d}) factor table, "
+            "more than fits in memory\n")
 
     def test_n_values_past_int64_read_every_list_whole(self, data_file, tmp_path):
         # max(N) is cut at the largest set before numpy sees it, and the

@@ -453,6 +453,32 @@ class TestBenchmarkContract:
             assert args[1] == test
 
 
+    def test_each_fold_model_is_fit_on_its_training_part_with_seed_plus_fold(
+            self, monkeypatch):
+        # bench/run.py's heldout_rmse reads these models: every fold's must be
+        # the one `fit` trains on that fold alone
+        models = []
+        real = pipeline.build_candidates
+
+        def recorder(model, *args, **kwargs):
+            models.append(model)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_candidates", recorder)
+        ds = small_dataset(23)
+        cfg = small_config(["pr"], folds=5)
+        run_experiment(ds, cfg)
+        assert len(models) == cfg.folds
+        for fold, (model, (train, _)) in enumerate(
+                zip(models, kfold_split(ds, cfg.folds, cfg.seed))):
+            alone = fit(train, replace(cfg.train, seed=cfg.train.seed + fold))
+            for attr in ("global_means", "user_biases", "item_biases",
+                         "user_factors", "item_factors"):
+                assert getattr(model, attr).tobytes() == getattr(alone, attr).tobytes()
+            assert (model.user_ids, model.item_ids, model.loss_history) == \
+                (alone.user_ids, alone.item_ids, alone.loss_history)
+
+
 class TestSweepK:
     def test_k_zero_row_equals_pr(self):
         ds = small_dataset(15)

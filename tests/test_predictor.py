@@ -1,10 +1,14 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from naive import naive_fit
 
+from mcrank import predictor
+from mcrank.pipeline import kfold_split
+from mcrank.predictor import fit_folds
 from mcrank import (
     Dataset,
     DomainError,
@@ -167,6 +171,130 @@ class TestFitMatchesSequentialSgd:
                                   "single_record"])
     def test_edge_shapes(self, ds):
         assert_matches_sequential_sgd(ds, TrainConfig(latent_dim=5, epochs=3, seed=7))
+
+
+def assert_same_model(a, b):
+    assert (a.criteria_names, a.user_ids, a.item_ids, a.latent_dim) == \
+        (b.criteria_names, b.user_ids, b.item_ids, b.latent_dim)
+    for attr in ("global_means", "user_biases", "item_biases",
+                 "user_factors", "item_factors"):
+        x, y = getattr(a, attr), getattr(b, attr)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), attr
+    assert a.loss_history == b.loss_history
+
+
+def training_parts(folds, m, seed=3):
+    """Training parts of a seeded split; ``u_once`` has one record, so one
+    fold's training part lacks that user."""
+    ds = random_dataset(70 + m, users=10, items=8, m=m)
+    ds = replace(ds, records=ds.records + (RatingRecord("u_once", "i00", 3.0, (2.0,) * m),))
+    if folds == 1:
+        return [ds]
+    trains = [train for train, _ in kfold_split(ds, folds, seed)]
+    assert sum("u_once" not in train.users() for train in trains) == 1
+    return trains
+
+
+class TestFitFolds:
+    @pytest.mark.parametrize("latent_dim", [1, 16])
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("folds", [1, 2, 5])
+    def test_each_fold_equals_its_own_fit_and_sequential_sgd(self, folds, m, latent_dim):
+        cfg = TrainConfig(latent_dim=latent_dim, epochs=2, seed=4)
+        trains = training_parts(folds, m)
+        models = fit_folds(trains, cfg)
+        assert len(models) == folds
+        for f, (train, model) in enumerate(zip(trains, models)):
+            own = replace(cfg, seed=cfg.seed + f)
+            assert_same_model(model, fit(train, own))
+            assert_matches_sequential_sgd(train, own)
+
+    def test_folds_cut_into_several_stacks_at_numpys_array_limit_keep_the_same_bits(
+            self, monkeypatch):
+        cfg = TrainConfig(latent_dim=5, epochs=3, seed=2)
+        trains = training_parts(5, 3)
+        whole = fit_folds(trains, cfg)
+        stacks = []
+        real = predictor._fit_stack
+
+        def spy(part, ids, first, cfg):
+            stacks.append((first, len(part)))
+            return real(part, ids, first, cfg)
+
+        monkeypatch.setattr(predictor, "_fit_stack", spy)
+        # two folds' tables fit the limit, three do not
+        values = [3 * (len(t.users()) + len(t.items())) * cfg.latent_dim for t in trains]
+        limit = max(values[0] + values[1], values[2] + values[3])
+        assert limit < min(sum(values[:3]), sum(values[2:]))
+        monkeypatch.setattr(predictor, "MAX_FLOATS", limit)
+        for a, b in zip(fit_folds(trains, cfg), whole):
+            assert_same_model(a, b)
+        assert stacks == [(0, 2), (2, 2), (4, 1)]
+        stacks.clear()
+        limit = max(values)  # every fold alone
+        assert limit < min(x + y for x, y in zip(values, values[1:]))
+        monkeypatch.setattr(predictor, "MAX_FLOATS", limit)
+        for a, b in zip(fit_folds(trains, cfg), whole):
+            assert_same_model(a, b)
+        assert stacks == [(f, 1) for f in range(5)]
+
+    def test_a_stack_past_2_to_the_16_entries_keeps_each_folds_bits(self):
+        # each fold alone has fewer entries than the stack, whose entry ids
+        # need more than 16 bits
+        trains = [random_dataset(80 + f, users=150, items=120, m=4) for f in range(2)]
+        entries = [4 * len(train.records) for train in trains]
+        assert max(entries) < 2**16 < sum(entries)
+        cfg = TrainConfig(latent_dim=2, epochs=1, seed=1)
+        for f, (train, model) in enumerate(zip(trains, fit_folds(trains, cfg))):
+            assert_same_model(model, fit(train, replace(cfg, seed=cfg.seed + f)))
+
+    def test_a_stack_past_memory_is_a_training_error_naming_its_table(self):
+        trains = training_parts(5, 3)
+        rows = sum(3 * (len(t.users()) + len(t.items())) for t in trains)
+        d = predictor.MAX_FLOATS // rows  # one stack of every fold, ~2^63 bytes
+        with pytest.raises(TrainingError) as caught:
+            fit_folds(trains, TrainConfig(latent_dim=d))
+        assert str(caught.value) == (f"train.latent_dim {d} needs a ({rows}, {d}) factor "
+                                     "table, more than fits in memory")
+        assert isinstance(caught.value.__cause__, MemoryError)
+
+    @pytest.mark.parametrize("users", [[12, 30, 6], [6, 12, 30]],
+                             ids=["later-fold-diverges-first", "first-fold-converges"])
+    def test_divergence_names_the_same_fold_and_epoch_as_a_loop_of_fits(self, users):
+        trains = [random_dataset(60 + f, users=n, items=10, m=2) for f, n in enumerate(users)]
+        cfg = TrainConfig(latent_dim=3, epochs=12, learning_rate=0.3, seed=0)
+        epochs, first = [], None
+        for f, train in enumerate(trains):
+            try:
+                fit(train, replace(cfg, seed=f))
+                epochs.append(None)
+            except TrainingError as exc:
+                epochs.append(int(re.search(r"epoch (\d+);", str(exc))[1]))
+                first = first or str(exc)
+        assert first is not None
+        with pytest.raises(TrainingError) as caught:
+            fit_folds(trains, cfg)
+        assert str(caught.value) == first
+        # the case this guards: a later fold goes non-finite in an earlier epoch
+        reported = next(e for e in epochs if e is not None)
+        assert min(e for e in epochs if e is not None) < reported
+
+    def test_empty_and_oversized_folds_are_refused_before_any_training(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(predictor, "_fit_stack",
+                            lambda part, *_: trained.append(part) or [None] * len(part))
+        good = random_dataset(3)
+        with pytest.raises(TrainingError, match="cannot train on an empty dataset"):
+            fit_folds([good, good, Dataset(criteria_names=good.criteria_names)], FAST)
+        wide = random_dataset(5, users=30)
+        rows = len(good.users()) + len(good.items())
+        d = predictor.MAX_FLOATS // (3 * rows)
+        assert 3 * (len(wide.users()) + len(wide.items())) * d > predictor.MAX_FLOATS
+        with pytest.raises(TrainingError, match=re.escape(
+                f"train.latent_dim {d} needs a (3, {len(wide.users()) + len(wide.items())}, "
+                f"{d}) factor table, past numpy's limit")):
+            fit_folds([good, wide], TrainConfig(latent_dim=d))
+        assert trained == []
 
 
 class TestPredict:
