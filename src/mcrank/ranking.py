@@ -10,13 +10,23 @@ position one is the top of the list and lower wins.
 ``rank_candidates`` and the evaluate path alike. It scores equal-size
 sets as batches, B sets of n candidates in, one (B, methods, n) table
 out, and one budget, ``_CHUNK_CELLS``, bounds both that table and each
-chunk of the pairwise pass, laid out by ``_tiling``: as many whole sets
-as fit, or else a run of rows of one set. Every set scores bit for bit
-as it does alone, whatever batch it is in.
+chunk of the pairwise pass and of the front walk, laid out by
+``_tiling``: as many whole sets as fit, or else a run of rows of one set.
+Every set scores bit for bit as it does alone, whatever batch it is in.
+
+The pass forms every pair's gain, the gains plane, only when gd is
+scored, and dominance then reads the differences a - b it takes; else it
+reads integer rank codes. pg without gd takes each candidate's best gain
+over the lower Pareto front and from the upper one, the skyline
+(Börzsönyi, Kossmann and Stocker 2001), which the dominance pass marks.
+No bit changes, and where 2,000 correlated candidates put a few dozen on
+each front, the walk is a small part of the plane's work (see
+``_pairwise``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator, Sequence
 
@@ -40,11 +50,12 @@ _EXACT_DIFF = 2.0 ** -970
 _LOWER_BETTER = ("ar", "mr")
 
 
-def _tiling(n: int, m: int) -> tuple[int, int]:
-    """(sets, rows) of one chunk of a batch of sets of n candidates over m
-    criteria: ``rows`` rows of each set fit in ``_CHUNK_CELLS`` cells, and
-    a chunk is as many whole sets as fit, or else ``rows`` rows of one."""
-    rows = max(1, _CHUNK_CELLS // (n * m))
+def _tiling(n: int, m: int, cols: int | None = None) -> tuple[int, int]:
+    """(sets, rows) of one chunk of a batch of sets of n candidates, each
+    row compared with ``cols`` others (n by default) over m criteria:
+    ``rows`` rows of each set fit in ``_CHUNK_CELLS`` cells, and a chunk is
+    as many whole sets as fit, or else ``rows`` rows of one."""
+    rows = max(1, _CHUNK_CELLS // ((n if cols is None else cols) * m))
     return max(1, rows // n), min(rows, n)
 
 
@@ -52,6 +63,7 @@ def _counter_dtype(m: int) -> type:
     return np.int8 if m <= 127 else np.int32
 
 
+@functools.cache
 def _least_better(m: int, k: float) -> np.ndarray:
     """Per count n_e of equal criteria, the least count n_b of better ones
     with which one candidate k-dominates another.
@@ -59,12 +71,14 @@ def _least_better(m: int, k: float) -> np.ndarray:
     The test is the threshold ``n_b * (k + 1) >= m - n_e`` with n_e < m,
     which reads only (n_b, n_e) (Chan et al. 2006); identical vectors
     (n_e = m, n_b = 0) get 1, so they never dominate. int8 counters hold
-    every count up to M = 127.
+    every count up to M = 127. The table is built once per (m, k) and is
+    read-only.
     """
     table = np.ones(m + 1, dtype=_counter_dtype(m))
     for n_e in range(m):
         table[n_e] = min(n_b for n_b in range(m - n_e + 1)
                          if n_b * (k + 1.0) >= m - n_e)
+    table.flags.writeable = False
     return table
 
 
@@ -75,39 +89,58 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
     batch ``x``, chunk by chunk as ``_tiling`` lays them out.
 
     Returns ({k: (B, n) how many others each candidate k-dominates},
-    {kind: (B, n) scores}); k = 0 is Pareto dominance. Dominance reads, per
-    pair and criterion, whether a is better than, equal to or at least b
-    from one of two operand sources:
+    {kind: (B, n) scores}); k = 0 is Pareto dominance. A gain of a over b
+    is max(a - b, 0) summed in criterion order from +0.0. When gd is
+    scored, the pass forms every pair's gain, the gains plane; gd sums its
+    rows and pg reads its maxima. Dominance
+    reads, per pair and criterion, whether a is better than, equal to or at
+    least b from one of two operand sources:
 
-    - the batch's rank codes (``_rank_codes``), which compare exactly in
-      any floating-point mode, unless gains are asked for;
-    - else the difference a - b, which the gains plane forms anyway
-      (max(a - b, 0) is the gain, summed in criterion order), read as
-      a - b > 0, == 0, >= 0. That reading is exact whatever the
-      floating-point mode when no nonzero value lies below 2^-970: then
-      two distinct values are at least 2^-1022 apart, so their difference
-      is never subnormal and never flushed to zero (an overflowed
-      difference keeps its sign). A batch with such a value reads codes.
+    - the difference a - b, which the plane forms anyway, read as a - b > 0,
+      == 0, >= 0. That reading is exact whatever the floating-point mode
+      when no nonzero value lies below 2^-970: then two distinct values are
+      at least 2^-1022 apart, so their difference is never subnormal and
+      never flushed to zero (an overflowed difference keeps its sign). A
+      batch with such a value reads codes;
+    - else the batch's rank codes (``_rank_codes``), which compare exactly
+      in any floating-point mode.
 
     Every k reads the same per-pair counts (n_b, n_e) of better and equal
     criteria through its ``_least_better`` table, but for Pareto dominance
-    alone on rank codes: that counts the others that are at most the
-    candidate on every criterion (one compare and one AND per criterion)
+    alone on rank codes with no pg: that counts the others that are at most
+    the candidate on every criterion (one compare and one AND per criterion)
     and subtracts the size of its all-equal group (``_tie_sizes``), itself
     included.
+
+    pg without gd reads the Pareto fronts. Correctly rounded
+    subtraction, max(., 0) and addition are monotone, so if b' <= b on
+    every criterion, a's gain over b' is at least its gain over b, bit for
+    bit. So a's best outgoing gain is reached at a member of the lower
+    front (the candidates that Pareto-dominate no other one), and its best
+    incoming gain at a member of the upper front (those no other one
+    dominates). The k = 0 table marks both fronts in the pass, and
+    ``_front_gains`` takes the two maxima over their members alone; as
+    ``max`` is exact, no bit changes. When the widest front holds more than
+    n / 2 candidates (every candidate is on both fronts when none dominates
+    another), that walk would cover more pairs than the plane, so pg reads
+    a plane formed after the pass instead.
     """
     b, n, m = x.shape
     if not (ks or gains):
         return {}, {}
+    plane = "gd" in gains
     mag = np.abs(x)
     tiny = bool(((mag > 0.0) & (mag < _EXACT_DIFF)).any())
     cols = np.ascontiguousarray(x.transpose(2, 0, 1))
-    codes = _rank_codes(cols) if ks and (tiny or not gains) else None
-    pareto = ks == {0.0} and codes is not None
-    tables = {} if pareto else {k: _least_better(m, k) for k in ks}
+    fronts = "pg" in gains and not plane
+    codes = _rank_codes(cols) if (ks or fronts) and (tiny or not plane) else None
+    pareto = ks == {0.0} and codes is not None and not fronts
+    tables = {} if pareto else {k: _least_better(m, k)
+                                for k in (ks | {0.0} if fronts else ks)}
     counts = {k: np.zeros((b, n)) for k in ks}
     scored = {kind: np.zeros((b, n)) for kind in gains}
     best_in = np.full((b, n), -np.inf)
+    dominant, dominated = np.zeros((2, b, n), dtype=bool)
     step_sets, step_rows = _tiling(n, m)
     diff = np.empty((min(step_sets, b), step_rows, n))
     flag = np.empty(diff.shape, dtype=bool)
@@ -120,10 +153,10 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
                 at_most = np.ones(d.shape, dtype=bool)
             elif tables:
                 n_b, n_e = np.zeros((2, *d.shape), dtype=_counter_dtype(m))
-            if gains:
-                plane = np.zeros(d.shape)
+            if plane:
+                pair_gains = np.zeros(d.shape)
             for j in range(m):
-                if gains or codes is None:
+                if plane:
                     np.subtract(cols[j, sets, rows, None], cols[j, sets, None], out=d)
                 if codes is None:
                     lhs, rhs = d, 0.0
@@ -134,27 +167,72 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
                 elif tables:
                     n_b += np.greater(lhs, rhs, out=f).view(np.int8)
                     n_e += np.equal(lhs, rhs, out=f).view(np.int8)
-                if gains:
-                    plane += np.maximum(d, 0.0, out=d)
+                if plane:
+                    pair_gains += np.maximum(d, 0.0, out=d)
             # self pairs are equal on every criterion, so never dominated;
             # int32 row counts are exact below 2^31 candidates
             if pareto:
                 counts[0.0][sets, rows] = at_most.sum(axis=2, dtype=np.int32)
             for k, least in tables.items():
-                counts[k][sets, rows] = (n_b >= least.take(n_e)).sum(
-                    axis=2, dtype=np.int32)
+                beats = np.greater_equal(n_b, least.take(n_e), out=f)
+                if k in counts:
+                    counts[k][sets, rows] = beats.sum(axis=2, dtype=np.int32)
+                if fronts and k == 0.0:
+                    dominant[sets, rows] = beats.any(axis=2)
+                    dominated[sets] |= beats.any(axis=1)
             # a self pair's gain is +0.0 and no gain is below it, so self
             # pairs change no maximum; a lone candidate's pg is 0 - 0
-            if "gd" in scored:
-                scored["gd"][sets, rows] = plane.sum(axis=2)
-            if "pg" in scored:
-                scored["pg"][sets, rows] = plane.max(axis=2)
-                np.maximum(best_in[sets], plane.max(axis=1), out=best_in[sets])
-        if "pg" in scored:
+            if plane:
+                scored["gd"][sets, rows] = pair_gains.sum(axis=2)
+                if "pg" in gains:
+                    scored["pg"][sets, rows] = pair_gains.max(axis=2)
+                    np.maximum(best_in[sets], pair_gains.max(axis=1), out=best_in[sets])
+        if fronts:
+            front = np.concatenate([~dominant, ~dominated])
+            if 2 * int(front.sum(axis=1).max()) > n:
+                # the walk would cover more pairs than the plane, which gd
+                # forms (its sums are dropped)
+                scored["pg"] = _pairwise(x, set(), {"gd", "pg"})[1]["pg"]
+            else:
+                # b's gain over a is -a's over -b, bit for bit (x - y is
+                # x + (-y)), so the upper front's walk is the lower's on -x
+                best = _front_gains(np.concatenate([cols, -cols], axis=1), front)
+                scored["pg"] = best[:b] - best[b:]
+        elif "pg" in gains:
             scored["pg"] -= best_in
     if pareto:
         counts[0.0] -= _tie_sizes(codes)
     return counts, scored
+
+
+def _front_gains(cols: np.ndarray, front: np.ndarray) -> np.ndarray:
+    """Each candidate's best gain over the members of its set's ``front``,
+    a (B, n) mask over the (M, B, n) criterion columns ``cols``, as a
+    (B, n) table; the gain is the plane's, max(a - b, 0) summed in
+    criterion order from +0.0. Each set's members are gathered first and
+    padded to the widest front with +inf, whose gain reads +0.0 as a self
+    pair's does, so padding changes no maximum. The pairs are walked in
+    ``_tiling`` chunks of (sets, rows, front width)."""
+    m, b, n = cols.shape
+    sizes = front.sum(axis=1)
+    width = int(sizes.max())
+    first = np.argsort(~front, axis=1, kind="stable")[:, :width]
+    members = cols[:, np.arange(b)[:, None], first]
+    members[:, np.arange(width) >= sizes[:, None]] = np.inf
+    best = np.empty((b, n))
+    step_sets, step_rows = _tiling(n, m, width)
+    diff = np.empty((min(step_sets, b), step_rows, width))
+    total = np.empty(diff.shape)
+    for s, r in itertools.product(range(0, b, step_sets), range(0, n, step_rows)):
+        sets, rows = slice(s, s + step_sets), slice(r, r + step_rows)
+        d = diff[:min(step_sets, b - s), :min(step_rows, n - r)]
+        g = total[:d.shape[0], :d.shape[1]]
+        g.fill(0.0)
+        for j in range(m):
+            g += np.maximum(np.subtract(cols[j, sets, rows, None], members[j, sets, None],
+                                        out=d), 0.0, out=d)
+        best[sets, rows] = g.max(axis=2)
+    return best
 
 
 def _rank_codes(cols: np.ndarray) -> np.ndarray:
@@ -264,8 +342,10 @@ def _score_batch(sets: Sequence[CandidateSet], specs: Sequence[MethodSpec]) -> n
     ``score_methods`` gives ``sets[b]`` alone for ``specs[i]``.
 
     One pairwise pass over the stacked (B, n, M) matrices counts dominance
-    for every k asked for (pr is k = 0, a hybrid's major included) and
-    forms one gains plane for gd and pg. One ``average_ranks`` call ranks
+    for every k asked for (pr is k = 0, a hybrid's major included) and,
+    when gd is scored, forms one gains plane for gd and pg; pg without gd
+    marks the two Pareto fronts in that pass instead and takes its gains
+    over their members (``_pairwise``). One ``average_ranks`` call ranks
     every criterion of every set, a (B * M, n) table, for ar, mr and their
     subsorts, and one ranks every distinct hybrid subsort of every set, a
     (B * subsorts, n) table. A gd or pg gain that overflows is refused,

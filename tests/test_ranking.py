@@ -396,10 +396,10 @@ class TestChunkedPairwise:
 
     @pytest.mark.parametrize("rows", EXTREME_ROWS.values(), ids=EXTREME_ROWS.keys())
     def test_comparisons_match_the_oracle_at_the_float_extremes(self, rows):
-        # dominance reads rank codes, or a - b when gd or pg is scored in the
-        # same pass and no nonzero value lies below 2^-970; the oracle
-        # compares directly. n * M * spread stays finite, so gd and pg are
-        # defined
+        # dominance reads rank codes, or a - b when gd is scored in the same
+        # pass and no nonzero value lies below 2^-970; pg without gd reads
+        # the Pareto fronts from the codes; the oracle compares directly.
+        # n * M * spread stays finite, so gd and pg are defined
         for n in range(2, len(rows) + 1):
             c = CandidateSet.from_pairs(
                 "u", [(f"i{j}", row) for j, row in enumerate(rows[:n])])
@@ -590,16 +590,18 @@ def candidate_set(user_id, rows):
                         matrix=np.array(rows, dtype=np.float64))
 
 
-# label groups scored together: the first four read rank codes, the last
-# two, which score pg, read a - b
+# label groups scored together: the first six read rank codes (pg without
+# gd among them), the last, which scores gd, reads a - b
 ROUTE_LABEL_GROUPS = [["pr"], ["kd:0.5"], ["pr+ar"], ["pr", "kd:0.5", "kd:0.5+mr"],
-                      ["pr", "pg"], ["pr+pg"]]
+                      ["pr", "pg"], ["pr+pg"], ["pr", "gd", "pg"]]
 
 
 class TestRankCodes:
-    """Dominance reads each criterion's dense rank codes, unless gd or pg is
+    """Dominance reads each criterion's dense rank codes, unless gd is
     scored in the same pass; Pareto alone subtracts each candidate's
-    all-equal group, which never reaches into another set."""
+    all-equal group, which never reaches into another set, unless pg is
+    scored too: then it reads the k = 0 table, which also marks the
+    Pareto fronts."""
 
     @staticmethod
     def assert_batch_is_sets_alone_and_oracle(sets, label_groups=ROUTE_LABEL_GROUPS):
@@ -636,14 +638,15 @@ class TestRankCodes:
                             lambda cols: calls.append(cols.shape) or real(cols))
         self.assert_batch_is_sets_alone_and_oracle(
             [c, CandidateSet(user_id="v", item_ids=c.item_ids, matrix=c.matrix)],
-            ROUTE_LABEL_GROUPS[:4])
+            ROUTE_LABEL_GROUPS[:-1])
         assert calls and {shape[0] for shape in calls} == {130}
 
     @pytest.mark.parametrize("draw", [ties, with_one_tiny_value],
                              ids=["integer-ties", "tiny-value-in-one-set"])
     def test_tie_groups_read_integer_codes_only(self, monkeypatch, draw):
-        # Pareto alone subtracts its all-equal groups on the code route only;
-        # beside gd or pg, with no tiny value, it reads the k = 0 table
+        # Pareto alone subtracts its all-equal groups on the code route only,
+        # and not beside pg, which reads the k = 0 table for the fronts;
+        # beside gd it reads a - b, or the codes when a value is tiny
         calls = []
         real = ranking._tie_sizes
         monkeypatch.setattr(ranking, "_tie_sizes",
@@ -655,7 +658,7 @@ class TestRankCodes:
             self.assert_batch_is_sets_alone_and_oracle(sets, [labels])
             calls.clear()
             ranking._score_batch(sets, [MethodSpec.parse(label) for label in labels])
-            on_codes = labels in (["pr"], ["pr+ar"]) or (tiny and "pg" in labels[-1])
+            on_codes = labels in (["pr"], ["pr+ar"]) or (tiny and "gd" in labels)
             assert calls == [np.dtype(np.int16)] * on_codes, labels
 
     def test_equal_values_share_a_code(self):
@@ -677,6 +680,122 @@ class TestRankCodes:
         assert codes.dtype == dtype and codes.shape == (1, 1, n)
         assert codes.max() == n - 1
         assert np.array_equal(codes[0, 0], values)
+
+
+def equal_sums(rng, shape):
+    # integer parts of 12 over M criteria, halved: every sum is 6 exactly,
+    # so no candidate dominates another and all are on both fronts
+    b, n, m = shape
+    return rng.multinomial(12, [1.0 / m] * m, size=(b, n)).astype(np.float64) / 2.0
+
+
+def correlated(rng, shape):
+    # a shared quality plus small noise: a few candidates on each front
+    b, n, m = shape
+    return rng.uniform(1.0, 5.0, size=(b, n, 1)) + 0.3 * rng.normal(size=shape)
+
+
+# three sets of eight whose fronts hold 1, 3 and 2 members (lower and
+# upper alike), so two are padded: a chain; three above three, with two
+# between; and signed zeros below two equal tops
+UNEVEN_FRONTS = [
+    [(j, j) for j in range(8)],
+    [(9, 7), (8, 8), (7, 9), (0, 2), (1, 1), (2, 0), (4, 4), (5, 5)],
+    [(-0.0, 0.0), (0.0, -0.0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 3)],
+]
+
+
+class TestParetoFronts:
+    """pg without gd takes each candidate's best outgoing gain over the
+    lower front and its best incoming gain over the upper front, or reads
+    the plane when the widest front holds more than n / 2 candidates; either
+    way it is, bit for bit, pg scored beside gd, which reads the plane,
+    and the oracle's."""
+
+    @staticmethod
+    def fronts_walked(monkeypatch):
+        """The per-set front sizes of each front walk, lower fronts first."""
+        walks = []
+        real = ranking._front_gains
+        monkeypatch.setattr(ranking, "_front_gains", lambda cols, front: walks.append(
+            front.sum(axis=1).tolist()) or real(cols, front))
+        return walks
+
+    @staticmethod
+    def assert_fronts_are_the_plane(sets):
+        for labels in (["pg"], ["kd:0.5+pg", "pr+pg"], ["pr", "pg", "kd:1+pg"]):
+            specs = [MethodSpec.parse(label) for label in labels]
+            fronts = ranking._score_batch(sets, specs)
+            plane = ranking._score_batch(sets, [MethodSpec("gd"), *specs])[:, 1:]
+            for s, c in enumerate(sets):
+                vectors = [tuple(row) for row in c.matrix.tolist()]
+                for label, got, want in zip(labels, fronts[s], plane[s]):
+                    assert got.tobytes() == want.tobytes(), (s, label)
+                    oracle = np.array(naive_scores(label, vectors))
+                    assert got.tobytes() == oracle.tobytes(), (s, label)
+
+    def test_sets_of_different_front_sizes_are_padded(self, monkeypatch):
+        walks = self.fronts_walked(monkeypatch)
+        sets = [candidate_set(f"u{s}", rows) for s, rows in enumerate(UNEVEN_FRONTS)]
+        self.assert_fronts_are_the_plane(sets)
+        assert walks == [[1, 3, 2, 1, 3, 2]] * 3
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_tiled_front_gains(self, monkeypatch, rows):
+        # a cell budget of `rows` rows of a set against a front of width 3
+        # also tiles the pass itself
+        walks = self.fronts_walked(monkeypatch)
+        monkeypatch.setattr(ranking, "_CHUNK_CELLS", rows * 3 * 2)
+        assert ranking._tiling(8, 2, 3) == (1, rows)
+        tilings = []
+        real = ranking._tiling
+        monkeypatch.setattr(ranking, "_tiling", lambda *args: tilings.append(args) or real(*args))
+        sets = [candidate_set(f"u{s}", rows) for s, rows in enumerate(UNEVEN_FRONTS)]
+        self.assert_fronts_are_the_plane(sets)
+        assert walks == [[1, 3, 2, 1, 3, 2]] * 3
+        assert tilings.count((8, 2, 3)) == 3
+
+    @pytest.mark.parametrize("cells", [None, lambda n, m: 7 * m, lambda n, m: 3 * n * n * m])
+    def test_correlated_sets_walk_small_fronts(self, monkeypatch, cells):
+        walks = self.fronts_walked(monkeypatch)
+        if cells is not None:
+            monkeypatch.setattr(ranking, "_CHUNK_CELLS", cells(40, 3))
+        x = correlated(np.random.default_rng(98), (5, 40, 3))
+        self.assert_fronts_are_the_plane([candidate_set(f"u{s}", x[s]) for s in range(5)])
+        assert len(walks) == 3 and all(0 < 2 * max(w) <= 40 for w in walks)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_no_candidate_dominates_another(self, monkeypatch, n):
+        # every candidate on both fronts: the walk would cover 2n > n pairs
+        # a row, so pg reads the plane after the dominance pass
+        walks = self.fronts_walked(monkeypatch)
+        x = equal_sums(np.random.default_rng(n), (3, n, 4))
+        assert (x.sum(axis=2) == 6.0).all()
+        sets = [candidate_set(f"u{s}", x[s]) for s in range(3)]
+        sets.append(candidate_set("same", [(2.5, 1.0, 4.0, 0.5)] * n))
+        self.assert_fronts_are_the_plane(sets)
+        assert walks == []
+
+    def test_more_criteria_than_int8_counts(self, monkeypatch):
+        # a chain above rows that beat each other on all 130 criteria, or on
+        # 129 of them: int32 counters mark one candidate on each front
+        walks = self.fronts_walked(monkeypatch)
+        rows = many_criteria_set().matrix[:3]
+        chain = [rows[1] + t for t in range(1, 7)]
+        sets = [candidate_set("u", [*rows, *chain]), candidate_set("v", [*chain, *rows])]
+        self.assert_fronts_are_the_plane(sets)
+        assert walks == [[1, 1, 1, 1]] * 3
+
+    def test_tiny_values_and_signed_zeros(self, monkeypatch):
+        walks = self.fronts_walked(monkeypatch)
+        tiny = 2.0 ** -1000
+        rows = [(0.0, -0.0), (tiny, 0.0), (tiny, tiny), (1.0, 1.0), (2.0, 2.0), (3.0, tiny)]
+        sets = [candidate_set("u", rows),
+                candidate_set("v", [(-a, -b) for a, b in rows]),
+                candidate_set("w", [(-0.0, 1.0), (0.0, 1.0), (0.0, 2.0), (-0.0, 3.0),
+                                    (-tiny, 3.0), (tiny, 3.0)])]
+        self.assert_fronts_are_the_plane(sets)
+        assert walks == [[1, 2, 3, 2, 1, 1]] * 3
 
 
 class TestRankCandidatesOrder:
@@ -729,6 +848,25 @@ class TestGainOverflow:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="'u7'"):
                 method_scores(c, MethodSpec.parse(label))
+
+    @pytest.mark.parametrize("label", ["gd", "pg", "pr+gd", "kd:0.5+pg"])
+    @pytest.mark.parametrize("finite, overflowing", [
+        ([(1.0, 2.0), (2.0, 1.0)], [(1e308, -1e308), (-1e308, 1e308)]),
+        ([(j, j) for j in range(5)],
+         [(1e308, 1e308), (0.0, 0.0), (1.0, 1.0), (-1e308, -1e308), (2.0, 2.0)]),
+    ], ids=["no-dominance", "chain"])
+    def test_only_the_second_set_overflows(self, monkeypatch, label, finite, overflowing):
+        # pg without gd walks the one-member fronts of the chains, and reads
+        # the plane of the sets where no candidate dominates another
+        walks = TestParetoFronts.fronts_walked(monkeypatch)
+        sets = [candidate_set("u0", finite), candidate_set("u1", overflowing)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="for user 'u1'"):
+                ranking._score_batch(sets, [MethodSpec.parse(label)])
+            assert np.isfinite(ranking._score_batch(sets[:1], [MethodSpec.parse(label)])).all()
+        walked = label.endswith("pg") and len(finite) == 5
+        assert walks == ([[1, 1, 1, 1], [1, 1]] if walked else [])
 
     def test_dominance_alone_is_defined_on_any_finite_values(self):
         c = CandidateSet.from_pairs("u7", [("a", (1e308, -1e308)),
