@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -64,22 +66,22 @@ def _counter_dtype(m: int) -> type:
 
 
 @functools.cache
-def _least_better(m: int, k: float) -> np.ndarray:
-    """Per count n_e of equal criteria, the least count n_b of better ones
-    with which one candidate k-dominates another.
+def _dominance_weights(m: int, k: float) -> tuple[np.integer, np.integer]:
+    """Integer weights (w, v) such that, over m criteria, one candidate
+    k-dominates another exactly when ``w * n_w < v * n_b``, n_b and n_w
+    being its counts of better and worse criteria.
 
-    The test is the threshold ``n_b * (k + 1) >= m - n_e`` with n_e < m,
-    which reads only (n_b, n_e) (Chan et al. 2006); identical vectors
-    (n_e = m, n_b = 0) get 1, so they never dominate. int8 counters hold
-    every count up to M = 127. The table is built once per (m, k) and is
-    read-only.
+    k-dominance (Chan et al. 2006) is ``n_b >= 1 and n_w <= k * n_b``, read
+    exactly on the float k. As n_w / n_b has a denominator of at most m,
+    k may be replaced by r = p / q, the largest fraction at most k with
+    q <= m; then w = q * (m + 1) and v = p * (m + 1) + 1 give it, because
+    n_b <= m. Pareto dominance is k = 0: ``(m + 1) * n_w < n_b``. The
+    weights are of the narrowest signed type that holds every product,
+    up to m * m * (m + 1) + m.
     """
-    table = np.ones(m + 1, dtype=_counter_dtype(m))
-    for n_e in range(m):
-        table[n_e] = min(n_b for n_b in range(m - n_e + 1)
-                         if n_b * (k + 1.0) >= m - n_e)
-    table.flags.writeable = False
-    return table
+    r = max(Fraction(math.floor(Fraction(k) * d), d) for d in range(1, m + 1))
+    dtype = np.min_scalar_type(-1 - m * (m * (m + 1) + 1))
+    return (dtype.type(r.denominator * (m + 1)), dtype.type(r.numerator * (m + 1) + 1))
 
 
 def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
@@ -92,25 +94,21 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
     {kind: (B, n) scores}); k = 0 is Pareto dominance. A gain of a over b
     is max(a - b, 0) summed in criterion order from +0.0. When gd is
     scored, the pass forms every pair's gain, the gains plane; gd sums its
-    rows and pg reads its maxima. Dominance
-    reads, per pair and criterion, whether a is better than, equal to or at
-    least b from one of two operand sources:
+    rows and pg reads its maxima. Dominance reads, per pair and criterion,
+    whether a is better or worse than b from one of two operand sources:
 
-    - the difference a - b, which the plane forms anyway, read as a - b > 0,
-      == 0, >= 0. That reading is exact whatever the floating-point mode
-      when no nonzero value lies below 2^-970: then two distinct values are
-      at least 2^-1022 apart, so their difference is never subnormal and
-      never flushed to zero (an overflowed difference keeps its sign). A
-      batch with such a value reads codes;
+    - the difference a - b, which the plane forms anyway, read as a - b > 0
+      and < 0. That reading is exact whatever the floating-point mode when
+      no nonzero value lies below 2^-970: then two distinct values are at
+      least 2^-1022 apart, so their difference is never subnormal and never
+      flushed to zero (an overflowed difference keeps its sign). A batch
+      with such a value reads codes;
     - else the batch's rank codes (``_rank_codes``), which compare exactly
       in any floating-point mode.
 
-    Every k reads the same per-pair counts (n_b, n_e) of better and equal
-    criteria through its ``_least_better`` table, but for Pareto dominance
-    alone on rank codes with no pg: that counts the others that are at most
-    the candidate on every criterion (one compare and one AND per criterion)
-    and subtracts the size of its all-equal group (``_tie_sizes``), itself
-    included.
+    Every k, Pareto included, reads the same per-pair counts (n_b, n_w) of
+    better and worse criteria through one exact integer test,
+    ``w * n_w < v * n_b`` with its ``_dominance_weights``.
 
     pg without gd reads the Pareto fronts. Correctly rounded
     subtraction, max(., 0) and addition are monotone, so if b' <= b on
@@ -118,7 +116,7 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
     bit. So a's best outgoing gain is reached at a member of the lower
     front (the candidates that Pareto-dominate no other one), and its best
     incoming gain at a member of the upper front (those no other one
-    dominates). The k = 0 table marks both fronts in the pass, and
+    dominates). The k = 0 test marks both fronts in the pass, and
     ``_front_gains`` takes the two maxima over their members alone; as
     ``max`` is exact, no bit changes. When the widest front holds more than
     n / 2 candidates (every candidate is on both fronts when none dominates
@@ -129,14 +127,13 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
     if not (ks or gains):
         return {}, {}
     plane = "gd" in gains
-    mag = np.abs(x)
-    tiny = bool(((mag > 0.0) & (mag < _EXACT_DIFF)).any())
-    cols = np.ascontiguousarray(x.transpose(2, 0, 1))
     fronts = "pg" in gains and not plane
-    codes = _rank_codes(cols) if (ks or fronts) and (tiny or not plane) else None
-    pareto = ks == {0.0} and codes is not None and not fronts
-    tables = {} if pareto else {k: _least_better(m, k)
-                                for k in (ks | {0.0} if fronts else ks)}
+    weights = {k: _dominance_weights(m, k) for k in (ks | {0.0} if fronts else ks)}
+    cols = np.ascontiguousarray(x.transpose(2, 0, 1))
+    if weights and plane:
+        mag = np.abs(x)
+        tiny = ((mag > 0.0) & (mag < _EXACT_DIFF)).any()
+    codes = _rank_codes(cols) if weights and (not plane or tiny) else None
     counts = {k: np.zeros((b, n)) for k in ks}
     scored = {kind: np.zeros((b, n)) for kind in gains}
     best_in = np.full((b, n), -np.inf)
@@ -149,10 +146,7 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
             sets, rows = slice(s, s + step_sets), slice(r, r + step_rows)
             d = diff[:min(step_sets, b - s), :min(step_rows, n - r)]
             f = flag[:d.shape[0], :d.shape[1]]
-            if pareto:
-                at_most = np.ones(d.shape, dtype=bool)
-            elif tables:
-                n_b, n_e = np.zeros((2, *d.shape), dtype=_counter_dtype(m))
+            n_b, n_w = np.zeros((2, *d.shape), dtype=_counter_dtype(m))
             if plane:
                 pair_gains = np.zeros(d.shape)
             for j in range(m):
@@ -162,19 +156,15 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
                     lhs, rhs = d, 0.0
                 else:
                     lhs, rhs = codes[j, sets, rows, None], codes[j, sets, None]
-                if pareto:
-                    at_most &= np.greater_equal(lhs, rhs, out=f)
-                elif tables:
+                if weights:
                     n_b += np.greater(lhs, rhs, out=f).view(np.int8)
-                    n_e += np.equal(lhs, rhs, out=f).view(np.int8)
+                    n_w += np.less(lhs, rhs, out=f).view(np.int8)
                 if plane:
                     pair_gains += np.maximum(d, 0.0, out=d)
-            # self pairs are equal on every criterion, so never dominated;
-            # int32 row counts are exact below 2^31 candidates
-            if pareto:
-                counts[0.0][sets, rows] = at_most.sum(axis=2, dtype=np.int32)
-            for k, least in tables.items():
-                beats = np.greater_equal(n_b, least.take(n_e), out=f)
+            # self pairs have n_b = 0, so never dominate; int32 row counts
+            # are exact below 2^31 candidates
+            for k, (w, v) in weights.items():
+                beats = np.less(n_w * w, n_b * v, out=f)
                 if k in counts:
                     counts[k][sets, rows] = beats.sum(axis=2, dtype=np.int32)
                 if fronts and k == 0.0:
@@ -200,8 +190,6 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
                 scored["pg"] = best[:b] - best[b:]
         elif "pg" in gains:
             scored["pg"] -= best_in
-    if pareto:
-        counts[0.0] -= _tie_sizes(codes)
     return counts, scored
 
 
@@ -249,26 +237,6 @@ def _rank_codes(cols: np.ndarray) -> np.ndarray:
     codes = np.empty(cols.size, dtype=np.int16 if n <= 1 << 15 else np.int32)
     codes[flat] = runs - runs[row_start]
     return codes.reshape(m, b, n)
-
-
-def _tie_sizes(codes: np.ndarray) -> np.ndarray:
-    """How many candidates of its set equal each one on every criterion,
-    itself included, as a (B, n) table, from the (M, B, n) rank codes of a
-    batch (``_rank_codes``): one ``np.lexsort`` of every candidate's
-    integer codes keyed by its set index, then the lengths of the runs of
-    equal candidates in that order."""
-    m, b, n = codes.shape
-    rows = codes.reshape(m, b * n)
-    # a set index as narrow as it can be keeps the sort on that key cheap
-    order = np.lexsort((*rows, np.arange(b, dtype=np.min_scalar_type(b)).repeat(n)))
-    ordered = rows[:, order]
-    run_start = np.ones(b * n + 1, dtype=bool)
-    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=run_start[1:-1])
-    run_start[:-1:n] = True  # each set starts a run
-    lengths = np.diff(run_start.nonzero()[0])
-    sizes = np.empty(b * n, dtype=np.int32)
-    sizes[order] = lengths.repeat(lengths)
-    return sizes.reshape(b, n)
 
 
 def _sorted_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,8 +2,9 @@
 
 Deliberately written as plain double loops with no shared code with the
 library, so the two can cross-check each other. The k-dominance
-threshold uses exact rational arithmetic instead of the library's
-cross-multiplied float comparison. ``naive_fit`` is the per-record SGD
+threshold is Chan et al.'s n_b >= (M - n_e) / (k + 1) in exact rational
+arithmetic on the float k, where the library reads n_w <= k * n_b
+through integer weights. ``naive_fit`` is the per-record SGD
 loop that the library's level-scheduled ``fit`` must reproduce bit for
 bit.
 """

@@ -5,6 +5,7 @@ many others each one dominates, so they read ``[a beats b, b beats a]``.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,11 @@ paired_vectors = st.integers(1, 5).flatmap(
         st.lists(st.integers(1, 5), min_size=m, max_size=m),
     ))
 dyadic_k = st.integers(0, 16).map(lambda i: i / 16)
+# p / q with q <= 5 and the floats one ulp either side of it, in [0, 1]:
+# where a float test of n_w <= k * n_b can round the wrong way
+fraction_k = st.integers(1, 5).flatmap(lambda q: st.integers(0, q).map(lambda p: p / q))
+near_fraction_k = (fraction_k | fraction_k.map(lambda k: math.nextafter(k, 0.0))
+                   | fraction_k.map(lambda k: math.nextafter(k, 1.0)))
 
 
 def relation(a, b, k=None):
@@ -124,8 +130,17 @@ class TestKDominates:
         if k_dominates(a, b, k1):
             assert k_dominates(a, b, k2)
 
-    @settings(max_examples=200)
-    @given(paired_vectors, dyadic_k)
+    @settings(max_examples=400)
+    @given(paired_vectors, dyadic_k | near_fraction_k)
     def test_matches_exact_rational_oracle(self, pair, k):
         a, b = pair
         assert relation(a, b, k) == [naive.kdom(a, b, k), naive.kdom(b, a, k)]
+
+    def test_k_one_ulp_from_a_fraction(self):
+        # n_b = 3, n_w = 1: the float 1/3 lies below 1/3, so 3 * k < 1,
+        # though 3 * (k + 1) rounds to 4 = M - n_e
+        assert relation((2, 2, 2, 0), (1, 1, 1, 1), 1 / 3) == [0, 0]
+        assert relation((2, 2, 2, 0), (1, 1, 1, 1), math.nextafter(1 / 3, 1.0)) == [1, 0]
+        # n_b = n_w = 1 both ways: k < 1, though k + 1 rounds to 2
+        assert relation((3, 1), (2, 2), math.nextafter(1.0, 0.0)) == [0, 0]
+        assert relation((3, 1), (2, 2), 1.0) == [1, 1]

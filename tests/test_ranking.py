@@ -590,18 +590,19 @@ def candidate_set(user_id, rows):
                         matrix=np.array(rows, dtype=np.float64))
 
 
-# label groups scored together: the first six read rank codes (pg without
-# gd among them), the last, which scores gd, reads a - b
+# label groups scored together, each k through the same exact dominance
+# test: the first six compare rank codes (pg without gd among them, whose
+# k = 0 test marks the fronts); the last, which scores gd, compares a - b
 ROUTE_LABEL_GROUPS = [["pr"], ["kd:0.5"], ["pr+ar"], ["pr", "kd:0.5", "kd:0.5+mr"],
                       ["pr", "pg"], ["pr+pg"], ["pr", "gd", "pg"]]
 
 
 class TestRankCodes:
-    """Dominance reads each criterion's dense rank codes, unless gd is
-    scored in the same pass; Pareto alone subtracts each candidate's
-    all-equal group, which never reaches into another set, unless pg is
-    scored too: then it reads the k = 0 table, which also marks the
-    Pareto fronts."""
+    """Dominance compares each criterion's dense rank codes, unless gd is
+    scored in the same pass and no value of the batch is tiny: then it
+    compares the a - b that the gains plane forms. Either way every k,
+    Pareto included, reads the same counts of better and worse criteria,
+    which never reach into another set."""
 
     @staticmethod
     def assert_batch_is_sets_alone_and_oracle(sets, label_groups=ROUTE_LABEL_GROUPS):
@@ -643,14 +644,12 @@ class TestRankCodes:
 
     @pytest.mark.parametrize("draw", [ties, with_one_tiny_value],
                              ids=["integer-ties", "tiny-value-in-one-set"])
-    def test_tie_groups_read_integer_codes_only(self, monkeypatch, draw):
-        # Pareto alone subtracts its all-equal groups on the code route only,
-        # and not beside pg, which reads the k = 0 table for the fronts;
-        # beside gd it reads a - b, or the codes when a value is tiny
+    def test_codes_are_read_unless_gd_forms_exact_differences(self, monkeypatch, draw):
+        # beside gd dominance reads a - b, or the codes when a value is tiny
         calls = []
-        real = ranking._tie_sizes
-        monkeypatch.setattr(ranking, "_tie_sizes",
-                            lambda codes: calls.append(codes.dtype) or real(codes))
+        real = ranking._rank_codes
+        monkeypatch.setattr(ranking, "_rank_codes",
+                            lambda cols: calls.append(cols.shape) or real(cols))
         x = draw(np.random.default_rng(97), (4, 5, 2))
         sets = [candidate_set(f"u{s}", x[s]) for s in range(4)]
         tiny = draw is with_one_tiny_value
@@ -658,8 +657,21 @@ class TestRankCodes:
             self.assert_batch_is_sets_alone_and_oracle(sets, [labels])
             calls.clear()
             ranking._score_batch(sets, [MethodSpec.parse(label) for label in labels])
-            on_codes = labels in (["pr"], ["pr+ar"]) or (tiny and "gd" in labels)
-            assert calls == [np.dtype(np.int16)] * on_codes, labels
+            assert len(calls) == ("gd" not in labels or tiny), labels
+
+    @pytest.mark.parametrize("m", [4, 5, 31, 32])
+    def test_dominance_products_do_not_wrap(self, m):
+        # the products w * n_w and v * n_b are int8 up to M = 4, int16 up to
+        # M = 31 and int32 above; k = (M - 1) / M has w = M * (M + 1), the
+        # largest, and an all-worse pair has n_w = M, so M = 5 wraps int8
+        # and M = 32 wraps int16
+        rng = np.random.default_rng(m)
+        low, high = np.ones(m), np.full(m, 5.0)
+        sets = [candidate_set(f"u{s}", [low, high, np.where(np.arange(m) > 0, high, low),
+                                        *rng.integers(1, 6, size=(3, m))])
+                for s in range(2)]
+        labels = ["pr", "kd:0.5", "kd:1", "kd:0.5+pg", f"kd:{(m - 1) / m!r}"]
+        self.assert_batch_is_sets_alone_and_oracle(sets, [labels])
 
     def test_equal_values_share_a_code(self):
         # two sets of three candidates over two criteria; each column codes
