@@ -61,12 +61,16 @@ def _tiling(n: int, m: int, cols: int | None = None) -> tuple[int, int]:
     return max(1, rows // n), min(rows, n)
 
 
-def _counter_dtype(m: int) -> type:
-    return np.int8 if m <= 127 else np.int32
+def _count_dtype(m: int) -> type:
+    """The narrowest signed type that holds every product of the dominance
+    test over m criteria, up to m * m * (m + 1) + m: int8 up to m = 4, then
+    int16, int32 and int64. Counts, weights and products all take it, so
+    no product depends on numpy's rules for Python integer operands."""
+    return np.min_scalar_type(-1 - m * (m * (m + 1) + 1)).type
 
 
 @functools.cache
-def _dominance_weights(m: int, k: float) -> tuple[np.integer, np.integer]:
+def _dominance_weights(m: int, k: float) -> tuple[int, int]:
     """Integer weights (w, v) such that, over m criteria, one candidate
     k-dominates another exactly when ``w * n_w < v * n_b``, n_b and n_w
     being its counts of better and worse criteria.
@@ -75,13 +79,10 @@ def _dominance_weights(m: int, k: float) -> tuple[np.integer, np.integer]:
     exactly on the float k. As n_w / n_b has a denominator of at most m,
     k may be replaced by r = p / q, the largest fraction at most k with
     q <= m; then w = q * (m + 1) and v = p * (m + 1) + 1 give it, because
-    n_b <= m. Pareto dominance is k = 0: ``(m + 1) * n_w < n_b``. The
-    weights are of the narrowest signed type that holds every product,
-    up to m * m * (m + 1) + m.
+    n_b <= m. Pareto dominance is k = 0: ``(m + 1) * n_w < n_b``.
     """
     r = max(Fraction(math.floor(Fraction(k) * d), d) for d in range(1, m + 1))
-    dtype = np.min_scalar_type(-1 - m * (m * (m + 1) + 1))
-    return (dtype.type(r.denominator * (m + 1)), dtype.type(r.numerator * (m + 1) + 1))
+    return r.denominator * (m + 1), r.numerator * (m + 1) + 1
 
 
 def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
@@ -146,7 +147,7 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
             sets, rows = slice(s, s + step_sets), slice(r, r + step_rows)
             d = diff[:min(step_sets, b - s), :min(step_rows, n - r)]
             f = flag[:d.shape[0], :d.shape[1]]
-            n_b, n_w = np.zeros((2, *d.shape), dtype=_counter_dtype(m))
+            n_b, n_w = np.zeros((2, *d.shape), dtype=_count_dtype(m))
             if plane:
                 pair_gains = np.zeros(d.shape)
             for j in range(m):

@@ -673,6 +673,21 @@ class TestRankCodes:
         labels = ["pr", "kd:0.5", "kd:1", "kd:0.5+pg", f"kd:{(m - 1) / m!r}"]
         self.assert_batch_is_sets_alone_and_oracle(sets, [labels])
 
+    @pytest.mark.parametrize("m, dtype", [(4, np.int8), (5, np.int16), (31, np.int16),
+                                          (32, np.int32), (1289, np.int32), (1290, np.int64)])
+    def test_counts_weights_and_products_share_one_dtype(self, m, dtype):
+        # the weights are Python integers that fit the counts' dtype, so a
+        # product keeps that dtype under any numpy promotion rule (a numpy
+        # scalar of a wider type would be cast down to an int8 array's type
+        # under value-based casting); the largest product, M * w, fits it
+        assert ranking._count_dtype(m) is dtype
+        counts = np.full(2, m, dtype=dtype)
+        for k in (0.0, 0.5, (m - 1) / m, 1.0):
+            w, v = ranking._dominance_weights(m, k)
+            assert type(w) is int and type(v) is int
+            assert m * max(w, v) <= np.iinfo(dtype).max
+            assert (counts * w).dtype == dtype and (counts * v).tolist() == [m * v] * 2
+
     def test_equal_values_share_a_code(self):
         # two sets of three candidates over two criteria; each column codes
         # on its own, lowest value 0
