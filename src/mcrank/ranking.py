@@ -9,19 +9,21 @@ position one is the top of the list and lower wins.
 ``ranked_slices`` is the one path to best-first lists, for
 ``rank_candidates`` and the evaluate path alike. It scores equal-size
 sets as batches, B sets of n candidates in, one (B, methods, n) table
-out, and one budget, ``_CHUNK_CELLS``, bounds both that table and each
-chunk of the pairwise pass and of the front walk, laid out by
-``_tiling``: as many whole sets as fit, or else a run of rows of one set.
-Every set scores bit for bit as it does alone, whatever batch it is in.
+out, and one budget, ``_CHUNK_CELLS``, bounds that table and each
+temporary of the pairwise pass and of the front walk, which work in
+chunks laid out by ``_tiling``: as many whole sets as fit, or else a run
+of rows of one set. Every set scores bit for bit as it does alone,
+whatever batch it is in.
 
-The pass forms every pair's gain, the gains plane, only when gd is
-scored, and dominance then reads the differences a - b it takes; else it
-reads integer rank codes. pg without gd takes each candidate's best gain
-over the lower Pareto front and from the upper one, the skyline
-(Börzsönyi, Kossmann and Stocker 2001), which the dominance pass marks.
-No bit changes, and where 2,000 correlated candidates put a few dozen on
-each front, the walk is a small part of the plane's work (see
-``_pairwise``).
+Dominance reads integer rank codes, bit-parallel: per criterion, one bit
+a pair, 64 pairs a word, says whether a candidate is better than
+another, and every k is one threshold test on the counts of those bits
+(see ``_pairwise``). Only gd forms every pair's gain, the gains plane.
+pg without gd takes each candidate's best gain over the lower Pareto
+front and from the upper one, the skyline (Börzsönyi, Kossmann and
+Stocker 2001), which the dominance pass marks. No bit changes, and where
+2,000 correlated candidates put a few dozen on each front, the walk is a
+small part of the plane's work.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,13 +42,11 @@ from .errors import DomainError
 # A chunk's (sets, rows, n) differences, taken over all M criteria, number
 # at most this many cells: 7 whole sets at n = 67, M = 4, or 16 rows of
 # one set at n = 2,000, M = 4, which keeps each temporary (256 KB as
-# float64) in cache. A slice's (sets, methods, n) score table holds at
-# most as many: 195 sets of 67 candidates under 10 methods.
+# float64) in cache. A dominance tile's prefix tables, M (n + 1) rows a
+# set, hold at most a quarter as many words: 4-word columns at n = 2,000,
+# M = 4. A slice's (sets, methods, n) score table holds at most as many
+# cells: 195 sets of 67 candidates under 10 methods.
 _CHUNK_CELLS = 1 << 17
-
-# From here up the spacing of float64 values is at least 2^-1022, the
-# smallest normal, so a difference of two such distinct values is normal.
-_EXACT_DIFF = 2.0 ** -970
 
 # Method kinds whose scores are positions, where lower wins.
 _LOWER_BETTER = ("ar", "mr")
@@ -61,137 +61,187 @@ def _tiling(n: int, m: int, cols: int | None = None) -> tuple[int, int]:
     return max(1, rows // n), min(rows, n)
 
 
-def _count_dtype(m: int) -> type:
-    """The narrowest signed type that holds every product of the dominance
-    test over m criteria, up to m * m * (m + 1) + m: int8 up to m = 4, then
-    int16, int32 and int64. Counts, weights and products all take it, so
-    no product depends on numpy's rules for Python integer operands."""
-    return np.min_scalar_type(-1 - m * (m * (m + 1) + 1)).type
-
-
 @functools.cache
-def _dominance_weights(m: int, k: float) -> tuple[int, int]:
-    """Integer weights (w, v) such that, over m criteria, one candidate
-    k-dominates another exactly when ``w * n_w < v * n_b``, n_b and n_w
-    being its counts of better and worse criteria.
+def _thresholds(m: int, k: float) -> tuple[tuple[int, int], ...]:
+    """Terms (i, t): over m criteria, a candidate k-dominates another
+    exactly when some term has n_b >= i and n_w <= t, its counts of better
+    and worse criteria. k-dominance (Chan et al. 2006), n_b >= 1 and n_w <=
+    k * n_b on the float k read exactly, is n_w <= t(i) = floor(k * i) for
+    some i <= n_b; Pareto dominance is t = 0. As n_w <= m - n_b, t(i) is
+    capped at m - i, and a term is kept only if its t beats every earlier
+    one's (an earlier term with a t as large is weaker)."""
+    terms: list[tuple[int, int]] = []
+    for i in range(1, m + 1):
+        t = min(math.floor(Fraction(k) * i), m - i)
+        if not terms or t > terms[-1][1]:
+            terms.append((i, t))
+    return tuple(terms)
 
-    k-dominance (Chan et al. 2006) is ``n_b >= 1 and n_w <= k * n_b``, read
-    exactly on the float k. As n_w / n_b has a denominator of at most m,
-    k may be replaced by r = p / q, the largest fraction at most k with
-    q <= m; then w = q * (m + 1) and v = p * (m + 1) + 1 give it, because
-    n_b <= m. Pareto dominance is k = 0: ``(m + 1) * n_w < n_b``.
-    """
-    r = max(Fraction(math.floor(Fraction(k) * d), d) for d in range(1, m + 1))
-    return r.denominator * (m + 1), r.numerator * (m + 1) + 1
+
+def _sliced_count(planes: Iterable[np.ndarray]) -> list[np.ndarray]:
+    """How many of the equal-shape bit planes set each bit, as binary
+    digits, lowest first, each a plane of that shape: a ripple-carry add a
+    plane, with a new top digit each time the count of planes added reaches
+    a power of two. The planes are overwritten."""
+    bits: list[np.ndarray] = []
+    for q, carry in enumerate(planes, 1):
+        for digit in bits:
+            nxt = digit & carry
+            digit ^= carry
+            carry = nxt
+        if q & (q - 1) == 0:
+            bits.append(carry)
+    return bits
+
+
+def _at_least(bits: Sequence[np.ndarray], t: int) -> np.ndarray:
+    """Where the count sliced in ``bits`` is at least t, 1 <= t < 2 ** len(bits):
+    from the low bit up, the count's bits to l are at least t's when bit l
+    is set and, if t's is too, the lower bits are at least t's."""
+    hit = None  # no bit read yet: 0 >= 0 everywhere
+    for l, digit in enumerate(bits):
+        if t >> l & 1:
+            hit = digit if hit is None else digit & hit
+        elif hit is not None:
+            hit = digit | hit
+    return hit
 
 
 def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
               ) -> tuple[dict[float, np.ndarray], dict[str, np.ndarray]]:
     """Dominance counts for every k in ``ks`` and the gd/pg scores named in
-    ``gains``, all from one pass over the pairs of each set of the (B, n, M)
-    batch ``x``, chunk by chunk as ``_tiling`` lays them out.
+    ``gains`` of each set of the (B, n, M) batch ``x``.
 
     Returns ({k: (B, n) how many others each candidate k-dominates},
-    {kind: (B, n) scores}); k = 0 is Pareto dominance. A gain of a over b
-    is max(a - b, 0) summed in criterion order from +0.0. When gd is
-    scored, the pass forms every pair's gain, the gains plane; gd sums its
-    rows and pg reads its maxima. Dominance reads, per pair and criterion,
-    whether a is better or worse than b from one of two operand sources:
+    {kind: (B, n) scores}); k = 0 is Pareto dominance.
 
-    - the difference a - b, which the plane forms anyway, read as a - b > 0
-      and < 0. That reading is exact whatever the floating-point mode when
-      no nonzero value lies below 2^-970: then two distinct values are at
-      least 2^-1022 apart, so their difference is never subnormal and never
-      flushed to zero (an overflowed difference keeps its sign). A batch
-      with such a value reads codes;
-    - else the batch's rank codes (``_rank_codes``), which compare exactly
-      in any floating-point mode.
+    Dominance is bit-parallel, as in bitmap skylines (Tan, Eng and Ooi
+    2001): ``_code_planes`` packs per criterion whether a is better than b
+    and whether it is not worse, 64 pairs a word, from the rank codes
+    (``_rank_codes``), exact in any floating-point mode. ``_sliced_count``
+    adds each kind's M planes, and every k, Pareto included, is one exact
+    test on the two counts: an OR over its ``_thresholds`` of n_b >= i and
+    n_w <= t, read as M - n_w >= M - t.
 
-    Every k, Pareto included, reads the same per-pair counts (n_b, n_w) of
-    better and worse criteria through one exact integer test,
-    ``w * n_w < v * n_b`` with its ``_dominance_weights``.
-
-    pg without gd reads the Pareto fronts. Correctly rounded
-    subtraction, max(., 0) and addition are monotone, so if b' <= b on
-    every criterion, a's gain over b' is at least its gain over b, bit for
-    bit. So a's best outgoing gain is reached at a member of the lower
-    front (the candidates that Pareto-dominate no other one), and its best
-    incoming gain at a member of the upper front (those no other one
-    dominates). The k = 0 test marks both fronts in the pass, and
-    ``_front_gains`` takes the two maxima over their members alone; as
-    ``max`` is exact, no bit changes. When the widest front holds more than
-    n / 2 candidates (every candidate is on both fronts when none dominates
-    another), that walk would cover more pairs than the plane, so pg reads
-    a plane formed after the pass instead.
+    A gain of a over b is max(a - b, 0) summed in criterion order from
+    +0.0; gd and pg beside it read the gains plane (``_plane_gains``). pg
+    without gd reads the Pareto fronts. Correctly rounded subtraction,
+    max(., 0) and addition are monotone, so if b' <= b on every criterion,
+    a's gain over b' is at least its gain over b, bit for bit. So a's best
+    outgoing gain is reached at a member of the lower front (the
+    candidates that Pareto-dominate no other one), and its best incoming
+    gain at a member of the upper front (those no other one dominates).
+    The k = 0 test marks both fronts, and ``_front_gains`` takes the two
+    maxima over their members alone; as ``max`` is exact, no bit changes.
+    When the widest front holds more than n / 2 candidates (every
+    candidate is on both fronts when none dominates another), that walk
+    would cover more pairs than the plane, so pg reads the plane instead.
     """
     b, n, m = x.shape
-    if not (ks or gains):
-        return {}, {}
-    plane = "gd" in gains
-    fronts = "pg" in gains and not plane
-    weights = {k: _dominance_weights(m, k) for k in (ks | {0.0} if fronts else ks)}
+    fronts = gains == {"pg"}
+    # the ks that share each test, Pareto's among them when fronts are marked
+    tests: dict[tuple[tuple[int, int], ...], list[float]] = {}
+    for k in ks | {0.0} if fronts else ks:
+        tests.setdefault(_thresholds(m, k), []).append(k)
     cols = np.ascontiguousarray(x.transpose(2, 0, 1))
-    if weights and plane:
-        mag = np.abs(x)
-        tiny = ((mag > 0.0) & (mag < _EXACT_DIFF)).any()
-    codes = _rank_codes(cols) if weights and (not plane or tiny) else None
     counts = {k: np.zeros((b, n)) for k in ks}
-    scored = {kind: np.zeros((b, n)) for kind in gains}
-    best_in = np.full((b, n), -np.inf)
     dominant, dominated = np.zeros((2, b, n), dtype=bool)
-    step_sets, step_rows = _tiling(n, m)
-    diff = np.empty((min(step_sets, b), step_rows, n))
-    flag = np.empty(diff.shape, dtype=bool)
+    for sets, rows, first, planes in _code_planes(_rank_codes(cols)) if tests else ():
+        n_b, n_nw = zip(*_sliced_count(planes))
+        for terms, group in tests.items():
+            # bits past the last candidate, like self pairs, are never
+            # better, so never dominate
+            beats = functools.reduce(np.bitwise_or, [
+                _at_least(n_b, i) & _at_least(n_nw, m - t) if t < m - i else _at_least(n_b, i)
+                for i, t in terms])
+            count = np.bitwise_count(beats).sum(axis=-1)
+            for k in ks.intersection(group):
+                counts[k][sets, rows] += count
+            if fronts and 0.0 in group:
+                dominant[sets, rows] |= beats.any(axis=-1)
+                below = dominated[sets, first:first + 64 * beats.shape[-1]]
+                below |= np.unpackbits(
+                    np.bitwise_or.reduce(beats, axis=1).astype("<u8", copy=False).view(np.uint8),
+                    axis=-1, count=below.shape[-1], bitorder="little").view(bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, r in itertools.product(range(0, b, step_sets), range(0, n, step_rows)):
-            sets, rows = slice(s, s + step_sets), slice(r, r + step_rows)
-            d = diff[:min(step_sets, b - s), :min(step_rows, n - r)]
-            f = flag[:d.shape[0], :d.shape[1]]
-            n_b, n_w = np.zeros((2, *d.shape), dtype=_count_dtype(m))
-            if plane:
-                pair_gains = np.zeros(d.shape)
-            for j in range(m):
-                if plane:
-                    np.subtract(cols[j, sets, rows, None], cols[j, sets, None], out=d)
-                if codes is None:
-                    lhs, rhs = d, 0.0
-                else:
-                    lhs, rhs = codes[j, sets, rows, None], codes[j, sets, None]
-                if weights:
-                    n_b += np.greater(lhs, rhs, out=f).view(np.int8)
-                    n_w += np.less(lhs, rhs, out=f).view(np.int8)
-                if plane:
-                    pair_gains += np.maximum(d, 0.0, out=d)
-            # self pairs have n_b = 0, so never dominate; int32 row counts
-            # are exact below 2^31 candidates
-            for k, (w, v) in weights.items():
-                beats = np.less(n_w * w, n_b * v, out=f)
-                if k in counts:
-                    counts[k][sets, rows] = beats.sum(axis=2, dtype=np.int32)
-                if fronts and k == 0.0:
-                    dominant[sets, rows] = beats.any(axis=2)
-                    dominated[sets] |= beats.any(axis=1)
-            # a self pair's gain is +0.0 and no gain is below it, so self
-            # pairs change no maximum; a lone candidate's pg is 0 - 0
-            if plane:
-                scored["gd"][sets, rows] = pair_gains.sum(axis=2)
-                if "pg" in gains:
-                    scored["pg"][sets, rows] = pair_gains.max(axis=2)
-                    np.maximum(best_in[sets], pair_gains.max(axis=1), out=best_in[sets])
         if fronts:
             front = np.concatenate([~dominant, ~dominated])
-            if 2 * int(front.sum(axis=1).max()) > n:
-                # the walk would cover more pairs than the plane, which gd
-                # forms (its sums are dropped)
-                scored["pg"] = _pairwise(x, set(), {"gd", "pg"})[1]["pg"]
-            else:
+            if 2 * int(front.sum(axis=1).max()) <= n:
                 # b's gain over a is -a's over -b, bit for bit (x - y is
                 # x + (-y)), so the upper front's walk is the lower's on -x
                 best = _front_gains(np.concatenate([cols, -cols], axis=1), front)
-                scored["pg"] = best[:b] - best[b:]
-        elif "pg" in gains:
-            scored["pg"] -= best_in
-    return counts, scored
+                return counts, {"pg": best[:b] - best[b:]}
+        return counts, _plane_gains(cols, gains) if gains else {}
+
+
+def _code_planes(codes: np.ndarray) -> Iterator[tuple[slice, slice, int, Iterator[np.ndarray]]]:
+    """The bit planes of the (M, B, n) rank codes of a batch, chunk by chunk
+    as (sets, rows, first, planes), ``planes`` yielding per criterion a (2,
+    sets, rows, words) uint64 plane whose bit c of word w is set, in [0],
+    when the row's candidate codes above candidate ``first + 64 * w + c``
+    and, in [1], when it codes at least as high; read them before the next
+    chunk. For each tile of ``words`` words of candidates, a prefix-OR
+    table per (criterion, set) holds in row c the tile's candidates coded
+    below c, so a candidate coded c reads its planes in rows c and c + 1.
+    The tables of a tile, M (n + 1) rows a set, fit a quarter of
+    ``_CHUNK_CELLS`` words up to n = 8,191 at M = 4, and a chunk's planes a
+    32nd, or a 128th in rows of one set."""
+    m, b, n = codes.shape
+    # the dozen or so planes live at once stay in cache
+    words = max(1, min(-(-n // 64), _CHUNK_CELLS // (4 * m * (n + 1))))
+    step_sets, step_rows = _tiling(n, max(m, 32), words)
+    step_rows = max(1, min(step_rows, _CHUNK_CELLS // (128 * words)))
+    bits = np.uint64(1) << (np.arange(n) % 64).astype(np.uint64)
+    for s in range(0, b, step_sets):
+        sets = slice(s, s + step_sets)
+        size = len(codes[0, sets])
+        # row c of (criterion j, set s) is row start + c of all the tables
+        start = (n + 1) * np.arange(m * size).reshape(m, size, 1)
+        lower = start + codes[:, sets]
+        for first in range(0, n, 64 * words):
+            width = min(64 * words, n - first)
+            wide = -(-width // 64)
+            # the bits of one word's candidates differ: their sum is an OR.
+            # ufunc.at takes flat operands: numpy 2.4.6 reads past a 1-D
+            # value array broadcast over a 2-D index
+            table = np.zeros((m * size, n + 1, wide), dtype=np.uint64)
+            np.add.at(table.reshape(-1), ((lower[..., first:first + width] + 1) * wide
+                                          + np.arange(width) // 64).ravel(),
+                      bits[None, :width].repeat(m * size, axis=0).ravel())
+            np.bitwise_or.accumulate(table, axis=1, out=table)
+            table = table.reshape(-1, wide)
+            for r in range(0, n, step_rows):
+                rows = slice(r, r + step_rows)
+                at = lower[:, None, :, rows] + np.arange(2)[:, None, None]
+                yield sets, rows, first, (table.take(at[j], axis=0) for j in range(m))
+
+
+def _plane_gains(cols: np.ndarray, gains: set[str]) -> dict[str, np.ndarray]:
+    """gd and pg, as named in ``gains``, from every pair's gain over the (M,
+    B, n) criterion columns ``cols`` in ``_tiling`` chunks: gd sums a
+    candidate's row, pg is its row's maximum less its column's."""
+    m, b, n = cols.shape
+    scored = {kind: np.zeros((b, n)) for kind in gains}
+    best_in = np.full((b, n), -np.inf)
+    step_sets, step_rows = _tiling(n, m)
+    diff = np.empty((min(step_sets, b), step_rows, n))
+    for s, r in itertools.product(range(0, b, step_sets), range(0, n, step_rows)):
+        sets, rows = slice(s, s + step_sets), slice(r, r + step_rows)
+        d = diff[:min(step_sets, b - s), :min(step_rows, n - r)]
+        pair_gains = np.zeros(d.shape)
+        for j in range(m):
+            np.subtract(cols[j, sets, rows, None], cols[j, sets, None], out=d)
+            pair_gains += np.maximum(d, 0.0, out=d)
+        # a self pair's gain is +0.0 and no gain is below it, so self pairs
+        # change no maximum; a lone candidate's pg is 0 - 0
+        if "gd" in gains:
+            scored["gd"][sets, rows] = pair_gains.sum(axis=2)
+        if "pg" in gains:
+            scored["pg"][sets, rows] = pair_gains.max(axis=2)
+            np.maximum(best_in[sets], pair_gains.max(axis=1), out=best_in[sets])
+    if "pg" in gains:
+        scored["pg"] -= best_in
+    return scored
 
 
 def _front_gains(cols: np.ndarray, front: np.ndarray) -> np.ndarray:
@@ -248,9 +298,9 @@ def _sorted_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ``run_start[i]`` whether i begins a run of equal values (each row
     begins one); ``run_start`` has one more entry, True, at the end."""
     n, size = values.shape[-1], values.size
-    # the order within a run is never read; the stable sort is the faster
-    # one on the short rows most candidate sets give
-    order = values.argsort(axis=-1, kind="stable")
+    # the order within a run is never read, so the faster sort is taken:
+    # the stable one on the short rows most candidate sets give
+    order = values.argsort(axis=-1, kind="stable" if n <= 16 else "quicksort")
     row_start = np.arange(0, size, max(n, 1)).repeat(n)
     flat = order.ravel() + row_start
     sorted_vals = values.ravel()[flat]

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import naive
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     GOLDEN_AR,
     GOLDEN_GD,
@@ -396,23 +398,13 @@ class TestChunkedPairwise:
 
     @pytest.mark.parametrize("rows", EXTREME_ROWS.values(), ids=EXTREME_ROWS.keys())
     def test_comparisons_match_the_oracle_at_the_float_extremes(self, rows):
-        # dominance reads rank codes, or a - b when gd is scored in the same
-        # pass and no nonzero value lies below 2^-970; pg without gd reads
-        # the Pareto fronts from the codes; the oracle compares directly.
+        # dominance reads rank codes, and pg without gd the Pareto fronts
+        # they mark; the oracle compares the values directly.
         # n * M * spread stays finite, so gd and pg are defined
         for n in range(2, len(rows) + 1):
             c = CandidateSet.from_pairs(
                 "u", [(f"i{j}", row) for j, row in enumerate(rows[:n])])
             assert_pairwise_match_oracle(c, gd_tol={"abs": 0.0})
-
-    def test_differences_from_the_threshold_up_are_normal(self):
-        # a flush-to-zero mode reads a subnormal a - b as 0; from 2^-970 up
-        # the spacing of float64 values is the least normal, just below it
-        # the spacing is subnormal
-        x = ranking._EXACT_DIFF
-        least_normal = np.finfo(np.float64).smallest_normal
-        assert np.nextafter(x, np.inf) - x == least_normal
-        assert x - np.nextafter(x, 0.0) < least_normal
 
     @pytest.mark.skipif(
         platform.machine() != "x86_64" or not sys.platform.startswith("linux")
@@ -420,9 +412,9 @@ class TestChunkedPairwise:
         reason="sets flush-to-zero through glibc's x86-64 fenv_t (MXCSR at byte 28)")
     def test_tiny_values_compare_directly_under_flush_to_zero(self):
         # 2^-1020 + 2^-1070 and 2^-1020 are normal, their difference is not:
-        # flushed to zero it would read as a tie, so a batch holding them
-        # must compare a with b directly. The mode is set for the whole
-        # process, so the check runs in a fresh one.
+        # flushed to zero it would read as a tie, so dominance must not read
+        # a - b. The mode is set for the whole process, so the check runs in
+        # a fresh one.
         code = """if True:
             import ctypes, ctypes.util
             import naive
@@ -461,7 +453,8 @@ SHARED_LABELS = ["pr", "kd:0", "kd:0.25", "kd:0.5", "kd:0.75", "kd:1",
 
 
 def with_one_tiny_value(rng, shape):
-    # one value below 2^-970 in set 2 makes the whole batch read rank codes
+    # one value below 2^-970 in set 2, whose differences a flush-to-zero
+    # mode would read as ties
     x = rng.uniform(1.0, 5.0, size=shape)
     x[2, 1, 0] = 2.0 ** -1000
     return x
@@ -591,18 +584,16 @@ def candidate_set(user_id, rows):
 
 
 # label groups scored together, each k through the same exact dominance
-# test: the first six compare rank codes (pg without gd among them, whose
-# k = 0 test marks the fronts); the last, which scores gd, compares a - b
+# test on the bit planes of the rank codes: pg without gd among them, whose
+# k = 0 test marks the fronts, and gd, which forms the gains plane too
 ROUTE_LABEL_GROUPS = [["pr"], ["kd:0.5"], ["pr+ar"], ["pr", "kd:0.5", "kd:0.5+mr"],
                       ["pr", "pg"], ["pr+pg"], ["pr", "gd", "pg"]]
 
 
 class TestRankCodes:
-    """Dominance compares each criterion's dense rank codes, unless gd is
-    scored in the same pass and no value of the batch is tiny: then it
-    compares the a - b that the gains plane forms. Either way every k,
-    Pareto included, reads the same counts of better and worse criteria,
-    which never reach into another set."""
+    """Dominance compares each criterion's dense rank codes, on every
+    route: every k, Pareto included, reads the same counts of better and
+    worse criteria, which never reach into another set."""
 
     @staticmethod
     def assert_batch_is_sets_alone_and_oracle(sets, label_groups=ROUTE_LABEL_GROUPS):
@@ -644,27 +635,25 @@ class TestRankCodes:
 
     @pytest.mark.parametrize("draw", [ties, with_one_tiny_value],
                              ids=["integer-ties", "tiny-value-in-one-set"])
-    def test_codes_are_read_unless_gd_forms_exact_differences(self, monkeypatch, draw):
-        # beside gd dominance reads a - b, or the codes when a value is tiny
+    def test_codes_are_read_on_every_route(self, monkeypatch, draw):
+        # beside gd too, and whether or not a value is tiny
         calls = []
         real = ranking._rank_codes
         monkeypatch.setattr(ranking, "_rank_codes",
                             lambda cols: calls.append(cols.shape) or real(cols))
         x = draw(np.random.default_rng(97), (4, 5, 2))
         sets = [candidate_set(f"u{s}", x[s]) for s in range(4)]
-        tiny = draw is with_one_tiny_value
         for labels in ROUTE_LABEL_GROUPS:
             self.assert_batch_is_sets_alone_and_oracle(sets, [labels])
             calls.clear()
             ranking._score_batch(sets, [MethodSpec.parse(label) for label in labels])
-            assert len(calls) == ("gd" not in labels or tiny), labels
+            assert calls == [(2, 4, 5)], labels
 
     @pytest.mark.parametrize("m", [4, 5, 31, 32])
     def test_dominance_products_do_not_wrap(self, m):
-        # the products w * n_w and v * n_b are int8 up to M = 4, int16 up to
-        # M = 31 and int32 above; k = (M - 1) / M has w = M * (M + 1), the
-        # largest, and an all-worse pair has n_w = M, so M = 5 wraps int8
-        # and M = 32 wraps int16
+        # a count of M = 4 or M = 32 criteria reaches a new top bit, one of
+        # M = 5 or M = 31 does not; k = (M - 1) / M has the most terms, and
+        # an all-worse pair has n_w = M
         rng = np.random.default_rng(m)
         low, high = np.ones(m), np.full(m, 5.0)
         sets = [candidate_set(f"u{s}", [low, high, np.where(np.arange(m) > 0, high, low),
@@ -672,21 +661,6 @@ class TestRankCodes:
                 for s in range(2)]
         labels = ["pr", "kd:0.5", "kd:1", "kd:0.5+pg", f"kd:{(m - 1) / m!r}"]
         self.assert_batch_is_sets_alone_and_oracle(sets, [labels])
-
-    @pytest.mark.parametrize("m, dtype", [(4, np.int8), (5, np.int16), (31, np.int16),
-                                          (32, np.int32), (1289, np.int32), (1290, np.int64)])
-    def test_counts_weights_and_products_share_one_dtype(self, m, dtype):
-        # the weights are Python integers that fit the counts' dtype, so a
-        # product keeps that dtype under any numpy promotion rule (a numpy
-        # scalar of a wider type would be cast down to an int8 array's type
-        # under value-based casting); the largest product, M * w, fits it
-        assert ranking._count_dtype(m) is dtype
-        counts = np.full(2, m, dtype=dtype)
-        for k in (0.0, 0.5, (m - 1) / m, 1.0):
-            w, v = ranking._dominance_weights(m, k)
-            assert type(w) is int and type(v) is int
-            assert m * max(w, v) <= np.iinfo(dtype).max
-            assert (counts * w).dtype == dtype and (counts * v).tolist() == [m * v] * 2
 
     def test_equal_values_share_a_code(self):
         # two sets of three candidates over two criteria; each column codes
@@ -707,6 +681,97 @@ class TestRankCodes:
         assert codes.dtype == dtype and codes.shape == (1, 1, n)
         assert codes.max() == n - 1
         assert np.array_equal(codes[0, 0], values)
+
+
+# the float nearest 1/3, which lies below it
+THIRD = 0.3333333333333333
+
+
+class TestBitPlanes:
+    """Dominance packs, per criterion, each pair's better and not-worse
+    bits 64 a word, adds each kind's planes into a binary count and reads
+    every k as thresholds on the two counts; every case is the oracle's."""
+
+    @pytest.mark.parametrize("m, k, terms", [
+        (4, 0.0, [(1, 0)]),
+        (130, 0.0, [(1, 0)]),
+        # 3 * THIRD is below 1, so n_b = 3 allows no worse criterion
+        (3, THIRD, [(1, 0)]),
+        # 6 * THIRD is below 2: one worse criterion takes n_b >= 4, not 3
+        (6, THIRD, [(1, 0), (4, 1)]),
+        (4, 1.0, [(1, 1), (2, 2)]),
+        (4, 1e300, [(1, 3)]),
+    ], ids=["kd:0-M4", "kd:0-M130", "kd:third-M3", "kd:third-M6", "kd:1-M4", "kd:1e300-M4"])
+    def test_thresholds_read_k_exactly(self, m, k, terms):
+        # t(i) = floor(k * i), capped at M - i; a term is kept while its t
+        # rises. Each (n_b, n_w) is read as the oracle reads a pair with
+        # that many better and worse criteria, the rest equal
+        assert ranking._thresholds(m, k) == tuple(terms)
+        for n_b in range(m + 1):
+            for n_w in range(m - n_b + 1):
+                a = (2.0,) * n_b + (0.0,) * n_w + (1.0,) * (m - n_b - n_w)
+                want = naive.kdom(a, (1.0,) * m, k)
+                assert any(n_b >= i and n_w <= t for i, t in terms) == want, (n_b, n_w)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 9, 130])
+    def test_sliced_counts_read_every_threshold(self, m):
+        planes = np.random.default_rng(m).integers(0, 256, size=(m, 3, 5), dtype=np.uint8)
+        count = np.unpackbits(planes, axis=-1).sum(axis=0)
+        bits = ranking._sliced_count(list(planes.copy()))
+        assert len(bits) == m.bit_length()
+        for t in range(1, m + 1):
+            assert np.array_equal(np.unpackbits(ranking._at_least(bits, t), axis=-1),
+                                  count >= t), t
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+    def test_word_edges_match_the_oracle(self, monkeypatch, n):
+        # a set of n candidates over 3 criteria of 3 levels and the same
+        # rows reversed, scored with the default budget; with one-word
+        # column tiles in chunks of 8 rows (a budget of 128 * 8 words, as a
+        # chunk's planes take a 128th of it in rows of one set); and with
+        # two-word tiles (a budget of 8 * M * (n + 1), as a tile's tables,
+        # M * (n + 1) rows of its words, take a quarter)
+        rows = np.random.default_rng(n).integers(1, 4, size=(n, 3))
+        sets = [candidate_set("u0", rows), candidate_set("u1", rows[::-1])]
+        labels = ["pr", "kd:1", "kd:0.5+pg"]
+        specs = [MethodSpec.parse(label) for label in labels]
+        want = [naive_scores(label, [tuple(row) for row in rows.tolist()]) for label in labels]
+        want = [want, [scores[::-1] for scores in want]]
+        chunks = []
+        real = ranking._code_planes
+        monkeypatch.setattr(ranking, "_code_planes", lambda codes: (
+            chunks.append((sets.start, rows.start, first)) or chunk
+            for chunk in real(codes) for sets, rows, first, _ in [chunk]))
+        for cells in (None, 128 * 8, 8 * 3 * (n + 1)):
+            if cells is not None:
+                monkeypatch.setattr(ranking, "_CHUNK_CELLS", cells)
+            chunks.clear()
+            table = ranking._score_batch(sets, specs)
+            for s in range(2):
+                assert table[s].tolist() == want[s], (cells, s)
+            firsts, starts = {c[2] for c in chunks}, {c[1] for c in chunks}
+            if cells == 128 * 8:
+                assert firsts == set(range(0, n, 64)) and starts == set(range(0, n, 8))
+            if cells == 8 * 3 * (n + 1):
+                assert firsts == set(range(0, n, 128))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 6), n=st.integers(1, 12), b=st.integers(1, 3),
+           k=st.sampled_from([0.0, 0.1, 0.25, THIRD, 0.5, 2 / 3, 0.75, 1.0]),
+           cells=st.sampled_from([None, 1, 128 * 3]))
+    def test_small_integer_sets_with_ties(self, data, m, n, b, k, cells):
+        x = data.draw(st.lists(st.integers(0, 3), min_size=b * n * m, max_size=b * n * m))
+        x = np.array(x, dtype=np.float64).reshape(b, n, m)
+        sets = [candidate_set(f"u{s}", x[s]) for s in range(b)]
+        labels = ["pr", f"kd:{k!r}", f"kd:{k!r}+pg", "pg"]
+        with pytest.MonkeyPatch.context() as patch:
+            if cells is not None:
+                patch.setattr(ranking, "_CHUNK_CELLS", cells)
+            table = ranking._score_batch(sets, [MethodSpec.parse(label) for label in labels])
+        for s, c in enumerate(sets):
+            vectors = [tuple(row) for row in c.matrix.tolist()]
+            for label, got in zip(labels, table[s]):
+                assert got.tolist() == naive_scores(label, vectors), (s, label)
 
 
 def equal_sums(rng, shape):
