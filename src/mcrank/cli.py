@@ -17,7 +17,9 @@ from .core import RANKING_KINDS, SUB_KINDS, CandidateSet, MethodSpec
 from .errors import DomainError, McrankError
 from .pipeline import Protocol, _candidate_pools, run_experiment, synth_generate
 from .predictor import TrainConfig, fit, predict_many
-from .ranking import rank_candidates, top_n
+from .ranking import ranked_slices
+# unused here, but bench/traced.py patches these names in this module
+from .ranking import rank_candidates, top_n  # noqa: F401
 
 
 class _UsageError(Exception):
@@ -107,11 +109,13 @@ def _cmd_rank(args) -> int:
     else:
         users = sorted(candidate_sets)
     writer = csv.writer(sys.stdout, delimiter="\t", lineterminator="\n")
+    head = slice(args.top_n)  # every row without --top-n
     for user in users:
-        ranked = rank_candidates(candidate_sets[user], spec)
-        if args.top_n is not None:
-            ranked = top_n(ranked, args.top_n)
-        writer.writerows((user, item, score) for item, score in ranked)
+        c = candidate_sets[user]
+        # ranked_slices checks each list against the ScoredList invariant
+        [(_, order, keys)] = ranked_slices([c], [spec])
+        writer.writerows((user, c.item_ids[i], score) for i, score in
+                         zip(order[0, 0, head].tolist(), keys[0, 0, head].tolist()))
     return 0
 
 

@@ -165,7 +165,7 @@ class CandidateSet:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        ids = tuple(map(str, self.item_ids))
+        ids = list(map(str, self.item_ids))
         mat = np.asarray(self.matrix, dtype=np.float64)
         if mat.ndim != 2:
             raise DimensionError(f"candidate matrix must be 2-D, got shape {mat.shape}")
@@ -173,15 +173,15 @@ class CandidateSet:
             raise DimensionError(f"{len(ids)} item ids but {mat.shape[0]} criteria rows")
         if mat.shape[0] == 0 or mat.shape[1] == 0:
             raise DimensionError("candidate set must have at least one item and one criterion")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise DimensionError("candidate matrix contains non-finite values")
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        ids = tuple(ids[j] for j in order)
-        if any(a == b for a, b in zip(ids, ids[1:])):
+        if len(set(ids)) != len(ids):
             raise DomainError(f"duplicate item ids in candidate set for user {self.user_id!r}")
-        mat = mat[order]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        # a copy by index: the caller's array stays writeable and unshared
+        mat = mat.take(order, axis=0)
         mat.flags.writeable = False
-        object.__setattr__(self, "item_ids", ids)
+        object.__setattr__(self, "item_ids", tuple([ids[j] for j in order]))
         object.__setattr__(self, "matrix", mat)
 
     @classmethod

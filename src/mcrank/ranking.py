@@ -10,10 +10,10 @@ position one is the top of the list and lower wins.
 ``rank_candidates`` and the evaluate path alike. It scores equal-size
 sets as batches, B sets of n candidates in, one (B, methods, n) table
 out, and one budget, ``_CHUNK_CELLS``, bounds that table and each
-temporary of the pairwise pass and of the front walk, which work in
-chunks laid out by ``_tiling``: as many whole sets as fit, or else a run
-of rows of one set. Every set scores bit for bit as it does alone,
-whatever batch it is in.
+temporary of the pairwise pass, its bit-planes included, and of the
+front walk. All of them work in chunks laid out by the one ``_tiling``
+rule: as many whole sets as fit, or else a run of rows of one set. Every
+set scores bit for bit as it does alone, whatever batch it is in.
 
 Dominance reads integer rank codes, bit-parallel: per criterion, one bit
 a pair, 64 pairs a word, says whether a candidate is better than
@@ -44,7 +44,8 @@ from .errors import DomainError
 # one set at n = 2,000, M = 4, which keeps each temporary (256 KB as
 # float64) in cache. A dominance tile's prefix tables, M (n + 1) rows a
 # set, hold at most a quarter as many words: 4-word columns at n = 2,000,
-# M = 4. A slice's (sets, methods, n) score table holds at most as many
+# M = 4, and a chunk's planes a 16th per criterion: 1,024 rows of one
+# set. A slice's (sets, methods, n) score table holds at most as many
 # cells: 195 sets of 67 candidates under 10 methods.
 _CHUNK_CELLS = 1 << 17
 
@@ -184,13 +185,14 @@ def _code_planes(codes: np.ndarray) -> Iterator[tuple[slice, slice, int, Iterato
     table per (criterion, set) holds in row c the tile's candidates coded
     below c, so a candidate coded c reads its planes in rows c and c + 1.
     The tables of a tile, M (n + 1) rows a set, fit a quarter of
-    ``_CHUNK_CELLS`` words up to n = 8,191 at M = 4, and a chunk's planes a
-    32nd, or a 128th in rows of one set."""
+    ``_CHUNK_CELLS`` words up to n = 8,191 at M = 4, and the chunks follow
+    ``_tiling`` over ``words`` columns of max(M, 32) criteria, so each
+    criterion's planes take at most a 16th: 1,024 rows of one set, 64 KB,
+    at n = 2,000, M = 4."""
     m, b, n = codes.shape
     # the dozen or so planes live at once stay in cache
     words = max(1, min(-(-n // 64), _CHUNK_CELLS // (4 * m * (n + 1))))
     step_sets, step_rows = _tiling(n, max(m, 32), words)
-    step_rows = max(1, min(step_rows, _CHUNK_CELLS // (128 * words)))
     bits = np.uint64(1) << (np.arange(n) % 64).astype(np.uint64)
     for s in range(0, b, step_sets):
         sets = slice(s, s + step_sets)

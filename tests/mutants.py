@@ -1,14 +1,16 @@
-"""Mutants of the dominance kernel, each of which named test files must kill.
+"""Mutants of the ranking kernels and of ``rank``, each of which named test
+files must kill.
 
 Run from anywhere: ``python tests/mutants.py``. Each mutant replaces one
-text, found exactly once, in one file of a copy of ``src``, ``tests`` and
-``pyproject.toml`` under a temporary directory, and runs only its named
-test files there, stopping at the first failure. A mutant is killed when
-they fail. The script first runs every named file unmutated, then prints
-each mutant as killed or survived. It exits 0 when every mutant is
-killed, 1 when one survives and 2 when a run cannot tell (a text not
-found once, a failure without a mutant, or pytest ending in an error).
-Its name keeps it out of pytest's collection, which takes ``test_*.py``.
+text, found exactly once, in one file of a copy of ``src``, ``tests``,
+``bench``, ``pyproject.toml`` and ``README.md`` under a temporary
+directory, and runs only its named test files there, stopping at the
+first failure. A mutant is killed when they fail. The script first runs
+every named file unmutated, then prints each mutant as killed or
+survived. It exits 0 when every mutant is killed, 1 when one survives
+and 2 when a run cannot tell (a text not found once, a failure without a
+mutant, or pytest ending in an error). Its name keeps it out of pytest's
+collection, which takes ``test_*.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from pathlib import Path
 
 RANKING = "src/mcrank/ranking.py"
 RANKING_TESTS = ["tests/test_ranking.py"]
+CLI = "src/mcrank/cli.py"
+CLI_TESTS = ["tests/test_interface.py"]
 
 # (what the mutant does, file, old text, new text, test files that kill it)
 MUTANTS = [
@@ -44,6 +48,19 @@ MUTANTS = [
     ("lower and upper fronts swapped", RANKING,
      "front = np.concatenate([~dominant, ~dominated])",
      "front = np.concatenate([~dominated, ~dominant])", RANKING_TESTS),
+    ("front padding of zeros, not +inf", RANKING,
+     "members[:, np.arange(width) >= sizes[:, None]] = np.inf",
+     "members[:, np.arange(width) >= sizes[:, None]] = 0.0", RANKING_TESTS),
+    ("front one member short", RANKING,
+     "width = int(sizes.max())", "width = int(sizes.max()) - 1", RANKING_TESTS),
+    ("fronts always walked", RANKING,
+     "if 2 * int(front.sum(axis=1).max()) <= n:", "if True:", RANKING_TESTS),
+    ("fronts never walked", RANKING,
+     "if 2 * int(front.sum(axis=1).max()) <= n:", "if False:", RANKING_TESTS),
+    ("each bit-plane row chunk one row short", RANKING,
+     "rows = slice(r, r + step_rows)", "rows = slice(r, r + step_rows - 1)", RANKING_TESTS),
+    ("rank prints one line fewer than --top-n", CLI,
+     "head = slice(args.top_n)", "head = slice(args.top_n and args.top_n - 1)", CLI_TESTS),
 ]
 
 
@@ -59,10 +76,11 @@ def main() -> int:
     repo = Path(__file__).resolve().parents[1]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "bench"):
             shutil.copytree(repo / part, root / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(repo / "pyproject.toml", root)
+        for part in ("pyproject.toml", "README.md"):
+            shutil.copy(repo / part, root)
         files = sorted({f for *_, tests in MUTANTS for f in tests})
         if run_tests(root, files) != 0:
             print(f"{' '.join(files)} fail without a mutant")

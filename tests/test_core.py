@@ -148,6 +148,18 @@ class TestCandidateSet:
         with pytest.raises(DimensionError, match="2 item ids but 1 criteria rows"):
             CandidateSet(user_id="u", item_ids=("a", "b"), matrix=np.ones((1, 2)))
 
+    @pytest.mark.parametrize("ids", [("a", "b", "c"), ("c", "a", "b")])
+    def test_caller_array_stays_its_own(self, ids):
+        given = np.arange(6.0).reshape(3, 2)
+        c = CandidateSet("u", ids, given)
+        assert given.flags.writeable and given.tolist() == [[0, 1], [2, 3], [4, 5]]
+        assert not np.shares_memory(given, c.matrix) and not c.matrix.flags.writeable
+        assert c.item_ids == ("a", "b", "c")
+        assert c.matrix.tolist() == [given[ids.index(i)].tolist() for i in c.item_ids]
+        with pytest.raises(DomainError, match=re.escape(
+                "duplicate item ids in candidate set for user 'u'")):
+            CandidateSet("u", (*ids, ids[1]), np.vstack([given, given[:1]]))
+
     def test_non_numeric_value_is_not_a_shape_error(self):
         with pytest.raises(ValueError, match="could not convert") as caught:
             CandidateSet.from_pairs("u", [("a", ("x",))])

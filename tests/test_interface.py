@@ -15,6 +15,7 @@ from mcrank import (
     RatingRecord,
     rank_candidates,
     synth_generate,
+    top_n,
     validate_dataset,
 )
 from mcrank import pipeline
@@ -305,25 +306,33 @@ class TestCliRank:
         assert capsys.readouterr().err == "usage error: hybrid major must be pr or kd\n"
 
     def test_every_method_flag_ranks_as_its_label(self, tmp_path, capsys):
-        # the CLI flags and MethodSpec.parse read one vocabulary from core
+        # the CLI flags and MethodSpec.parse read one vocabulary from core,
+        # and rank prints what the public ScoredList route gives, cut to
+        # --top-n (below, at and past the set size of 12) and to --user
         rng = np.random.default_rng(9)
         path = tmp_path / "vectors.csv"
         path.write_text("user_id,item_id,a,b,c\n" + "".join(
             f"u{u},i{i:02d},{','.join(map(str, rng.integers(1, 6, 3)))}\n"
             for u in range(2) for i in range(12)))
         sets = load_candidate_sets(path)
+        cuts = [([], None, sorted(sets))] + [
+            (["--top-n", str(n)], n, sorted(sets)) for n in (1, 5, 12, 15)] + [
+            (["--user", "u1", "--top-n", "5"], 5, ["u1"])]
         for kind in RANKING_KINDS:
             k_flags, major = (["--k", "0.5"], "kd:0.5") if kind == "kd" else ([], kind)
             for sub in (None, *SUB_KINDS) if kind in MAJOR_KINDS else (None,):
                 sub_flags, label = ([], major) if sub is None else (["--sub", sub],
                                                                     f"{major}+{sub}")
-                assert run_cli("rank", "--input", str(path), "--predicted",
-                               "--method", kind, *k_flags, *sub_flags) == 0
-                got = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
-                want = [[user, item, repr(score)] for user in sorted(sets)
-                        for item, score in rank_candidates(sets[user],
-                                                           MethodSpec.parse(label))]
-                assert got == want, label
+                for cut_flags, n, users in cuts:
+                    assert run_cli("rank", "--input", str(path), "--predicted",
+                                   "--method", kind, *k_flags, *sub_flags, *cut_flags) == 0
+                    got = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+                    want = []
+                    for user in users:
+                        ranked = rank_candidates(sets[user], MethodSpec.parse(label))
+                        want += [[user, item, repr(score)]
+                                 for item, score in (ranked if n is None else top_n(ranked, n))]
+                    assert got == want, (label, cut_flags)
 
     def test_unknown_flag_is_a_usage_error(self, vectors_file):
         assert run_cli("rank", "--input", vectors_file, "--method", "pr",

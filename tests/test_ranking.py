@@ -727,8 +727,8 @@ class TestBitPlanes:
     def test_word_edges_match_the_oracle(self, monkeypatch, n):
         # a set of n candidates over 3 criteria of 3 levels and the same
         # rows reversed, scored with the default budget; with one-word
-        # column tiles in chunks of 8 rows (a budget of 128 * 8 words, as a
-        # chunk's planes take a 128th of it in rows of one set); and with
+        # column tiles in chunks of 8 rows (a budget of 32 * 8 words, as
+        # ``_tiling`` reads a tile's words as 32 criteria); and with
         # two-word tiles (a budget of 8 * M * (n + 1), as a tile's tables,
         # M * (n + 1) rows of its words, take a quarter)
         rows = np.random.default_rng(n).integers(1, 4, size=(n, 3))
@@ -742,7 +742,7 @@ class TestBitPlanes:
         monkeypatch.setattr(ranking, "_code_planes", lambda codes: (
             chunks.append((sets.start, rows.start, first)) or chunk
             for chunk in real(codes) for sets, rows, first, _ in [chunk]))
-        for cells in (None, 128 * 8, 8 * 3 * (n + 1)):
+        for cells in (None, 32 * 8, 8 * 3 * (n + 1)):
             if cells is not None:
                 monkeypatch.setattr(ranking, "_CHUNK_CELLS", cells)
             chunks.clear()
@@ -750,7 +750,7 @@ class TestBitPlanes:
             for s in range(2):
                 assert table[s].tolist() == want[s], (cells, s)
             firsts, starts = {c[2] for c in chunks}, {c[1] for c in chunks}
-            if cells == 128 * 8:
+            if cells == 32 * 8:
                 assert firsts == set(range(0, n, 64)) and starts == set(range(0, n, 8))
             if cells == 8 * 3 * (n + 1):
                 assert firsts == set(range(0, n, 128))
