@@ -103,45 +103,35 @@ def fit_folds(trains: list[Dataset], cfg: TrainConfig) -> list[PredictorModel]:
 
     Each (fold, criterion) block visits its records in a seeded shuffle
     each epoch, drawn from its own seed stream, so blocks stay fully
-    independent. Consecutive folds are stacked while their tables together
-    fit ``MAX_FLOATS``; see ``_fit_stack``. Every model is bitwise equal to
-    stepping through its shuffles one record at a time, as ``fit`` on that
-    fold alone.
+    independent. Every fold trains in one stack; see ``_fit_stack``. Every
+    model is bitwise equal to stepping through its shuffles one record at
+    a time, as ``fit`` on that fold alone.
 
-    Empty folds and tables past numpy's limit are refused in fold order
-    before any training. If losses go non-finite, the lowest such fold
-    raises TrainingError naming its first non-finite epoch, as a loop of
-    ``fit`` calls would.
+    Empty folds are refused in fold order, and then a stacked factor table
+    past numpy's limit, before any training. If losses go non-finite, the
+    lowest such fold raises TrainingError naming its first non-finite
+    epoch, as a loop of ``fit`` calls would.
     """
-    ids = [_ids(train, cfg.latent_dim) for train in trains]
-    values = [t.n_criteria * (len(u) + len(i)) * cfg.latent_dim
-              for t, (u, i) in zip(trains, ids)]  # each fold's table size
-    models: list[PredictorModel] = []
-    while len(models) < len(trains):
-        first = len(models)
-        total, stop = values[first], first + 1
-        while stop < len(trains) and total + values[stop] <= MAX_FLOATS:
-            total += values[stop]
-            stop += 1
-        models += _fit_stack(trains[first:stop], ids[first:stop], first, cfg)
-    return models
+    ids = [_ids(train) for train in trains]
+    d = cfg.latent_dim
+    rows = sum(t.n_criteria * (len(u) + len(i)) for t, (u, i) in zip(trains, ids))
+    if rows * d > MAX_FLOATS:
+        raise TrainingError(f"train.latent_dim {d} needs a {(rows, d)} factor table, "
+                            f"past numpy's limit of {MAX_FLOATS} values")
+    return _fit_stack(trains, ids, cfg)
 
 
-def _ids(train: Dataset, d: int) -> tuple[list[str], list[str]]:
-    """Sorted user and item ids of a training set whose factor table fits."""
+def _ids(train: Dataset) -> tuple[list[str], list[str]]:
+    """Sorted user and item ids of a non-empty training set."""
     if not train.records:
         raise TrainingError("cannot train on an empty dataset")
     users = sorted({r.user_id for r in train.records})
     items = sorted({r.item_id for r in train.records})
-    shape = (train.n_criteria, len(users) + len(items), d)
-    if shape[0] * shape[1] * d > MAX_FLOATS:
-        raise TrainingError(f"train.latent_dim {d} needs a {shape} factor table, "
-                            f"past numpy's limit of {MAX_FLOATS} values")
     return users, items
 
 
-def _fit_stack(trains, ids, first: int, cfg: TrainConfig) -> list[PredictorModel]:
-    """``fit_folds`` on consecutive folds, the first of them fold ``first``.
+def _fit_stack(trains, ids, cfg: TrainConfig) -> list[PredictorModel]:
+    """``fit_folds`` on every fold at once.
 
     Every block's user rows and item rows live in one factor table and one
     bias vector. Each epoch, the blocks' shuffles are cut into dependency
@@ -188,7 +178,7 @@ def _fit_stack(trains, ids, first: int, cfg: TrainConfig) -> list[PredictorModel
             e_rating[e0:e0 + n] = ratings[:, c]
             row_mean[row0:row0 + n_u + len(items)] = e_rating[e0:e0 + n].mean()
             # each block's stream draws its user factors, then its item factors
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed + first + f, c]))
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed + f, c]))
             table[row0:row0 + n_u] = rng.normal(0.0, 0.05, size=(n_u, d))
             table[row0 + n_u:row0 + n_u + len(items)] = rng.normal(
                 0.0, 0.05, size=(len(items), d))

@@ -11,19 +11,22 @@ position one is the top of the list and lower wins.
 sets as batches, B sets of n candidates in, one (B, methods, n) table
 out, and one budget, ``_CHUNK_CELLS``, bounds that table and each
 temporary of the pairwise pass, its bit-planes included, and of the
-front walk. All of them work in chunks laid out by the one ``_tiling``
+gain walk. All of them work in chunks laid out by the one ``_tiling``
 rule: as many whole sets as fit, or else a run of rows of one set. Every
 set scores bit for bit as it does alone, whatever batch it is in.
 
 Dominance reads integer rank codes, bit-parallel: per criterion, one bit
 a pair, 64 pairs a word, says whether a candidate is better than
 another, and every k is one threshold test on the counts of those bits
-(see ``_pairwise``). Only gd forms every pair's gain, the gains plane.
-pg without gd takes each candidate's best gain over the lower Pareto
-front and from the upper one, the skyline (Börzsönyi, Kossmann and
-Stocker 2001), which the dominance pass marks. No bit changes, and where
-2,000 correlated candidates put a few dozen on each front, the walk is a
-small part of the plane's work.
+(see ``_pairwise``). gd and pg read one walk of pair gains,
+``_gain_tiles``, on one of two routes. The plane route walks every pair:
+gd sums a candidate's row, pg takes its row and column maxima. pg without
+gd takes the front route, each candidate's best gain over the lower
+Pareto front and from the upper one, the skyline (Börzsönyi, Kossmann
+and Stocker 2001), which the dominance pass marks: one row maximum over
+the fronts' members. No bit changes, and where 2,000 correlated
+candidates put a few dozen on each front, that walk is a small part of
+the plane's.
 """
 
 from __future__ import annotations
@@ -53,12 +56,12 @@ _CHUNK_CELLS = 1 << 17
 _LOWER_BETTER = ("ar", "mr")
 
 
-def _tiling(n: int, m: int, cols: int | None = None) -> tuple[int, int]:
+def _tiling(n: int, m: int, cols: int) -> tuple[int, int]:
     """(sets, rows) of one chunk of a batch of sets of n candidates, each
-    row compared with ``cols`` others (n by default) over m criteria:
-    ``rows`` rows of each set fit in ``_CHUNK_CELLS`` cells, and a chunk is
-    as many whole sets as fit, or else ``rows`` rows of one."""
-    rows = max(1, _CHUNK_CELLS // ((n if cols is None else cols) * m))
+    row compared with ``cols`` others over m criteria: ``rows`` rows of
+    each set fit in ``_CHUNK_CELLS`` cells, and a chunk is as many whole
+    sets as fit, or else ``rows`` rows of one."""
+    rows = max(1, _CHUNK_CELLS // (cols * m))
     return max(1, rows // n), min(rows, n)
 
 
@@ -124,19 +127,23 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
     test on the two counts: an OR over its ``_thresholds`` of n_b >= i and
     n_w <= t, read as M - n_w >= M - t.
 
-    A gain of a over b is max(a - b, 0) summed in criterion order from
-    +0.0; gd and pg beside it read the gains plane (``_plane_gains``). pg
-    without gd reads the Pareto fronts. Correctly rounded subtraction,
-    max(., 0) and addition are monotone, so if b' <= b on every criterion,
-    a's gain over b' is at least its gain over b, bit for bit. So a's best
-    outgoing gain is reached at a member of the lower front (the
-    candidates that Pareto-dominate no other one), and its best incoming
-    gain at a member of the upper front (those no other one dominates).
-    The k = 0 test marks both fronts, and ``_front_gains`` takes the two
-    maxima over their members alone; as ``max`` is exact, no bit changes.
-    When the widest front holds more than n / 2 candidates (every
-    candidate is on both fronts when none dominates another), that walk
-    would cover more pairs than the plane, so pg reads the plane instead.
+    gd and pg read the pair gains of one walk, ``_gain_tiles``, on one of
+    two routes, and each route takes only the reductions its scores read.
+    The plane route walks every pair of a set: gd sums a candidate's row,
+    and pg is its row's maximum less its column's. pg without gd takes
+    the front route. Correctly rounded subtraction, max(., 0) and addition
+    are monotone, so if b' <= b on every criterion, a's gain over b' is at
+    least its gain over b, bit for bit. So a's best outgoing gain is
+    reached at a member of the lower front (the candidates that
+    Pareto-dominate no other one), and its best incoming gain at a member
+    of the upper front (those no other one dominates). The k = 0 test
+    marks both fronts, and the front route walks the candidates against
+    their set's lower-front members, and their negations against the
+    upper front's negated members, taking each row's maximum; as ``max``
+    is exact, no bit changes. When the widest front holds more than n / 2
+    candidates (every candidate is on both fronts when none dominates
+    another), that walk would cover more pairs than the plane, so pg
+    takes the plane route instead.
     """
     b, n, m = x.shape
     fronts = gains == {"pg"}
@@ -167,12 +174,35 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
     with np.errstate(over="ignore", invalid="ignore"):
         if fronts:
             front = np.concatenate([~dominant, ~dominated])
-            if 2 * int(front.sum(axis=1).max()) <= n:
+            sizes = front.sum(axis=1)
+            width = int(sizes.max())
+            if 2 * width <= n:
                 # b's gain over a is -a's over -b, bit for bit (x - y is
-                # x + (-y)), so the upper front's walk is the lower's on -x
-                best = _front_gains(np.concatenate([cols, -cols], axis=1), front)
+                # x + (-y)), so the upper front's walk is the lower's on -x.
+                # Each set's members are padded to the widest front with
+                # +inf, whose gain reads +0.0 as a self pair's does, so
+                # padding changes no maximum
+                signed = np.concatenate([cols, -cols], axis=1)
+                index = np.argsort(~front, axis=1, kind="stable")[:, :width]
+                members = signed[:, np.arange(2 * b)[:, None], index]
+                members[:, np.arange(width) >= sizes[:, None]] = np.inf
+                best = np.empty((2 * b, n))
+                for sets, rows, g in _gain_tiles(signed, members):
+                    best[sets, rows] = g.max(axis=2)
                 return counts, {"pg": best[:b] - best[b:]}
-        return counts, _plane_gains(cols, gains) if gains else {}
+        scored = {kind: np.zeros((b, n)) for kind in gains}
+        best_in = np.full((b, n), -np.inf)
+        for sets, rows, g in _gain_tiles(cols, cols) if gains else ():
+            # a self pair's gain is +0.0 and no gain is below it, so self
+            # pairs change no maximum; a lone candidate's pg is 0 - 0
+            if "gd" in gains:
+                scored["gd"][sets, rows] = g.sum(axis=2)
+            if "pg" in gains:
+                scored["pg"][sets, rows] = g.max(axis=2)
+                np.maximum(best_in[sets], g.max(axis=1), out=best_in[sets])
+        if "pg" in gains:
+            scored["pg"] -= best_in
+        return counts, scored
 
 
 def _code_planes(codes: np.ndarray) -> Iterator[tuple[slice, slice, int, Iterator[np.ndarray]]]:
@@ -218,51 +248,18 @@ def _code_planes(codes: np.ndarray) -> Iterator[tuple[slice, slice, int, Iterato
                 yield sets, rows, first, (table.take(at[j], axis=0) for j in range(m))
 
 
-def _plane_gains(cols: np.ndarray, gains: set[str]) -> dict[str, np.ndarray]:
-    """gd and pg, as named in ``gains``, from every pair's gain over the (M,
-    B, n) criterion columns ``cols`` in ``_tiling`` chunks: gd sums a
-    candidate's row, pg is its row's maximum less its column's."""
+def _gain_tiles(cols: np.ndarray, others: np.ndarray
+                ) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Every candidate's gain over each of its set's others, chunk by chunk
+    as (sets, rows, g): the (M, B, n) criterion columns ``cols`` against
+    the (M, B, w) columns ``others`` (``cols`` itself for every pair), in
+    ``_tiling`` chunks of (sets, rows, w). ``g[s, r, o]`` is the gain of
+    candidate r of set s over its other o, max(a - b, 0) summed in
+    criterion order from +0.0; ``g`` views buffers reused for every
+    chunk, so read it before the next."""
     m, b, n = cols.shape
-    scored = {kind: np.zeros((b, n)) for kind in gains}
-    best_in = np.full((b, n), -np.inf)
-    step_sets, step_rows = _tiling(n, m)
-    diff = np.empty((min(step_sets, b), step_rows, n))
-    for s, r in itertools.product(range(0, b, step_sets), range(0, n, step_rows)):
-        sets, rows = slice(s, s + step_sets), slice(r, r + step_rows)
-        d = diff[:min(step_sets, b - s), :min(step_rows, n - r)]
-        pair_gains = np.zeros(d.shape)
-        for j in range(m):
-            np.subtract(cols[j, sets, rows, None], cols[j, sets, None], out=d)
-            pair_gains += np.maximum(d, 0.0, out=d)
-        # a self pair's gain is +0.0 and no gain is below it, so self pairs
-        # change no maximum; a lone candidate's pg is 0 - 0
-        if "gd" in gains:
-            scored["gd"][sets, rows] = pair_gains.sum(axis=2)
-        if "pg" in gains:
-            scored["pg"][sets, rows] = pair_gains.max(axis=2)
-            np.maximum(best_in[sets], pair_gains.max(axis=1), out=best_in[sets])
-    if "pg" in gains:
-        scored["pg"] -= best_in
-    return scored
-
-
-def _front_gains(cols: np.ndarray, front: np.ndarray) -> np.ndarray:
-    """Each candidate's best gain over the members of its set's ``front``,
-    a (B, n) mask over the (M, B, n) criterion columns ``cols``, as a
-    (B, n) table; the gain is the plane's, max(a - b, 0) summed in
-    criterion order from +0.0. Each set's members are gathered first and
-    padded to the widest front with +inf, whose gain reads +0.0 as a self
-    pair's does, so padding changes no maximum. The pairs are walked in
-    ``_tiling`` chunks of (sets, rows, front width)."""
-    m, b, n = cols.shape
-    sizes = front.sum(axis=1)
-    width = int(sizes.max())
-    first = np.argsort(~front, axis=1, kind="stable")[:, :width]
-    members = cols[:, np.arange(b)[:, None], first]
-    members[:, np.arange(width) >= sizes[:, None]] = np.inf
-    best = np.empty((b, n))
-    step_sets, step_rows = _tiling(n, m, width)
-    diff = np.empty((min(step_sets, b), step_rows, width))
+    step_sets, step_rows = _tiling(n, m, others.shape[-1])
+    diff = np.empty((min(step_sets, b), step_rows, others.shape[-1]))
     total = np.empty(diff.shape)
     for s, r in itertools.product(range(0, b, step_sets), range(0, n, step_rows)):
         sets, rows = slice(s, s + step_sets), slice(r, r + step_rows)
@@ -270,10 +267,9 @@ def _front_gains(cols: np.ndarray, front: np.ndarray) -> np.ndarray:
         g = total[:d.shape[0], :d.shape[1]]
         g.fill(0.0)
         for j in range(m):
-            g += np.maximum(np.subtract(cols[j, sets, rows, None], members[j, sets, None],
+            g += np.maximum(np.subtract(cols[j, sets, rows, None], others[j, sets, None],
                                         out=d), 0.0, out=d)
-        best[sets, rows] = g.max(axis=2)
-    return best
+        yield sets, rows, g
 
 
 def _rank_codes(cols: np.ndarray) -> np.ndarray:

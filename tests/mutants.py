@@ -1,5 +1,5 @@
-"""Mutants of the ranking kernels and of ``rank``, each of which named test
-files must kill.
+"""Mutants of the ranking kernels, of ``rank`` and of fold training, each of
+which named test files must kill.
 
 Run from anywhere: ``python tests/mutants.py``. Each mutant replaces one
 text, found exactly once, in one file of a copy of ``src``, ``tests``,
@@ -26,6 +26,8 @@ RANKING = "src/mcrank/ranking.py"
 RANKING_TESTS = ["tests/test_ranking.py"]
 CLI = "src/mcrank/cli.py"
 CLI_TESTS = ["tests/test_interface.py"]
+PREDICTOR = "src/mcrank/predictor.py"
+PREDICTOR_TESTS = ["tests/test_predictor.py"]
 
 # (what the mutant does, file, old text, new text, test files that kill it)
 MUTANTS = [
@@ -53,14 +55,18 @@ MUTANTS = [
      "members[:, np.arange(width) >= sizes[:, None]] = 0.0", RANKING_TESTS),
     ("front one member short", RANKING,
      "width = int(sizes.max())", "width = int(sizes.max()) - 1", RANKING_TESTS),
-    ("fronts always walked", RANKING,
-     "if 2 * int(front.sum(axis=1).max()) <= n:", "if True:", RANKING_TESTS),
-    ("fronts never walked", RANKING,
-     "if 2 * int(front.sum(axis=1).max()) <= n:", "if False:", RANKING_TESTS),
+    ("fronts always walked", RANKING, "if 2 * width <= n:", "if True:", RANKING_TESTS),
+    ("fronts never walked", RANKING, "if 2 * width <= n:", "if False:", RANKING_TESTS),
+    ("plane's incoming gain maximum read along rows", RANKING,
+     "g.max(axis=1)", "g.max(axis=2)", RANKING_TESTS),
+    ("gain tile not zeroed before its sum", RANKING,
+     "        g.fill(0.0)\n", "", RANKING_TESTS),
     ("each bit-plane row chunk one row short", RANKING,
      "rows = slice(r, r + step_rows)", "rows = slice(r, r + step_rows - 1)", RANKING_TESTS),
     ("rank prints one line fewer than --top-n", CLI,
      "head = slice(args.top_n)", "head = slice(args.top_n and args.top_n - 1)", CLI_TESTS),
+    ("every fold seeded with train.seed", PREDICTOR,
+     "[cfg.seed + f, c]", "[cfg.seed, c]", PREDICTOR_TESTS),
 ]
 
 

@@ -746,15 +746,16 @@ class TestCliPipelines:
         cfg.write_text('{"train": {"latent_dim": 1' + "0" * 30 + "}}")
         assert run_cli("evaluate", "--input", data_file, "--config", str(cfg),
                        "--out", str(tmp_path / "r.json")) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: train.latent_dim {10**30} needs a (3, ")
-        assert err.endswith(f", {10**30}) factor table, past numpy's limit of "
-                            f"{2**60 - 1} values\n")
+        rows = sum(3 * (len(train.users()) + len(train.items()))
+                   for train, _ in kfold_split(load_dataset(data_file), 5, 0))
+        assert capsys.readouterr().err == (
+            f"error: train.latent_dim {10**30} needs a ({rows}, {10**30}) factor table, "
+            f"past numpy's limit of {2**60 - 1} values\n")
 
     def test_latent_dim_past_the_limit_for_the_stacked_folds_is_a_data_error(
             self, data_file, tmp_path, capsys):
-        # each fold's table passes numpy's limit check, the five folds' tables
-        # together would not, so each fold is allocated alone and fold 0 fails
+        # each fold's table alone is within numpy's limit, the five folds'
+        # stacked table is not, and the stack is what is checked
         ds = load_dataset(data_file)
         rows = [len(train.users()) + len(train.items())
                 for train, _ in kfold_split(ds, 5, 0)]
@@ -766,8 +767,8 @@ class TestCliPipelines:
         assert run_cli("evaluate", "--input", data_file, "--config", str(cfg),
                        "--out", str(tmp_path / "r.json")) == 2
         assert capsys.readouterr().err == (
-            f"error: train.latent_dim {d} needs a ({3 * rows[0]}, {d}) factor table, "
-            "more than fits in memory\n")
+            f"error: train.latent_dim {d} needs a ({3 * sum(rows)}, {d}) factor table, "
+            f"past numpy's limit of {MAX_FLOATS} values\n")
 
     def test_n_values_past_int64_read_every_list_whole(self, data_file, tmp_path):
         # max(N) is cut at the largest set before numpy sees it, and the

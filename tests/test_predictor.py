@@ -209,35 +209,6 @@ class TestFitFolds:
             assert_same_model(model, fit(train, own))
             assert_matches_sequential_sgd(train, own)
 
-    def test_folds_cut_into_several_stacks_at_numpys_array_limit_keep_the_same_bits(
-            self, monkeypatch):
-        cfg = TrainConfig(latent_dim=5, epochs=3, seed=2)
-        trains = training_parts(5, 3)
-        whole = fit_folds(trains, cfg)
-        stacks = []
-        real = predictor._fit_stack
-
-        def spy(part, ids, first, cfg):
-            stacks.append((first, len(part)))
-            return real(part, ids, first, cfg)
-
-        monkeypatch.setattr(predictor, "_fit_stack", spy)
-        # two folds' tables fit the limit, three do not
-        values = [3 * (len(t.users()) + len(t.items())) * cfg.latent_dim for t in trains]
-        limit = max(values[0] + values[1], values[2] + values[3])
-        assert limit < min(sum(values[:3]), sum(values[2:]))
-        monkeypatch.setattr(predictor, "MAX_FLOATS", limit)
-        for a, b in zip(fit_folds(trains, cfg), whole):
-            assert_same_model(a, b)
-        assert stacks == [(0, 2), (2, 2), (4, 1)]
-        stacks.clear()
-        limit = max(values)  # every fold alone
-        assert limit < min(x + y for x, y in zip(values, values[1:]))
-        monkeypatch.setattr(predictor, "MAX_FLOATS", limit)
-        for a, b in zip(fit_folds(trains, cfg), whole):
-            assert_same_model(a, b)
-        assert stacks == [(f, 1) for f in range(5)]
-
     def test_a_stack_past_2_to_the_16_entries_keeps_each_folds_bits(self):
         # each fold alone has fewer entries than the stack, whose entry ids
         # need more than 16 bits
@@ -287,13 +258,18 @@ class TestFitFolds:
         with pytest.raises(TrainingError, match="cannot train on an empty dataset"):
             fit_folds([good, good, Dataset(criteria_names=good.criteria_names)], FAST)
         wide = random_dataset(5, users=30)
-        rows = len(good.users()) + len(good.items())
-        d = predictor.MAX_FLOATS // (3 * rows)
-        assert 3 * (len(wide.users()) + len(wide.items())) * d > predictor.MAX_FLOATS
-        with pytest.raises(TrainingError, match=re.escape(
-                f"train.latent_dim {d} needs a (3, {len(wide.users()) + len(wide.items())}, "
-                f"{d}) factor table, past numpy's limit")):
-            fit_folds([good, wide], TrainConfig(latent_dim=d))
+        rows = 3 * (len(good.users()) + len(good.items()))
+        wide_rows = 3 * (len(wide.users()) + len(wide.items()))
+        d = predictor.MAX_FLOATS // rows
+        assert wide_rows * d > predictor.MAX_FLOATS
+        # the limit is checked once, on the stacked table, which is past it
+        # even where each fold's table fits alone
+        for folds, stacked in (([good, wide], rows + wide_rows), ([good, good], 2 * rows)):
+            with pytest.raises(TrainingError) as caught:
+                fit_folds(folds, TrainConfig(latent_dim=d))
+            assert str(caught.value) == (
+                f"train.latent_dim {d} needs a ({stacked}, {d}) factor table, "
+                f"past numpy's limit of {predictor.MAX_FLOATS} values")
         assert trained == []
 
 

@@ -383,10 +383,17 @@ class TestChunkedPairwise:
                      for label in PAIRWISE_ORACLES}
             with monkeypatch.context() as patch:
                 patch.setattr(ranking, "_CHUNK_CELLS", rows * c.n * c.n_criteria)
-                assert ranking._tiling(c.n, c.n_criteria) == (1, rows)
+                assert ranking._tiling(c.n, c.n_criteria, c.n) == (1, rows)
                 for label in PAIRWISE_ORACLES:
                     got = method_scores(c, MethodSpec.parse(label))
                     assert np.array_equal(got, whole[label]), label
+                # both gains and a hybrid's from one plane walk; at rows = 3
+                # the last chunk of most sets is partial, a view of the
+                # reused buffers
+                joint = ("gd", "pg", "kd:0.5+pg")
+                specs = [MethodSpec.parse(label) for label in joint]
+                for label, got in zip(joint, score_methods(c, specs)):
+                    assert got.tobytes() == whole[label].tobytes(), label
                 assert_pairwise_match_oracle(c)
 
     def test_more_criteria_than_int8_counts(self, monkeypatch):
@@ -518,7 +525,7 @@ class TestSharedPass:
             if rows is not None:
                 monkeypatch.setattr(ranking, "_CHUNK_CELLS",
                                     rows * c.n * c.n_criteria)
-                assert ranking._tiling(c.n, c.n_criteria) == (1, rows)
+                assert ranking._tiling(c.n, c.n_criteria, c.n) == (1, rows)
             self.assert_shared_pass_exact(c, SHARED_LABELS)
 
     @pytest.mark.parametrize("labels", [
@@ -568,7 +575,7 @@ class TestSharedPass:
         alone = [score_methods(c, specs) for c in sets]
         if cells is not None:
             monkeypatch.setattr(ranking, "_CHUNK_CELLS", cells(n, m))
-        per_chunk, rows = ranking._tiling(n, m)
+        per_chunk, rows = ranking._tiling(n, m, n)
         assert [min(per_chunk, b - s) for s in range(0, b, per_chunk)
                 for _ in range(0, n, rows)] == chunk_sets
         table = ranking._score_batch(sets, specs)
@@ -805,12 +812,14 @@ class TestParetoFronts:
     and the oracle's."""
 
     @staticmethod
-    def fronts_walked(monkeypatch):
-        """The per-set front sizes of each front walk, lower fronts first."""
+    def gain_walks(monkeypatch):
+        """The per-set member widths of each gain walk: n a set for a plane
+        walk, and each front's size for a front walk, lower fronts first
+        (the +inf padding is not counted)."""
         walks = []
-        real = ranking._front_gains
-        monkeypatch.setattr(ranking, "_front_gains", lambda cols, front: walks.append(
-            front.sum(axis=1).tolist()) or real(cols, front))
+        real = ranking._gain_tiles
+        monkeypatch.setattr(ranking, "_gain_tiles", lambda cols, others: walks.append(
+            np.isfinite(others[0]).sum(axis=1).tolist()) or real(cols, others))
         return walks
 
     @staticmethod
@@ -827,16 +836,17 @@ class TestParetoFronts:
                     assert got.tobytes() == oracle.tobytes(), (s, label)
 
     def test_sets_of_different_front_sizes_are_padded(self, monkeypatch):
-        walks = self.fronts_walked(monkeypatch)
+        walks = self.gain_walks(monkeypatch)
         sets = [candidate_set(f"u{s}", rows) for s, rows in enumerate(UNEVEN_FRONTS)]
         self.assert_fronts_are_the_plane(sets)
-        assert walks == [[1, 3, 2, 1, 3, 2]] * 3
+        # each pg without gd walks the fronts, each scoring beside gd the plane
+        assert walks == [[1, 3, 2, 1, 3, 2], [8, 8, 8]] * 3
 
     @pytest.mark.parametrize("rows", [1, 2, 5])
     def test_tiled_front_gains(self, monkeypatch, rows):
         # a cell budget of `rows` rows of a set against a front of width 3
         # also tiles the pass itself
-        walks = self.fronts_walked(monkeypatch)
+        walks = self.gain_walks(monkeypatch)
         monkeypatch.setattr(ranking, "_CHUNK_CELLS", rows * 3 * 2)
         assert ranking._tiling(8, 2, 3) == (1, rows)
         tilings = []
@@ -844,42 +854,44 @@ class TestParetoFronts:
         monkeypatch.setattr(ranking, "_tiling", lambda *args: tilings.append(args) or real(*args))
         sets = [candidate_set(f"u{s}", rows) for s, rows in enumerate(UNEVEN_FRONTS)]
         self.assert_fronts_are_the_plane(sets)
-        assert walks == [[1, 3, 2, 1, 3, 2]] * 3
+        assert walks == [[1, 3, 2, 1, 3, 2], [8, 8, 8]] * 3
         assert tilings.count((8, 2, 3)) == 3
 
     @pytest.mark.parametrize("cells", [None, lambda n, m: 7 * m, lambda n, m: 3 * n * n * m])
     def test_correlated_sets_walk_small_fronts(self, monkeypatch, cells):
-        walks = self.fronts_walked(monkeypatch)
+        walks = self.gain_walks(monkeypatch)
         if cells is not None:
             monkeypatch.setattr(ranking, "_CHUNK_CELLS", cells(40, 3))
         x = correlated(np.random.default_rng(98), (5, 40, 3))
         self.assert_fronts_are_the_plane([candidate_set(f"u{s}", x[s]) for s in range(5)])
-        assert len(walks) == 3 and all(0 < 2 * max(w) <= 40 for w in walks)
+        assert len(walks) == 6 and walks[1::2] == [[40] * 5] * 3
+        assert all(len(w) == 10 and 0 < 2 * max(w) <= 40 for w in walks[::2])
 
     @pytest.mark.parametrize("n", [1, 2, 9])
     def test_no_candidate_dominates_another(self, monkeypatch, n):
         # every candidate on both fronts: the walk would cover 2n > n pairs
         # a row, so pg reads the plane after the dominance pass
-        walks = self.fronts_walked(monkeypatch)
+        walks = self.gain_walks(monkeypatch)
         x = equal_sums(np.random.default_rng(n), (3, n, 4))
         assert (x.sum(axis=2) == 6.0).all()
         sets = [candidate_set(f"u{s}", x[s]) for s in range(3)]
         sets.append(candidate_set("same", [(2.5, 1.0, 4.0, 0.5)] * n))
         self.assert_fronts_are_the_plane(sets)
-        assert walks == []
+        # one whole-set walk a scoring, with gd or without
+        assert walks == [[n] * 4] * 6
 
     def test_more_criteria_than_int8_counts(self, monkeypatch):
         # a chain above rows that beat each other on all 130 criteria, or on
         # 129 of them: int32 counters mark one candidate on each front
-        walks = self.fronts_walked(monkeypatch)
+        walks = self.gain_walks(monkeypatch)
         rows = many_criteria_set().matrix[:3]
         chain = [rows[1] + t for t in range(1, 7)]
         sets = [candidate_set("u", [*rows, *chain]), candidate_set("v", [*chain, *rows])]
         self.assert_fronts_are_the_plane(sets)
-        assert walks == [[1, 1, 1, 1]] * 3
+        assert walks == [[1, 1, 1, 1], [9, 9]] * 3
 
     def test_tiny_values_and_signed_zeros(self, monkeypatch):
-        walks = self.fronts_walked(monkeypatch)
+        walks = self.gain_walks(monkeypatch)
         tiny = 2.0 ** -1000
         rows = [(0.0, -0.0), (tiny, 0.0), (tiny, tiny), (1.0, 1.0), (2.0, 2.0), (3.0, tiny)]
         sets = [candidate_set("u", rows),
@@ -887,7 +899,7 @@ class TestParetoFronts:
                 candidate_set("w", [(-0.0, 1.0), (0.0, 1.0), (0.0, 2.0), (-0.0, 3.0),
                                     (-tiny, 3.0), (tiny, 3.0)])]
         self.assert_fronts_are_the_plane(sets)
-        assert walks == [[1, 2, 3, 2, 1, 1]] * 3
+        assert walks == [[1, 2, 3, 2, 1, 1], [6, 6, 6]] * 3
 
 
 class TestRankCandidatesOrder:
@@ -948,17 +960,19 @@ class TestGainOverflow:
          [(1e308, 1e308), (0.0, 0.0), (1.0, 1.0), (-1e308, -1e308), (2.0, 2.0)]),
     ], ids=["no-dominance", "chain"])
     def test_only_the_second_set_overflows(self, monkeypatch, label, finite, overflowing):
-        # pg without gd walks the one-member fronts of the chains, and reads
-        # the plane of the sets where no candidate dominates another
-        walks = TestParetoFronts.fronts_walked(monkeypatch)
+        # pg without gd walks the one-member fronts of the chains, and the
+        # plane of the sets where no candidate dominates another; gd always
+        # walks the plane
+        walks = TestParetoFronts.gain_walks(monkeypatch)
         sets = [candidate_set("u0", finite), candidate_set("u1", overflowing)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="for user 'u1'"):
                 ranking._score_batch(sets, [MethodSpec.parse(label)])
             assert np.isfinite(ranking._score_batch(sets[:1], [MethodSpec.parse(label)])).all()
-        walked = label.endswith("pg") and len(finite) == 5
-        assert walks == ([[1, 1, 1, 1], [1, 1]] if walked else [])
+        n = len(finite)
+        fronts = label.endswith("pg") and n == 5
+        assert walks == ([[1, 1, 1, 1], [1, 1]] if fronts else [[n, n], [n]])
 
     def test_dominance_alone_is_defined_on_any_finite_values(self):
         c = CandidateSet.from_pairs("u7", [("a", (1e308, -1e308)),
