@@ -11,9 +11,12 @@ user rows and disjoint item rows commute, so each epoch's shuffled
 sequence is cut into dependency levels and every level runs as one
 vectorised update (the conflict-free ordering of Gemulla et al. 2011,
 "Large-scale Matrix Factorization with Distributed Stochastic Gradient
-Descent"). ``fit_folds`` trains the models of every fold in one such
-schedule: every (fold, criterion) block owns rows of one factor table and
-one bias vector, so one level updates every block at once. The
+Descent"). The levels are found by a vectorised frontier walk over the
+links from each update to the next one on its user row and on its item
+row, a few numpy steps per level rather than a Python step per update
+(see ``_schedule``). ``fit_folds`` trains the models of every fold in one
+such schedule: every (fold, criterion) block owns rows of one factor
+table and one bias vector, so one level updates every block at once. The
 parameters are bitwise equal to those of visiting each fold's records
 one at a time; ``tests/naive.py`` holds that sequential loop as the
 reference.
@@ -21,7 +24,6 @@ reference.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,10 +137,10 @@ def _fit_stack(trains, ids, cfg: TrainConfig) -> list[PredictorModel]:
 
     Every block's user rows and item rows live in one factor table and one
     bias vector. Each epoch, the blocks' shuffles are cut into dependency
-    levels together (see ``_levels``), and each level runs as one gather,
-    update and scatter. Records on one level share no row, and each
-    row still receives its updates in shuffled order, with the same
-    floating-point operations in the same order.
+    levels together by one frontier walk (see ``_schedule``), and each
+    level runs as one gather, update and scatter. Records on one level
+    share no row, and each row still receives its updates in shuffled
+    order, with the same floating-point operations in the same order.
     """
     d, lr, reg = cfg.latent_dim, cfg.learning_rate, cfg.reg
     # Block (f, c) is fold f under criterion c. It owns table rows row0..,
@@ -153,10 +155,11 @@ def _fit_stack(trains, ids, cfg: TrainConfig) -> list[PredictorModel]:
     # Work space for three (2, cap, d) gathers, within the table's size for a
     # table of six rows or more: a level of more than `cap` records runs in
     # several steps, the same update as its rows are disjoint. Before an
-    # epoch's steps it holds the (2, N) int32 rows of the shuffled entries,
-    # then their N int64 sort keys.
+    # epoch's steps it holds the N int64 sort keys of its schedule.
     cap = max(1, n_rows // 6)
     e_rows = np.empty((2, n_entries), dtype=np.int32)  # each entry's user row, item row
+    links = np.empty((2, n_entries), dtype=np.int32)  # the schedule's scratch, once a fit
+    need = np.empty(n_entries, dtype=np.int8)
     e_rating = np.empty(n_entries)
     row_mean = np.empty(n_rows)  # the global mean of each row's block
     rngs = []
@@ -187,6 +190,8 @@ def _fit_stack(trains, ids, cfg: TrainConfig) -> list[PredictorModel]:
         raise TrainingError(f"train.latent_dim {d} needs a {(n_rows, d)} factor table, "
                             "more than fits in memory") from exc
     del u_idx, i_idx, ratings
+    # per side, where each row's run of sorted schedule keys ends
+    row_ends = [np.cumsum(count[count > 0]) - 1 for count in map(np.bincount, e_rows)]
     bias = np.zeros(n_rows)
 
     def mse(row0: int, e0: int, n: int) -> float:
@@ -210,23 +215,7 @@ def _fit_stack(trains, ids, cfg: TrainConfig) -> list[PredictorModel]:
             part = shuffled[e0:e0 + n]
             part[:] = rng.permutation(n)
             part += e0
-        # Blocks share no row, so one pass over every block gives each entry
-        # its level within its own block's shuffle. The entries are then
-        # sorted by (level, entry), packed in one int64 key, so level j is
-        # the run shuffled[ends[j - 1]:ends[j]], ends[j] counting the keys
-        # below (j + 1) << 32. Any order within a level will do, as its
-        # records share no row. Rows and keys live in the work space, so an
-        # epoch allocates no (N,) array but its levels.
-        rows = work.view(np.int32)[:2 * n_entries].reshape(2, -1)
-        e_rows.take(shuffled, axis=1, out=rows, mode="clip")
-        level = _levels(rows[0], rows[1], n_rows)
-        key = work.view(np.int64)[:n_entries]
-        np.left_shift(level, 32, out=key, dtype=np.int64)
-        key |= shuffled
-        key.sort()
-        ends = key.searchsorted(np.arange(1, level.max() + 2, dtype=np.int64) << 32).tolist()
-        np.bitwise_and(key, 0xFFFFFFFF, out=shuffled)
-        del rows, level, key
+        ends = _schedule(e_rows, row_ends, shuffled, links, need, work.view(np.int64)[:n_entries])
         for start, end in zip([0, *ends], ends):
             for a in range(start, end, cap):
                 entry = shuffled[a:min(end, a + cap)]
@@ -259,7 +248,7 @@ def _fit_stack(trains, ids, cfg: TrainConfig) -> list[PredictorModel]:
         raise TrainingError(
             f"training diverged: the loss is not finite after epoch "
             f"{diverged[min(diverged)]}; lower learning_rate (now {lr!r})")
-    del e_rows, e_rating, work, shuffled
+    del e_rows, e_rating, work, shuffled, links, need
 
     models = []
     for f, (train, (users, items)) in enumerate(zip(trains, ids)):
@@ -283,25 +272,64 @@ def _fit_stack(trains, ids, cfg: TrainConfig) -> list[PredictorModel]:
     return models
 
 
-def _levels(user_rows: np.ndarray, item_rows: np.ndarray, n_rows: int) -> np.ndarray:
-    """Dependency level of each update in a sequence of (user row, item row).
+def _schedule(e_rows, row_ends, shuffled, links, need, key) -> list[int]:
+    """Reorder ``shuffled`` by dependency level; return each level's end.
 
-    User and item rows index one table, and no row is both. An update's
-    level is one more than the higher level of the previous update on its
-    user row and the previous update on its item row, so updates on one
-    level touch disjoint rows and every row's updates keep their sequence
-    order across levels.
+    ``shuffled`` is a sequence of entries, and ``e_rows`` holds each entry's
+    user row and item row of one table, no row being both. An entry's level
+    is one more than the higher level of the previous entry on its user row
+    and the previous entry on its item row, so entries on one level touch
+    disjoint rows and every row's entries keep their sequence order. Level
+    j becomes the run ``shuffled[ends[j - 1]:ends[j]]``, in no set order.
+    These are the layers of Kahn's (1962) topological sort, in two steps:
+
+    - Links. Per side, sorting ``row << 32 | position`` lists each row's
+      positions in sequence order, one run per row, ending at the slots in
+      ``row_ends``. Each position links to the next one on its row, or to
+      itself if it is its row's last, and ``need`` counts its earlier
+      links, 0 to 2.
+    - Frontier walk. Level 1 is every position with no earlier link. Each
+      level counts down its user-side links and lists the positions now at
+      0, then does the same on the item side, so a position whose two
+      earlier links are both on the level is listed once, by the item side.
+      A self link counts down a position already listed, which falls below
+      0 and is never listed again: no link reaches past the sequence.
+
+    ``links`` (2, N) int32, ``need`` (N,) int8 and ``key`` (N,) int64 are
+    scratch space. Positions are int32 in the key's low 32 bits and rows
+    int32 in its high bits, so a sequence holds fewer than 2^31 entries and
+    the table fewer than 2^31 rows.
     """
-    last = [-1] * n_rows
-    level = array("i")  # 4 bytes a level, where a list would hold 8
-    # memoryview iteration yields plain ints without materialising a list.
-    for u, i in zip(memoryview(user_rows), memoryview(item_rows)):
-        a = last[u]
-        b = last[i]
-        lv = (a if a > b else b) + 1
-        last[u] = last[i] = lv
-        level.append(lv)
-    return np.frombuffer(level, dtype=np.intc)
+    at = np.arange(len(shuffled), dtype=np.int32)
+    need.fill(2)  # a link on each side, less one for each row's first position
+    for rows, nxt, last in zip(e_rows, links, row_ends):
+        # nxt holds the rows by position until the links overwrite it
+        np.left_shift(rows.take(shuffled, out=nxt, mode="clip"), 32, out=key, dtype=np.int64)
+        key |= at
+        key.sort()
+        key &= 0xFFFFFFFF
+        nxt[key[:-1]] = key[1:]
+        end = key[last]
+        nxt[end] = end
+        need[key[np.concatenate(([0], last[:-1] + 1))]] -= 1
+    front = np.flatnonzero(need == 0)
+    ends = [0]
+    while len(front):
+        key[ends[-1]:ends[-1] + len(front)] = front
+        ends.append(ends[-1] + len(front))
+        ready = []
+        for nxt in links:
+            # intp once, where each index below would convert int32 again
+            succ = nxt.take(front).astype(np.intp)
+            left = need.take(succ) - 1
+            need[succ] = left
+            ready.append(succ[left == 0])
+        front = np.concatenate(ready)
+    # the links are spent; their 8 bytes a position hold the reordered entries
+    order = links.reshape(-1).view(np.intp)
+    shuffled.take(key, out=order, mode="clip")
+    shuffled[:] = order
+    return ends[1:]
 
 
 def predict_many(model: PredictorModel, user_id: str, item_ids) -> np.ndarray:

@@ -67,6 +67,26 @@ MUTANTS = [
      "head = slice(args.top_n)", "head = slice(args.top_n and args.top_n - 1)", CLI_TESTS),
     ("every fold seeded with train.seed", PREDICTOR,
      "[cfg.seed + f, c]", "[cfg.seed, c]", PREDICTOR_TESTS),
+    ("a row's last position linked to the sequence's last, within reach", PREDICTOR,
+     "nxt[end] = end", "nxt[end] = len(shuffled) - 1", PREDICTOR_TESTS),
+    ("ready lists read after both sides count down", PREDICTOR,
+     """        ready = []
+        for nxt in links:
+            # intp once, where each index below would convert int32 again
+            succ = nxt.take(front).astype(np.intp)
+            left = need.take(succ) - 1
+            need[succ] = left
+            ready.append(succ[left == 0])
+        front = np.concatenate(ready)
+""", """        succs = [nxt.take(front).astype(np.intp) for nxt in links]
+        for succ in succs:
+            need[succ] -= 1
+        front = np.concatenate([succ[need[succ] == 0] for succ in succs])
+""", PREDICTOR_TESTS),
+    ("item-side earlier links not counted", PREDICTOR,
+     "need[key[np.concatenate(([0], last[:-1] + 1))]] -= 1",
+     "need[key if last is row_ends[1] else key[np.concatenate(([0], last[:-1] + 1))]] -= 1",
+     PREDICTOR_TESTS),
 ]
 
 

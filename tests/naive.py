@@ -6,7 +6,8 @@ threshold is Chan et al.'s n_b >= (M - n_e) / (k + 1) in exact rational
 arithmetic on the float k, where the library reads n_w <= k * n_b
 through integer weights. ``naive_fit`` is the per-record SGD
 loop that the library's level-scheduled ``fit`` must reproduce bit for
-bit.
+bit, and ``naive_levels`` the per-update loop whose levels its frontier
+walk must find.
 """
 
 import operator
@@ -123,6 +124,22 @@ def hybrid_list(vectors, major_kind, k, sub_kind):
         majors = kd_list(vectors, k)
     subs = norm_sub(SUB_FNS[sub_kind](vectors), SUB_LOWER_BETTER[sub_kind])
     return [a + b for a, b in zip(majors, subs)]
+
+
+def naive_levels(user_rows, item_rows):
+    """Dependency level of each update in a sequence of (user row, item row).
+
+    User and item rows index one table, and no row is both. An update's
+    level is one more than the higher level of the previous update on its
+    user row and the previous update on its item row, counting from 0.
+    """
+    last = {}
+    levels = []
+    for u, i in zip(user_rows, item_rows, strict=True):
+        level = max(last.get(u, -1), last.get(i, -1)) + 1
+        last[u] = last[i] = level
+        levels.append(level)
+    return levels
 
 
 def naive_fit(records, n_criteria, latent_dim, learning_rate, reg, epochs, seed):

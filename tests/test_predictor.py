@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from naive import naive_fit
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from naive import naive_fit, naive_levels
 
 from mcrank import predictor
 from mcrank.pipeline import kfold_split
@@ -46,8 +48,12 @@ def random_dataset(seed, users=12, items=10, m=3, density=0.7):
                    records=tuple(records))
 
 
-SINGLE_RECORD = Dataset(criteria_names=("a", "b", "c", "d"),
-                        records=(RatingRecord("u", "i", 4.0, (5.0, 4.0, 3.0, 2.0)),))
+def single_record_dataset(m=4):
+    return Dataset(criteria_names=("a", "b", "c", "d")[:m],
+                   records=(RatingRecord("u", "i", 4.0, (5.0, 4.0, 3.0, 2.0)[:m]),))
+
+
+SINGLE_RECORD = single_record_dataset()
 
 
 class TestTrainConfig:
@@ -143,6 +149,14 @@ def single_user_dataset(m=3):
     return Dataset(criteria_names=tuple(f"c{j}" for j in range(m)), records=records)
 
 
+def single_item_dataset(m=3):
+    """Every user rates the one item: one item row chains every update."""
+    records = tuple(RatingRecord(f"u{u:02d}", "i", 3.0,
+                                 tuple(float((2 * u + j) % 5 + 1) for j in range(m)))
+                    for u in range(12))
+    return Dataset(criteria_names=tuple(f"c{j}" for j in range(m)), records=records)
+
+
 def assert_matches_sequential_sgd(ds, cfg):
     model = fit(ds, cfg)
     means, ub, ib, uf, itf, history = naive_fit(
@@ -165,12 +179,58 @@ class TestFitMatchesSequentialSgd:
         cfg = TrainConfig(latent_dim=latent_dim, epochs=epochs, seed=seed)
         assert_matches_sequential_sgd(random_dataset(seed + 50, m=m), cfg)
 
-    @pytest.mark.parametrize("ds", [everything_user_dataset(), single_user_dataset(),
-                                    SINGLE_RECORD],
+    # With one criterion, a single user's (or item's) records are the whole
+    # sequence: one row chains every update, and each record is the only one
+    # on its other row.
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("shape", [everything_user_dataset, single_user_dataset,
+                                       single_item_dataset, single_record_dataset],
                              ids=["user_rates_every_item", "single_user",
-                                  "single_record"])
-    def test_edge_shapes(self, ds):
-        assert_matches_sequential_sgd(ds, TrainConfig(latent_dim=5, epochs=3, seed=7))
+                                  "every_user_rates_one_item", "single_record"])
+    def test_edge_shapes(self, shape, m):
+        assert_matches_sequential_sgd(shape(m), TrainConfig(latent_dim=5, epochs=3, seed=7))
+
+
+@st.composite
+def update_sequences(draw):
+    """(2, N) int32 user and item rows of updates over disjoint blocks of one
+    table, and a sequence that visits every update once. Blocks of one user
+    or one item chain all their updates on that row, and a drawn repeat
+    puts the same pair back to back."""
+    pairs, row0 = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        n_u, n_i = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        for u, i, repeats in draw(st.lists(st.tuples(
+                st.integers(0, n_u - 1), st.integers(0, n_i - 1), st.integers(1, 3)),
+                min_size=1, max_size=20)):
+            pairs += [(row0 + u, row0 + n_u + i)] * repeats
+        row0 += n_u + n_i
+    sequence = draw(st.permutations(range(len(pairs))))
+    return np.array(pairs, dtype=np.int32).T.copy(), np.array(sequence, dtype=np.intp)
+
+
+class TestSchedule:
+    @settings(max_examples=300, deadline=None)
+    @given(update_sequences())
+    def test_levels_are_the_naive_loops(self, drawn):
+        e_rows, sequence = drawn
+        n = len(sequence)
+        expected = dict(zip(sequence.tolist(), naive_levels(*e_rows[:, sequence].tolist())))
+        # scratch space as the caller leaves it: holding anything
+        links = np.full((2, n), n - 1, dtype=np.int32)
+        need = np.full(n, 1, dtype=np.int8)
+        key = np.full(n, -1, dtype=np.int64)
+        row_ends = [np.cumsum(np.unique(rows, return_counts=True)[1]) - 1 for rows in e_rows]
+        shuffled = sequence.copy()
+        ends = predictor._schedule(e_rows, row_ends, shuffled, links, need, key)
+        assert sorted(shuffled.tolist()) == list(range(n))  # every update, once
+        assert len(ends) == max(expected.values()) + 1 and ends[-1] == n
+        for level, (start, end) in enumerate(zip([0, *ends], ends)):
+            on_level = shuffled[start:end]
+            assert len(on_level) > 0
+            assert [expected[e] for e in on_level.tolist()] == [level] * len(on_level)
+            rows = e_rows[:, on_level].ravel()
+            assert len(np.unique(rows)) == len(rows)  # no row twice on a level
 
 
 def assert_same_model(a, b):
