@@ -163,6 +163,7 @@ def _fit_stack(trains, ids, cfg: TrainConfig) -> list[PredictorModel]:
     e_rating = np.empty(n_entries)
     row_mean = np.empty(n_rows)  # the global mean of each row's block
     rngs = []
+    row_counts = ([], [])  # per side, each block's records per row, in row order
     try:
         table = np.empty((n_rows, d))
         work = np.empty(max(6 * cap * d, n_entries))
@@ -176,6 +177,9 @@ def _fit_stack(trains, ids, cfg: TrainConfig) -> list[PredictorModel]:
                 i_idx = np.fromiter((i_index[r.item_id] for r in train.records),
                                     dtype=np.int32, count=n)
                 ratings = np.asarray([r.criteria for r in train.records], dtype=np.float64)
+                counts = np.bincount(u_idx), np.bincount(i_idx)
+            for side, count in zip(row_counts, counts):
+                side.append(count)
             np.add(u_idx, row0, out=e_rows[0, e0:e0 + n])
             np.add(i_idx, row0 + n_u, out=e_rows[1, e0:e0 + n])
             e_rating[e0:e0 + n] = ratings[:, c]
@@ -189,9 +193,9 @@ def _fit_stack(trains, ids, cfg: TrainConfig) -> list[PredictorModel]:
     except MemoryError as exc:
         raise TrainingError(f"train.latent_dim {d} needs a {(n_rows, d)} factor table, "
                             "more than fits in memory") from exc
-    del u_idx, i_idx, ratings
-    # per side, where each row's run of sorted schedule keys ends
-    row_ends = [np.cumsum(count[count > 0]) - 1 for count in map(np.bincount, e_rows)]
+    del u_idx, i_idx, ratings, counts
+    # per side, the slot where each row's run of sorted schedule keys ends
+    row_ends = [np.cumsum(np.concatenate(side)) - 1 for side in row_counts]
     bias = np.zeros(n_rows)
 
     def mse(row0: int, e0: int, n: int) -> float:
