@@ -16,6 +16,10 @@ import numpy as np
 
 from .errors import EvaluationError
 
+# The overall rating from which an item counts as relevant, by default.
+RELEVANCE_THRESHOLD = 3.0
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """One user's true overall ratings for evaluation.
@@ -30,7 +34,7 @@ class GroundTruth:
 
     user_id: str
     ratings: Mapping[str, float]
-    threshold: float = 3.0
+    threshold: float = RELEVANCE_THRESHOLD
     universe: frozenset[str] = field(default=frozenset())
 
     def __post_init__(self):

@@ -23,7 +23,7 @@ import numpy as np
 from .core import (MAX_FLOATS, SCALE, CandidateSet, Dataset, MethodSpec, RatingRecord,
                    check_config_fields, checked_number)
 from .errors import DomainError, SplitError
-from .metrics import GroundTruth, dcg_gain, prefix_means
+from .metrics import RELEVANCE_THRESHOLD, GroundTruth, dcg_gain, prefix_means
 from .predictor import PredictorModel, TrainConfig, fit_folds, predict_many
 from .ranking import ranked_slices
 # unused here, but bench/traced.py patches these names in this module
@@ -60,7 +60,7 @@ class ExperimentConfig:
     folds: int = 5
     seed: int = 0
     n_values: tuple[int, ...] = (5, 10, 15, 20, 25, 30, 35, 40)
-    relevance_threshold: float = 3.0
+    relevance_threshold: float = RELEVANCE_THRESHOLD
     protocol: Protocol = Protocol.TEST_ITEMS
     train: TrainConfig = TrainConfig()
     dataset_path: str | None = None
@@ -166,7 +166,7 @@ def build_candidates(
     protocol: Protocol = Protocol.TEST_ITEMS,
     *,
     train: Dataset | None = None,
-    threshold: float = 3.0,
+    threshold: float = RELEVANCE_THRESHOLD,
 ) -> tuple[dict[str, CandidateSet], dict[str, GroundTruth], list[str]]:
     """Per-user candidate sets with predicted vectors, plus ground truth.
 

@@ -15,8 +15,12 @@ gain walk. All of them work in chunks laid out by the one ``_tiling``
 rule: as many whole sets as fit, or else a run of rows of one set. Every
 set scores bit for bit as it does alone, whatever batch it is in.
 
-Dominance reads integer rank codes, bit-parallel: per criterion, one bit
-a pair, 64 pairs a word, says whether a candidate is better than
+Each criterion column is sorted once, by ``_column_counts``: per value,
+how many values of its column are lower and how many no higher. The
+lower counts are the integer order codes that dominance reads, and the
+two give the ar and mr positions; a second count of the hybrid subsorts'
+scores gives their shares. Dominance is bit-parallel: per criterion, one
+bit a pair, 64 pairs a word, says whether a candidate is better than
 another, and every k is one threshold test on the counts of those bits
 (see ``_pairwise``). gd and pg read one walk of pair gains,
 ``_gain_tiles``, on one of two routes. The plane route walks every pair:
@@ -111,21 +115,23 @@ def _at_least(bits: Sequence[np.ndarray], t: int) -> np.ndarray:
     return hit
 
 
-def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
+def _pairwise(cols: np.ndarray, codes: np.ndarray, ks: set[float], gains: set[str]
               ) -> tuple[dict[float, np.ndarray], dict[str, np.ndarray]]:
     """Dominance counts for every k in ``ks`` and the gd/pg scores named in
-    ``gains`` of each set of the (B, n, M) batch ``x``.
+    ``gains`` of each set of a batch: ``cols`` its (M, B, n) criterion
+    columns, ``codes`` their order codes, each value's count of lower
+    values in its column (``_column_counts``).
 
-    Returns ({k: (B, n) how many others each candidate k-dominates},
-    {kind: (B, n) scores}); k = 0 is Pareto dominance.
+    Returns ({k: (B, n) how many others each candidate k-dominates, for
+    every k tested}, {kind: (B, n) scores}); k = 0 is Pareto dominance.
 
     Dominance is bit-parallel, as in bitmap skylines (Tan, Eng and Ooi
     2001): ``_code_planes`` packs per criterion whether a is better than b
-    and whether it is not worse, 64 pairs a word, from the rank codes
-    (``_rank_codes``), exact in any floating-point mode. ``_sliced_count``
-    adds each kind's M planes, and every k, Pareto included, is one exact
-    test on the two counts: an OR over its ``_thresholds`` of n_b >= i and
-    n_w <= t, read as M - n_w >= M - t.
+    and whether it is not worse, 64 pairs a word, from the codes, exact in
+    any floating-point mode. ``_sliced_count`` adds each kind's M planes,
+    and every k, Pareto included, is one exact test on the two counts: an
+    OR over its ``_thresholds`` of n_b >= i and n_w <= t, read as M - n_w
+    >= M - t.
 
     gd and pg read the pair gains of one walk, ``_gain_tiles``, on one of
     two routes, and each route takes only the reductions its scores read.
@@ -137,24 +143,23 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
     reached at a member of the lower front (the candidates that
     Pareto-dominate no other one), and its best incoming gain at a member
     of the upper front (those no other one dominates). The k = 0 test
-    marks both fronts, and the front route walks the candidates against
-    their set's lower-front members, and their negations against the
-    upper front's negated members, taking each row's maximum; as ``max``
-    is exact, no bit changes. When the widest front holds more than n / 2
-    candidates (every candidate is on both fronts when none dominates
-    another), that walk would cover more pairs than the plane, so pg
-    takes the plane route instead.
+    marks both fronts, the lower one as a Pareto count of 0, and the front
+    route walks the candidates against their set's lower-front members,
+    and their negations against the upper front's negated members, taking
+    each row's maximum; as ``max`` is exact, no bit changes. When the
+    widest front holds more than n / 2 candidates (every candidate is on
+    both fronts when none dominates another), that walk would cover more
+    pairs than the plane, so pg takes the plane route instead.
     """
-    b, n, m = x.shape
+    m, b, n = cols.shape
     fronts = gains == {"pg"}
     # the ks that share each test, Pareto's among them when fronts are marked
     tests: dict[tuple[tuple[int, int], ...], list[float]] = {}
     for k in ks | {0.0} if fronts else ks:
         tests.setdefault(_thresholds(m, k), []).append(k)
-    cols = np.ascontiguousarray(x.transpose(2, 0, 1))
-    counts = {k: np.zeros((b, n)) for k in ks}
-    dominant, dominated = np.zeros((2, b, n), dtype=bool)
-    for sets, rows, first, planes in _code_planes(_rank_codes(cols)) if tests else ():
+    counts = {k: np.zeros((b, n)) for group in tests.values() for k in group}
+    dominated = np.zeros((b, n), dtype=bool)
+    for sets, rows, first, planes in _code_planes(codes) if tests else ():
         n_b, n_nw = zip(*_sliced_count(planes))
         for terms, group in tests.items():
             # bits past the last candidate, like self pairs, are never
@@ -163,17 +168,16 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
                 _at_least(n_b, i) & _at_least(n_nw, m - t) if t < m - i else _at_least(n_b, i)
                 for i, t in terms])
             count = np.bitwise_count(beats).sum(axis=-1)
-            for k in ks.intersection(group):
+            for k in group:
                 counts[k][sets, rows] += count
             if fronts and 0.0 in group:
-                dominant[sets, rows] |= beats.any(axis=-1)
                 below = dominated[sets, first:first + 64 * beats.shape[-1]]
                 below |= np.unpackbits(
                     np.bitwise_or.reduce(beats, axis=1).astype("<u8", copy=False).view(np.uint8),
                     axis=-1, count=below.shape[-1], bitorder="little").view(bool)
     with np.errstate(over="ignore", invalid="ignore"):
         if fronts:
-            front = np.concatenate([~dominant, ~dominated])
+            front = np.concatenate([counts[0.0] == 0, ~dominated])
             sizes = front.sum(axis=1)
             width = int(sizes.max())
             if 2 * width <= n:
@@ -206,7 +210,7 @@ def _pairwise(x: np.ndarray, ks: set[float], gains: set[str]
 
 
 def _code_planes(codes: np.ndarray) -> Iterator[tuple[slice, slice, int, Iterator[np.ndarray]]]:
-    """The bit planes of the (M, B, n) rank codes of a batch, chunk by chunk
+    """The bit planes of the (M, B, n) order codes of a batch, chunk by chunk
     as (sets, rows, first, planes), ``planes`` yielding per criterion a (2,
     sets, rows, words) uint64 plane whose bit c of word w is set, in [0],
     when the row's candidate codes above candidate ``first + 64 * w + c``
@@ -272,40 +276,30 @@ def _gain_tiles(cols: np.ndarray, others: np.ndarray
         yield sets, rows, g
 
 
-def _rank_codes(cols: np.ndarray) -> np.ndarray:
-    """Dense rank codes of the (M, B, n) table of every criterion column of
-    every set of a batch, in the same layout: in each column the lowest
-    value codes 0 and each next distinct value one more, so codes compare
-    as the values do, and equal values (-0.0 and 0.0 included) share a
-    code. Codes are int16 while a set holds at most 2^15 candidates (codes
-    up to 32,767), else int32.
-    """
-    m, b, n = cols.shape
-    flat, row_start, run_start = _sorted_runs(cols.reshape(m * b, n))
-    runs = run_start[:-1].cumsum()
-    codes = np.empty(cols.size, dtype=np.int16 if n <= 1 << 15 else np.int32)
-    codes[flat] = runs - runs[row_start]
-    return codes.reshape(m, b, n)
-
-
-def _sorted_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row of the (rows, n) float64 table ``values`` sorted lowest
-    first, the rows laid end to end: (flat, row_start, run_start).
-    ``flat[i]`` is the position in ``values.ravel()`` of sorted position
-    i, ``row_start[i]`` where the row of sorted position i begins, and
-    ``run_start[i]`` whether i begins a run of equal values (each row
-    begins one); ``run_start`` has one more entry, True, at the end."""
+def _column_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper), each of the shape of ``values``: for each value, how
+    many values of its row (the last axis) are lower, and how many are no
+    higher, itself included. Equal values, -0.0 and 0.0 included, share
+    both counts, so ``lower`` compares as the values do. One sort a row,
+    whichever is faster, as the order within a run of equal values is
+    never read: the stable one on the short rows most candidate sets give."""
     n, size = values.shape[-1], values.size
-    # the order within a run is never read, so the faster sort is taken:
-    # the stable one on the short rows most candidate sets give
     order = values.argsort(axis=-1, kind="stable" if n <= 16 else "quicksort")
     row_start = np.arange(0, size, max(n, 1)).repeat(n)
     flat = order.ravel() + row_start
     sorted_vals = values.ravel()[flat]
+    # sorted position i begins a run of equal values; each row begins one
     run_start = np.ones(size + 1, dtype=bool)
     np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=run_start[1:size])
     run_start[:size:max(n, 1)] = True
-    return flat, row_start, run_start
+    # run [s, e) of the row starting at r: each of its values has s - r
+    # lower and e - r no higher
+    bounds = run_start.nonzero()[0]
+    starts, ends = bounds[:-1], bounds[1:]
+    lower, upper = np.empty((2, size), dtype=np.intp)
+    lower[flat] = (starts - row_start[starts]).repeat(ends - starts)
+    upper[flat] = (ends - row_start[starts]).repeat(ends - starts)
+    return lower.reshape(values.shape), upper.reshape(values.shape)
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -313,18 +307,11 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     (negate to rank the lowest first); tied values share the average
     position. Each row of a 2-D array is ranked on its own."""
     values = np.asarray(values, dtype=np.float64)
-    flat, row_start, run_start = _sorted_runs(values)
-    # run [s, e) of the row starting at r spans ascending positions
-    # s-r+1 .. e-r, so highest-first positions n+1-(e-r) .. n-(s-r), whose
-    # average (2n + 1 + 2r - s - e) / 2 is exact in float64. Array methods,
-    # not np.* wrappers: most sets are a few items long, so per-call
-    # overhead is the cost here.
-    bounds = run_start.nonzero()[0]
-    starts, ends = bounds[:-1], bounds[1:]
-    ranks = np.empty(values.shape)
-    ranks.reshape(-1)[flat] = ((2 * values.shape[-1] + 1 + 2 * row_start[starts]
-                                - starts - ends) / 2.0).repeat(ends - starts)
-    return ranks
+    lower, upper = _column_counts(values)
+    # a value with ``lower`` lower and ``upper`` no higher spans, with its
+    # equals, positions n + 1 - upper .. n - lower highest first, whose
+    # average is exact in float64
+    return (2 * values.shape[-1] + 1 - lower - upper) / 2.0
 
 
 def method_scores(c: CandidateSet, spec: MethodSpec) -> np.ndarray:
@@ -358,22 +345,25 @@ def _score_batch(sets: Sequence[CandidateSet], specs: Sequence[MethodSpec]) -> n
     as a fresh (B, len(specs), n) table; row [b, i] is what
     ``score_methods`` gives ``sets[b]`` alone for ``specs[i]``.
 
-    One pairwise pass over the stacked (B, n, M) matrices counts dominance
-    for every k asked for (pr is k = 0, a hybrid's major included) and,
-    when gd is scored, forms one gains plane for gd and pg; pg without gd
-    marks the two Pareto fronts in that pass instead and takes its gains
-    over their members (``_pairwise``). One ``average_ranks`` call ranks
-    every criterion of every set, a (B * M, n) table, for ar, mr and their
-    subsorts, and one ranks every distinct hybrid subsort of every set, a
-    (B * subsorts, n) table. A gd or pg gain that overflows is refused,
-    naming the user of the first set it overflows in.
+    One ``_column_counts`` call counts every criterion column of every
+    set, an (M, B, n) table, one sort a column: its lower counts are the
+    order codes of dominance, and with its no-higher counts they give the
+    per-criterion positions of ar and mr. One pairwise pass over the
+    columns counts dominance for every k asked for (pr is k = 0, a
+    hybrid's major included) and, when gd is scored, forms one gains plane
+    for gd and pg; pg without gd marks the two Pareto fronts in that pass
+    instead and takes its gains over their members (``_pairwise``). One
+    more call counts every distinct hybrid subsort of every set, a
+    (subsorts, B, n) table, for the shares. A gd or pg gain that overflows
+    is refused, naming the user of the first set it overflows in.
     """
-    x = np.stack([c.matrix for c in sets])
-    b, n, m = x.shape
+    cols = np.ascontiguousarray(np.stack([c.matrix for c in sets]).transpose(2, 0, 1))
+    m, b, n = cols.shape
+    lower, upper = _column_counts(cols)
     parts = [p for spec in specs
              for p in ((spec.major, spec.sub) if spec.kind == "hybrid" else (spec,))]
     kinds = {p.kind for p in parts}
-    counts, subs = _pairwise(x, {_major_k(p) for p in parts if p.kind in MAJOR_KINDS},
+    counts, subs = _pairwise(cols, lower, {_major_k(p) for p in parts if p.kind in MAJOR_KINDS},
                              kinds & {"gd", "pg"})
     for kind in sorted(subs):
         bad = ~np.isfinite(subs[kind]).all(axis=1)
@@ -382,18 +372,20 @@ def _score_batch(sets: Sequence[CandidateSet], specs: Sequence[MethodSpec]) -> n
                 f"{kind} gains overflow for user {sets[int(bad.argmax())].user_id!r}: "
                 f"n * M * (largest per-criterion spread) of its candidates must be finite")
     if kinds & set(_LOWER_BETTER):
-        ranks = average_ranks(x.transpose(0, 2, 1).reshape(b * m, n)).reshape(b, m, n)
+        # each criterion's positions best first, as ``average_ranks`` reads them
+        ranks = (2 * n + 1 - lower - upper) / 2.0
         if "ar" in kinds:
-            subs["ar"] = ranks.sum(axis=1)
+            subs["ar"] = ranks.sum(axis=0)
         if "mr" in kinds:
-            subs["mr"] = ranks.min(axis=1)
+            subs["mr"] = ranks.min(axis=0)
     sub_kinds = sorted({spec.sub.kind for spec in specs if spec.kind == "hybrid"})
     if sub_kinds:
-        # positions negated rank best first too; -0.0 == 0.0 keeps ties
-        keys = np.stack([-subs[kind] if kind in _LOWER_BETTER else subs[kind]
-                         for kind in sub_kinds], axis=1)
-        rho = average_ranks(keys.reshape(-1, n)).reshape(keys.shape)
-        shares = dict(zip(sub_kinds, ((n - rho) / n).transpose(1, 0, 2)))
+        # negated positions are higher-is-better too; -0.0 == 0.0 keeps ties.
+        # (n - rho) / n, rho the average position best first, is this bit
+        # for bit: the numerator is an exact integer and 2n scales exactly
+        lo, up = _column_counts(np.stack([-subs[kind] if kind in _LOWER_BETTER else subs[kind]
+                                          for kind in sub_kinds]))
+        shares = dict(zip(sub_kinds, (lo + up - 1) / (2 * n)))
 
     def score(spec: MethodSpec) -> np.ndarray:
         if spec.kind == "hybrid":

@@ -10,7 +10,8 @@ every named file unmutated, then prints each mutant as killed or
 survived. It exits 0 when every mutant is killed, 1 when one survives
 and 2 when a run cannot tell (a text not found once, a failure without a
 mutant, or pytest ending in an error). Its name keeps it out of pytest's
-collection, which takes ``test_*.py``.
+collection, which takes ``test_*.py``; ``tests/test_session.py`` checks
+on every run that each mutant's text is still found once.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ MUTANTS = [
      "np.bitwise_or.reduce(beats, axis=1)", "np.bitwise_or.reduce(beats, axis=0)",
      RANKING_TESTS),
     ("lower and upper fronts swapped", RANKING,
-     "front = np.concatenate([~dominant, ~dominated])",
-     "front = np.concatenate([~dominated, ~dominant])", RANKING_TESTS),
+     "front = np.concatenate([counts[0.0] == 0, ~dominated])",
+     "front = np.concatenate([~dominated, counts[0.0] == 0])", RANKING_TESTS),
     ("front padding of zeros, not +inf", RANKING,
      "members[:, np.arange(width) >= sizes[:, None]] = np.inf",
      "members[:, np.arange(width) >= sizes[:, None]] = 0.0", RANKING_TESTS),
@@ -61,6 +62,10 @@ MUTANTS = [
      "g.max(axis=1)", "g.max(axis=2)", RANKING_TESTS),
     ("gain tile not zeroed before its sum", RANKING,
      "        g.fill(0.0)\n", "", RANKING_TESTS),
+    ("a run of equal values does not restart at a row boundary", RANKING,
+     "    run_start[:size:max(n, 1)] = True\n", "", RANKING_TESTS),
+    ("hybrid share read from lower counts alone", RANKING,
+     "(lo + up - 1) / (2 * n)", "(2 * lo) / (2 * n)", RANKING_TESTS),
     ("each bit-plane row chunk one row short", RANKING,
      "rows = slice(r, r + step_rows)", "rows = slice(r, r + step_rows - 1)", RANKING_TESTS),
     ("rank prints one line fewer than --top-n", CLI,

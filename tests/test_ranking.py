@@ -591,16 +591,33 @@ def candidate_set(user_id, rows):
 
 
 # label groups scored together, each k through the same exact dominance
-# test on the bit planes of the rank codes: pg without gd among them, whose
-# k = 0 test marks the fronts, and gd, which forms the gains plane too
+# test on the bit planes of the order codes: pg without gd among them, whose
+# k = 0 test marks the fronts, ar and mr, which read positions from the same
+# column counts, and gd, which forms the gains plane too
 ROUTE_LABEL_GROUPS = [["pr"], ["kd:0.5"], ["pr+ar"], ["pr", "kd:0.5", "kd:0.5+mr"],
-                      ["pr", "pg"], ["pr+pg"], ["pr", "gd", "pg"]]
+                      ["ar", "mr"], ["pr", "pg"], ["pr+pg"], ["pr", "gd", "pg"]]
+
+
+def spy_column_counts(monkeypatch):
+    """The shapes ``ranking._column_counts`` is called with, in order."""
+    calls = []
+    real = ranking._column_counts
+    monkeypatch.setattr(ranking, "_column_counts",
+                        lambda values: calls.append(values.shape) or real(values))
+    return calls
+
+
+def double_loop_counts(row):
+    """(lower, upper) of each value of ``row``, counted pair by pair."""
+    return ([sum(w < v for w in row) for v in row], [sum(w <= v for w in row) for v in row])
 
 
 class TestRankCodes:
-    """Dominance compares each criterion's dense rank codes, on every
-    route: every k, Pareto included, reads the same counts of better and
-    worse criteria, which never reach into another set."""
+    """Dominance compares each criterion's order codes, each value's count
+    of lower values in its column, on every route: every k, Pareto
+    included, reads the same counts of better and worse criteria, which
+    never reach into another set. The one count of the columns also gives
+    ar and mr their positions."""
 
     @staticmethod
     def assert_batch_is_sets_alone_and_oracle(sets, label_groups=ROUTE_LABEL_GROUPS):
@@ -631,30 +648,29 @@ class TestRankCodes:
 
     def test_more_criteria_than_int8_counts(self, monkeypatch):
         c = many_criteria_set()
-        calls = []
-        real = ranking._rank_codes
-        monkeypatch.setattr(ranking, "_rank_codes",
-                            lambda cols: calls.append(cols.shape) or real(cols))
+        calls = spy_column_counts(monkeypatch)
         self.assert_batch_is_sets_alone_and_oracle(
             [c, CandidateSet(user_id="v", item_ids=c.item_ids, matrix=c.matrix)],
             ROUTE_LABEL_GROUPS[:-1])
-        assert calls and {shape[0] for shape in calls} == {130}
+        # the 130 criterion columns, and each hybrid's one subsort
+        assert calls and {shape[0] for shape in calls} == {130, 1}
 
     @pytest.mark.parametrize("draw", [ties, with_one_tiny_value],
                              ids=["integer-ties", "tiny-value-in-one-set"])
     def test_codes_are_read_on_every_route(self, monkeypatch, draw):
-        # beside gd too, and whether or not a value is tiny
-        calls = []
-        real = ranking._rank_codes
-        monkeypatch.setattr(ranking, "_rank_codes",
-                            lambda cols: calls.append(cols.shape) or real(cols))
+        # beside gd too, and whether or not a value is tiny: one count of
+        # the (M, B, n) criterion columns a batch, then one of the hybrid
+        # subsorts' scores if any
+        calls = spy_column_counts(monkeypatch)
         x = draw(np.random.default_rng(97), (4, 5, 2))
         sets = [candidate_set(f"u{s}", x[s]) for s in range(4)]
         for labels in ROUTE_LABEL_GROUPS:
             self.assert_batch_is_sets_alone_and_oracle(sets, [labels])
             calls.clear()
-            ranking._score_batch(sets, [MethodSpec.parse(label) for label in labels])
-            assert calls == [(2, 4, 5)], labels
+            specs = [MethodSpec.parse(label) for label in labels]
+            ranking._score_batch(sets, specs)
+            subsorts = len({spec.sub.kind for spec in specs if spec.kind == "hybrid"})
+            assert calls == [(2, 4, 5)] + [(subsorts, 4, 5)] * (subsorts > 0), labels
 
     @pytest.mark.parametrize("m", [4, 5, 31, 32])
     def test_dominance_products_do_not_wrap(self, m):
@@ -670,24 +686,38 @@ class TestRankCodes:
         self.assert_batch_is_sets_alone_and_oracle(sets, [labels])
 
     def test_equal_values_share_a_code(self):
-        # two sets of three candidates over two criteria; each column codes
-        # on its own, lowest value 0
+        # two sets of three candidates over two criteria; each column counts
+        # on its own, its lowest value coding 0
         x = np.array([[[-0.0, 2.0], [0.0, 2.0], [-3.0, -1.0]],
                       [[5e-324, 9.0], [0.0, 8.0], [5e-324, 9.0]]])
-        codes = ranking._rank_codes(x.transpose(2, 0, 1))
-        assert codes.dtype == np.int16
-        assert codes.tolist() == [[[1, 1, 0], [1, 0, 1]], [[1, 1, 0], [1, 0, 1]]]
+        lower, upper = ranking._column_counts(x.transpose(2, 0, 1))
+        assert lower.tolist() == [[[1, 1, 0], [1, 0, 1]], [[1, 1, 0], [1, 0, 1]]]
+        assert upper.tolist() == [[[3, 3, 1], [3, 1, 3]], [[3, 3, 1], [3, 1, 3]]]
 
-    @pytest.mark.parametrize("n, dtype", [(1 << 15, np.int16), ((1 << 15) + 1, np.int32),
-                                          (40_000, np.int32)])
-    def test_codes_reach_n_minus_one_without_wrapping(self, n, dtype):
-        # the code builder alone, on one column of distinct values 0 .. n-1,
-        # which code as themselves; the O(n^2) pass never runs here
+    @pytest.mark.parametrize("n", [1 << 15, (1 << 15) + 1, 40_000])
+    def test_codes_reach_n_minus_one_without_wrapping(self, n):
+        # the counts alone, on one column of distinct values 0 .. n-1, which
+        # code as themselves, past what int16 holds; the O(n^2) pass never
+        # runs here
         values = np.random.default_rng(n).permutation(n).astype(np.float64)
-        codes = ranking._rank_codes(values.reshape(1, 1, n))
-        assert codes.dtype == dtype and codes.shape == (1, 1, n)
-        assert codes.max() == n - 1
-        assert np.array_equal(codes[0, 0], values)
+        lower, upper = ranking._column_counts(values.reshape(1, 1, n))
+        assert lower.shape == upper.shape == (1, 1, n)
+        assert lower.max() == n - 1
+        assert np.array_equal(lower[0, 0], values)
+        assert np.array_equal(upper[0, 0], values + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda rows: st.integers(1, 24).flatmap(
+        lambda n: st.lists(st.lists(st.sampled_from(
+            [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1.0, 1.0 + 2.0 ** -52, -1.0, 7.5]),
+            min_size=n, max_size=n), min_size=rows, max_size=rows))))
+    def test_column_counts_are_double_loop_counts(self, table):
+        # rows of ties, signed zeros and subnormals, n on both sides of 16,
+        # where the stable sort gives way to quicksort; rows count apart
+        lower, upper = ranking._column_counts(np.array(table))
+        want = [double_loop_counts(row) for row in table]
+        assert lower.tolist() == [lo for lo, _ in want]
+        assert upper.tolist() == [up for _, up in want]
 
 
 # the float nearest 1/3, which lies below it
