@@ -56,12 +56,28 @@ def _read_json(path: Path):
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
+_CHUNK_ROWS = 4096  # data rows whose value cells one np.fromiter call parses
+
+
 def _read_csv(path: str | Path, *, vectors: bool):
-    """(path, criterion names, rows) of a header-checked rating CSV, or with
-    ``vectors`` a predicted-vector CSV. ``rows`` lazily yields (line, user,
-    item, cells, values) per non-blank row, ``values`` being the floats of
-    ``cells``: the overall and criteria cells, or with ``vectors`` the
-    criteria cells alone. A ParseError names the line and the column."""
+    """(path, criterion names, pairs, chunks) of a header-checked rating CSV,
+    or with ``vectors`` a predicted-vector CSV.
+
+    ``chunks`` lazily yields (lines, users, items, values) per run of at
+    most ``_CHUNK_ROWS`` non-blank rows, the last run possibly empty: the
+    rows' file lines and stripped ids, and a (rows, columns) float array of
+    their value cells, each stripped and read by ``float()``: the overall
+    and criteria cells, or with ``vectors`` the criteria cells alone. With
+    ``vectors``, ``pairs`` fills as rows are read, mapping each user to
+    {item: row number over all chunks}, and a non-finite value or a
+    repeated pair is an error.
+
+    A ParseError names the line and the column of the first faulty row in
+    file order. Within a row a wrong column count comes first, then an
+    empty id, a bad number, a non-finite value and a repeated pair. Ids
+    are checked as each row is read and numbers a chunk at a time, so the
+    rows before a fault are all parsed before it is raised.
+    """
     path = Path(path)
 
     def numbered():  # each row by the file line it starts on, streamed
@@ -71,7 +87,7 @@ def _read_csv(path: str | Path, *, vectors: bool):
             try:
                 for row in reader:
                     if row:
-                        yield line, list(map(str.strip, row))
+                        yield line, row
                     line = reader.line_num + 1
             except csv.Error as exc:  # such as an unclosed quote running past the field limit
                 raise ParseError(f"{path}: line {line}: {exc}") from exc
@@ -79,6 +95,7 @@ def _read_csv(path: str | Path, *, vectors: bool):
     header_line, header = next(rows, (0, None))
     if header is None:
         raise ParseError(f"{path}: no header (file is empty)")
+    header = list(map(str.strip, header))
     if len(header) >= 4 and tuple(header[:3]) == _FIXED_COLUMNS:
         first = 3
     elif vectors and len(header) >= 3 and tuple(header[:2]) == _FIXED_COLUMNS[:2]:
@@ -94,26 +111,75 @@ def _read_csv(path: str | Path, *, vectors: bool):
             f"{path}: line {header_line}: criterion names must be distinct and non-empty")
     start = first if vectors else 2
     columns = header[start:]
+    width = len(columns)
+    pairs: dict[str, dict[str, int]] = {}
 
-    def parsed():
-        for line, row in rows:
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: line {line}: expected {len(header)} columns, got {len(row)}")
-            if not (row[0] and row[1]):
-                raise ParseError(f"{path}: line {line}: user_id and item_id must be non-empty")
-            cells = row[start:]
-            try:
-                values = list(map(float, cells))
-            except ValueError:  # locate the first bad cell
-                for column, cell in zip(columns, cells):
-                    try:
-                        float(cell)
-                    except ValueError as exc:
-                        raise ParseError(f"{path}: line {line}: {column} value "
-                                         f"{cell!r} is not a number") from exc
-            yield line, row[0], row[1], cells, values
-    return path, names, parsed()
+    def raw():
+        """(lines, users, items, value cells, fault) per chunk; ``fault``,
+        if not None, ends the file after the chunk, which holds a repeated
+        pair's own row so that its numbers are checked first."""
+        lines, users, items, cells = [], [], [], []
+        fault, done = None, 0
+        try:
+            for line, row in rows:
+                if len(row) != len(header):
+                    fault = ParseError(f"{path}: line {line}: expected {len(header)} "
+                                       f"columns, got {len(row)}")
+                    break
+                user, item = row[0].strip(), row[1].strip()
+                if not (user and item):
+                    fault = ParseError(
+                        f"{path}: line {line}: user_id and item_id must be non-empty")
+                    break
+                lines.append(line)
+                users.append(user)
+                items.append(item)
+                cells += row[start:]
+                if vectors:
+                    seen = pairs.setdefault(user, {})
+                    if item in seen:
+                        fault = ParseError(f"{path}: line {line}: duplicate item "
+                                           f"{item!r} for user {user!r}")
+                        break
+                    seen[item] = done + len(lines) - 1
+                if len(lines) == _CHUNK_ROWS:
+                    yield lines, users, items, cells, None
+                    lines, users, items, cells = [], [], [], []
+                    done += _CHUNK_ROWS
+        except ParseError as exc:  # a csv.Error or a decode error, after the rows before it
+            fault = exc
+        yield lines, users, items, cells, fault
+
+    def parsed(lines, cells):
+        try:
+            values = np.fromiter(map(float, cells), np.float64, len(cells))
+            if not vectors or np.isfinite(values).all():
+                return values.reshape(-1, width)
+        except ValueError:  # a bad number, or a cell padded with \x1c-\x1f,
+            pass            # which str.strip drops and float() refuses
+        # the fault path: the rows one by one, as stripped cells
+        values = []
+        for line, at in zip(lines, range(0, len(cells), width)):
+            row = [cell.strip() for cell in cells[at:at + width]]
+            for column, cell in zip(columns, row):
+                try:
+                    values.append(float(cell))
+                except ValueError as exc:
+                    raise ParseError(f"{path}: line {line}: {column} value "
+                                     f"{cell!r} is not a number") from exc
+            for column, cell, value in zip(columns, row, values[at:]):
+                if vectors and not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: line {line}: {column} value {cell!r} is not finite")
+        return np.array(values, dtype=np.float64).reshape(-1, width)
+
+    def chunks():
+        for lines, users, items, cells, fault in raw():
+            values = parsed(lines, cells)
+            if fault is not None:
+                raise fault
+            yield lines, users, items, values
+    return path, names, pairs, chunks()
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -123,11 +189,12 @@ def load_dataset(path: str | Path) -> Dataset:
     DatasetValidationError listing every invariant violation at once,
     each by its line.
     """
-    path, names, rows = _read_csv(path, vectors=False)
+    path, names, _, chunks = _read_csv(path, vectors=False)
     lines, records = [], []
-    for line, user, item, _, values in rows:
-        lines.append(line)
-        records.append(RatingRecord(user, item, values[0], values[1:]))
+    for chunk_lines, users, items, values in chunks:
+        lines += chunk_lines
+        records += [RatingRecord(user, item, v[0], v[1:])
+                    for user, item, v in zip(users, items, values.tolist())]
     dataset = Dataset(criteria_names=names, records=tuple(records))
     violations = validate_dataset(dataset)
     if violations:
@@ -155,22 +222,11 @@ def load_candidate_sets(path: str | Path) -> dict[str, CandidateSet]:
     continuous and are not checked against a rating scale. Rows may come
     in any order; each ``CandidateSet`` keeps its items in id order.
     """
-    path, names, rows = _read_csv(path, vectors=True)
-    per_user: dict[str, dict[str, list[float]]] = {}
-    for line, user, item, cells, vector in rows:
-        # one test per row; finite cells whose sum overflows pass the loop
-        if not math.isfinite(sum(vector)):
-            for name, cell, value in zip(names, cells, vector):
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: line {line}: {name} value {cell!r} is not finite")
-        vectors = per_user.setdefault(user, {})
-        if item in vectors:
-            raise ParseError(
-                f"{path}: line {line}: duplicate item {item!r} for user {user!r}")
-        vectors[item] = vector
-    return {user: CandidateSet.from_pairs(user, vectors.items())
-            for user, vectors in per_user.items()}
+    path, _, pairs, chunks = _read_csv(path, vectors=True)
+    values = np.concatenate([values for *_, values in chunks])
+    return {user: CandidateSet(user_id=user, item_ids=tuple(items),
+                               matrix=values[list(items.values())])
+            for user, items in pairs.items()}
 
 
 def save_predictions(path: str | Path, criteria_names, rows) -> None:

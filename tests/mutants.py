@@ -1,5 +1,6 @@
-"""Mutants of the ranking kernels, of ``rank`` and of fold training, each of
-which named test files must kill.
+"""Mutants of the ranking kernels, of ``rank``, of fold training, of the
+metrics and the evaluation pipeline and of the CSV reader, each of which
+named test files must kill.
 
 Run from anywhere: ``python tests/mutants.py``. Each mutant replaces one
 text, found exactly once, in one file of a copy of ``src``, ``tests``,
@@ -29,6 +30,12 @@ CLI = "src/mcrank/cli.py"
 CLI_TESTS = ["tests/test_interface.py"]
 PREDICTOR = "src/mcrank/predictor.py"
 PREDICTOR_TESTS = ["tests/test_predictor.py"]
+METRICS = "src/mcrank/metrics.py"
+PIPELINE = "src/mcrank/pipeline.py"
+EVALUATE_TESTS = ["tests/test_metrics.py", "tests/test_pipeline.py", "tests/test_interface.py",
+                  "tests/test_core.py"]
+IO = "src/mcrank/io.py"
+IO_TESTS = ["tests/test_interface.py", "tests/test_fuzz.py"]
 
 # (what the mutant does, file, old text, new text, test files that kill it)
 MUTANTS = [
@@ -92,6 +99,34 @@ MUTANTS = [
      "need[key[np.concatenate(([0], last[:-1] + 1))]] -= 1",
      "need[key if last is row_ends[1] else key[np.concatenate(([0], last[:-1] + 1))]] -= 1",
      PREDICTOR_TESTS),
+    ("recall over max(n_relevant, 2)", METRICS,
+     "recall = tp / np.maximum(n_relevant, 1)", "recall = tp / np.maximum(n_relevant, 2)",
+     EVALUATE_TESTS),
+    ("precision over w rather than min(lengths, w)", METRICS,
+     "precision = tp / np.minimum(lengths, w)", "precision = tp / w", EVALUATE_TESTS),
+    ("relevance read as rating > threshold", METRICS,
+     "if r >= self.threshold", "if r > self.threshold", EVALUATE_TESTS),
+    ("_ratio reading 0.0 on a zero base whatever the value", PIPELINE,
+     "return 0.0 if value == base else None", "return 0.0", EVALUATE_TESTS),
+    ("padding not sorted last in the ideal key", METRICS,
+     "ideal_key = np.where(padding, -np.inf, gains)", "ideal_key = gains", EVALUATE_TESTS),
+    ("all_unrated pools keeping rated items", PIPELINE,
+     "rated = {r.item_id for r in trains.get(user, ())}", "rated = set()", EVALUATE_TESTS),
+    ("the discount log2(j + 1)", METRICS,
+     "max(1.0, math.log2(j)) for j", "max(1.0, math.log2(j + 1)) for j", EVALUATE_TESTS),
+    ("a row fault raised before the rows pending before it are parsed", IO,
+     """            values = parsed(lines, cells)
+            if fault is not None:
+                raise fault
+""", """            if fault is not None:
+                raise fault
+            values = parsed(lines, cells)
+""", IO_TESTS),
+    ("the last partial chunk never parsed", IO,
+     "        yield lines, users, items, cells, fault\n",
+     "        yield [], [], [], [], fault\n", IO_TESTS),
+    ("finiteness read with any in place of all", IO,
+     "np.isfinite(values).all()", "np.isfinite(values).any()", IO_TESTS),
 ]
 
 

@@ -7,14 +7,26 @@ arithmetic on the float k, where the library reads n_w <= k * n_b
 through integer weights. ``naive_fit`` is the per-record SGD
 loop that the library's level-scheduled ``fit`` must reproduce bit for
 bit, and ``naive_levels`` the per-update loop whose levels its frontier
-walk must find.
+walk must find. ``naive_load_candidate_sets`` and ``naive_load_dataset``
+are the per-row CSV loaders that parsed each row's numbers as it was
+read, which the library's chunked reader must match result for result
+and error for error.
 """
 
+import contextlib
+import csv
+import math
 import operator
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
+
+from mcrank import CandidateSet, Dataset, DatasetValidationError, ParseError, RatingRecord
+from mcrank.core import validate_dataset
+
+_FIXED_COLUMNS = ("user_id", "item_id", "overall")
 
 
 def counts(a, b):
@@ -200,3 +212,122 @@ def naive_fit(records, n_criteria, latent_dim, learning_rate, reg, epochs, seed)
         histories.append(tuple(history))
     return (global_means, user_biases, item_biases, user_factors,
             item_factors, tuple(histories))
+
+
+@contextlib.contextmanager
+def _reading(path: Path):
+    """A file that cannot be read or is not UTF-8, as a ParseError naming
+    it. Readers decode ``utf-8-sig``, dropping a BOM."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_csv(path: str | Path, *, vectors: bool):
+    """(path, criterion names, rows) of a header-checked rating CSV, or with
+    ``vectors`` a predicted-vector CSV. ``rows`` lazily yields (line, user,
+    item, cells, values) per non-blank row, ``values`` being the floats of
+    ``cells``: the overall and criteria cells, or with ``vectors`` the
+    criteria cells alone. A ParseError names the line and the column."""
+    path = Path(path)
+
+    def numbered():  # each row by the file line it starts on, streamed
+        line = 1
+        with _reading(path), path.open(encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                for row in reader:
+                    if row:
+                        yield line, list(map(str.strip, row))
+                    line = reader.line_num + 1
+            except csv.Error as exc:  # such as an unclosed quote running past the field limit
+                raise ParseError(f"{path}: line {line}: {exc}") from exc
+    rows = numbered()
+    header_line, header = next(rows, (0, None))
+    if header is None:
+        raise ParseError(f"{path}: no header (file is empty)")
+    if len(header) >= 4 and tuple(header[:3]) == _FIXED_COLUMNS:
+        first = 3
+    elif vectors and len(header) >= 3 and tuple(header[:2]) == _FIXED_COLUMNS[:2]:
+        first = 2
+    else:
+        raise ParseError(
+            f"{path}: line {header_line}: header must be user_id,item_id"
+            f"{'[,overall]' if vectors else ',overall'},<criterion,...>, "
+            f"got {','.join(header)}")
+    names = header[first:]
+    if len(set(names)) != len(names) or not all(names):
+        raise ParseError(
+            f"{path}: line {header_line}: criterion names must be distinct and non-empty")
+    start = first if vectors else 2
+    columns = header[start:]
+
+    def parsed():
+        for line, row in rows:
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: line {line}: expected {len(header)} columns, got {len(row)}")
+            if not (row[0] and row[1]):
+                raise ParseError(f"{path}: line {line}: user_id and item_id must be non-empty")
+            cells = row[start:]
+            try:
+                values = list(map(float, cells))
+            except ValueError:  # locate the first bad cell
+                for column, cell in zip(columns, cells):
+                    try:
+                        float(cell)
+                    except ValueError as exc:
+                        raise ParseError(f"{path}: line {line}: {column} value "
+                                         f"{cell!r} is not a number") from exc
+            yield line, row[0], row[1], cells, values
+    return path, names, parsed()
+
+
+def naive_load_dataset(path):
+    """Read and validate a rating CSV on the fixed 1-5 scale.
+
+    Raises ParseError with a line number on malformed rows, and
+    DatasetValidationError listing every invariant violation at once,
+    each by its line.
+    """
+    path, names, rows = _read_csv(path, vectors=False)
+    lines, records = [], []
+    for line, user, item, _, values in rows:
+        lines.append(line)
+        records.append(RatingRecord(user, item, values[0], values[1:]))
+    dataset = Dataset(criteria_names=names, records=tuple(records))
+    violations = validate_dataset(dataset)
+    if violations:
+        raise DatasetValidationError(violations, f"{path}: " + "; ".join(
+            v.at(f"line {lines[v.record_index]}") for v in violations))
+    return dataset
+
+
+def naive_load_candidate_sets(path):
+    """Read a predicted-vectors CSV into per-user candidate sets.
+
+    Header is ``user_id,item_id,<criterion,...>``; a full dataset file
+    (with an ``overall`` column) is also accepted, the overall being
+    ignored since ranking uses criteria values only. Values may be
+    continuous and are not checked against a rating scale. Rows may come
+    in any order; each ``CandidateSet`` keeps its items in id order.
+    """
+    path, names, rows = _read_csv(path, vectors=True)
+    per_user: dict[str, dict[str, list[float]]] = {}
+    for line, user, item, cells, vector in rows:
+        # one test per row; finite cells whose sum overflows pass the loop
+        if not math.isfinite(sum(vector)):
+            for name, cell, value in zip(names, cells, vector):
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: line {line}: {name} value {cell!r} is not finite")
+        vectors = per_user.setdefault(user, {})
+        if item in vectors:
+            raise ParseError(
+                f"{path}: line {line}: duplicate item {item!r} for user {user!r}")
+        vectors[item] = vector
+    return {user: CandidateSet.from_pairs(user, vectors.items())
+            for user, vectors in per_user.items()}

@@ -7,9 +7,15 @@ Other examples give the numeric flags, and the config's ``folds``,
 ``seed``, ``n_values`` and ``train.latent_dim``, drawn values on valid
 files. ``train.epochs`` is left out: a huge value is a long run, not an
 error. Exit code 1 is allowed only for a usage error.
+
+``test_loaders_match_the_per_row_oracle`` writes fuzzed vector and
+dataset files and checks both loaders, at several chunk sizes, against
+the per-row loaders in ``tests/naive.py``: the same result or the same
+error text.
 """
 
 import contextlib
+import csv
 import functools
 import io as textio
 import json
@@ -21,9 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcrank import synth_generate
+from naive import naive_load_candidate_sets, naive_load_dataset
+
+from mcrank import io, synth_generate
 from mcrank.cli import cli_main
-from mcrank.io import save_dataset, save_predictions
+from mcrank.io import load_candidate_sets, load_dataset, save_dataset, save_predictions
 
 CONFIG = {"methods": ["pr", "kd:0.5+pg", "ar"], "folds": 2, "seed": 1,
           "n_values": [2, 4], "train": {"latent_dim": 2, "epochs": 2}}
@@ -188,3 +196,97 @@ def assert_reported(code: int, err: str) -> None:
     assert code in (0, 2) or (code == 1 and err.startswith("usage error")), (code, err)
     if code == 2:
         assert err.startswith("error: ") and len(err.strip()) > len("error:")
+
+
+# The loader fuzz writes rows of distinct (user, item) pairs and good
+# cells, then plants a few faults. Ids are padded, hold quoted line breaks
+# and commas, or start with \x1c, which str.strip drops; so do padded
+# cells, which float() refuses. Cells on the 1-5 scale are spelled with
+# an underscore, an exponent or a non-ASCII digit; off it they are
+# still numbers, and still good in a vector file.
+USERS = ["u1", "u2", " u1 ", "\x1cu2", "u\n1"]
+ITEMS = ["t{}", " t{} ", "t\n{}", "t,{}"]  # formats of the row's number
+GOOD_CELLS = ["1", "3", " 4 ", "2.5", "4_0e-1", "2.5E0", "\xa02", "\u0663", "\x1c3",
+              "5\x1f "]
+OFF_SCALE = ["1_0", "-1e-2", "-0.0", "5.000001"]
+BAD_CELLS = ["x", "", "1e", "0x1", "1,5"]
+NON_FINITE = ["1e400", "-inf", "nan", "Infinity"]
+FAULTS = ["off-scale", "bad", "non-finite", "duplicate", "duplicate-bad", "width",
+          "blank-id", "blank-line"]
+# a stray byte that is not UTF-8, an unclosed quote, and a cell past
+# FIELD_LIMIT (a csv.Error)
+STRAY = [b"\xff", b'"', b"9" * 60]
+FIELD_LIMIT = 50
+
+
+@st.composite
+def loader_files(draw):
+    """A vector or dataset-shaped CSV of up to 12 rows with up to three
+    planted faults and perhaps one stray insert."""
+    m = draw(st.integers(1, 3))
+    header = ["user_id", "item_id", *(["overall"] if draw(st.integers(0, 7)) != 7 else []),
+              *(f"c{j}" for j in range(m))]
+    cell = st.sampled_from(GOOD_CELLS)
+    rows = [[draw(st.sampled_from(USERS)), draw(st.sampled_from(ITEMS)).format(r),
+             *(draw(cell) for _ in header[2:])] for r in range(draw(st.integers(0, 12)))]
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)) if rows else ():
+        at = draw(st.integers(0, len(rows) - 1))
+        row, column = rows[at], draw(st.integers(2, len(header) - 1))
+        if len(row) != len(header):  # a blank line, or a row of the wrong width
+            continue
+        if fault.startswith("duplicate"):
+            row[:2] = (f" {v} " for v in rows[draw(st.integers(0, at))][:2])
+        if fault in ("bad", "duplicate-bad"):
+            row[column] = draw(st.sampled_from(BAD_CELLS))
+        elif fault == "off-scale":
+            row[column] = draw(st.sampled_from(OFF_SCALE))
+        elif fault == "non-finite":
+            row[column] = draw(st.sampled_from(NON_FINITE))
+        elif fault == "width":
+            row[column:column + 1] = draw(st.sampled_from([[], ["3", "3"]]))
+        elif fault == "blank-id":
+            row[draw(st.integers(0, 1))] = draw(st.sampled_from(["", " "]))
+        elif fault == "blank-line":
+            rows.insert(at, [])
+    text = textio.StringIO()
+    csv.writer(text, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(
+        [header, *rows])
+    data = text.getvalue().encode()
+    stray = draw(st.sampled_from([b""] * 6 + STRAY))
+    at = int(draw(st.floats(0, 1)) * len(data))
+    return data[:at] + stray + data[at:]
+
+
+def loaded(load, path):
+    """What ``load`` gives for ``path``: the sets in order with their ids
+    and matrix bytes, the Dataset, or the error's type and text."""
+    try:
+        result = load(path)
+    except Exception as exc:  # noqa: BLE001 - any error must match the oracle's
+        return type(exc).__name__, str(exc)
+    if isinstance(result, dict):
+        return [(user, c.user_id, c.item_ids, c.matrix.shape, c.matrix.tobytes())
+                for user, c in result.items()]
+    return result
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 2, 3], ids=["default", "1", "2", "3"])
+@pytest.mark.parametrize("load, oracle", [(load_candidate_sets, naive_load_candidate_sets),
+                                          (load_dataset, naive_load_dataset)],
+                         ids=["candidate-sets", "dataset"])
+def test_loaders_match_the_per_row_oracle(tmp_path, monkeypatch, load, oracle, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(io, "_CHUNK_ROWS", chunk)
+    path = tmp_path / "input.csv"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=loader_files())
+    def check(data):
+        path.write_bytes(data)
+        assert loaded(load, path) == loaded(oracle, path)
+
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        check()
+    finally:
+        csv.field_size_limit(limit)

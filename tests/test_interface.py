@@ -138,6 +138,23 @@ class TestLoadCandidateSets:
         path.write_text("user_id,item_id,a,b\nu1,T1,1e308,1e308\n")
         assert load_candidate_sets(path)["u1"].matrix.tolist() == [[1e308, 1e308]]
 
+    # each file fits in one chunk, so every fault below meets the others
+    # before any number of the file is parsed
+    @pytest.mark.parametrize("rows, message", [
+        ("u1,t1,3,3\nu1,t2,x,3\nu1,t3,3,3\nu1,t4,3\n", "line 3: a value 'x' is not a number"),
+        ("u1,t1,3,3\nu1,t1,3, x \n", "line 3: b value 'x' is not a number"),
+        ("u1,t1,3,nan\nu1,t2,x,3\n", "line 2: b value 'nan' is not finite"),
+        ('u1,t1,3,3\nu1,t2,3,-inf\nu1,"t3,' + "9" * 140_000 + "\n",
+         "line 3: b value '-inf' is not finite"),
+    ], ids=["number-before-width", "own-number-before-duplicate", "non-finite-before-number",
+            "row-before-csv-error"])
+    def test_first_faulty_row_wins(self, tmp_path, rows, message):
+        path = tmp_path / "vectors.csv"
+        path.write_text("user_id,item_id,a,b\n" + rows)
+        with pytest.raises(ParseError) as err:
+            load_candidate_sets(path)
+        assert str(err.value) == f"{path}: {message}"
+
 
 class TestExperimentConfig:
     def test_from_dict_defaults(self):

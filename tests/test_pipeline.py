@@ -158,6 +158,9 @@ class TestBuildCandidates:
         for user, cset in cands.items():
             expected = sorted(universe - rated_in_train.get(user, set()))
             assert list(cset.item_ids) == expected
+            # the universe's model rows, read once a fold, give each pool
+            # the bits of a lookup of its own ids
+            assert cset.matrix.tobytes() == predict_many(model, user, expected).tobytes()
             # the user's test items are candidates; unrated ones count
             # as non-relevant with zero rating
             truth = truths[user]
