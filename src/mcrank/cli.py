@@ -16,7 +16,7 @@ from . import io
 from .core import RANKING_KINDS, SUB_KINDS, CandidateSet, MethodSpec
 from .errors import DomainError, McrankError
 from .pipeline import Protocol, _candidate_pools, run_experiment, synth_generate
-from .predictor import TrainConfig, fit
+from .predictor import TrainConfig, fit, predict_many
 from .ranking import ranked_slices
 # unused here, but bench/traced.py patches these names in this module
 from .ranking import rank_candidates, top_n  # noqa: F401
@@ -167,8 +167,8 @@ def _cmd_predict(args) -> int:
         "all": (Protocol.ALL_UNRATED, replace(dataset, records=())),
     }[args.pairs]
     rows = ((user, item, vector)
-            for user, _, items, vectors in _candidate_pools(model, dataset, protocol, train)
-            for item, vector in zip(items, vectors))
+            for user, _, items in _candidate_pools(dataset, protocol, train)
+            for item, vector in zip(items, predict_many(model, user, items)))
     io.save_predictions(args.out, dataset.criteria_names, rows)
     return 0
 

@@ -114,42 +114,6 @@ def _read_csv(path: str | Path, *, vectors: bool):
     width = len(columns)
     pairs: dict[str, dict[str, int]] = {}
 
-    def raw():
-        """(lines, users, items, value cells, fault) per chunk; ``fault``,
-        if not None, ends the file after the chunk, which holds a repeated
-        pair's own row so that its numbers are checked first."""
-        lines, users, items, cells = [], [], [], []
-        fault, done = None, 0
-        try:
-            for line, row in rows:
-                if len(row) != len(header):
-                    fault = ParseError(f"{path}: line {line}: expected {len(header)} "
-                                       f"columns, got {len(row)}")
-                    break
-                user, item = row[0].strip(), row[1].strip()
-                if not (user and item):
-                    fault = ParseError(
-                        f"{path}: line {line}: user_id and item_id must be non-empty")
-                    break
-                lines.append(line)
-                users.append(user)
-                items.append(item)
-                cells += row[start:]
-                if vectors:
-                    seen = pairs.setdefault(user, {})
-                    if item in seen:
-                        fault = ParseError(f"{path}: line {line}: duplicate item "
-                                           f"{item!r} for user {user!r}")
-                        break
-                    seen[item] = done + len(lines) - 1
-                if len(lines) == _CHUNK_ROWS:
-                    yield lines, users, items, cells, None
-                    lines, users, items, cells = [], [], [], []
-                    done += _CHUNK_ROWS
-        except ParseError as exc:  # a csv.Error or a decode error, after the rows before it
-            fault = exc
-        yield lines, users, items, cells, fault
-
     def parsed(lines, cells):
         try:
             values = np.fromiter(map(float, cells), np.float64, len(cells))
@@ -174,11 +138,33 @@ def _read_csv(path: str | Path, *, vectors: bool):
         return np.array(values, dtype=np.float64).reshape(-1, width)
 
     def chunks():
-        for lines, users, items, cells, fault in raw():
-            values = parsed(lines, cells)
-            if fault is not None:
-                raise fault
-            yield lines, users, items, values
+        lines, users, items, cells = [], [], [], []
+        try:
+            for row_number, (line, row) in enumerate(rows):
+                if len(row) != len(header):
+                    raise ParseError(f"{path}: line {line}: expected {len(header)} "
+                                     f"columns, got {len(row)}")
+                user, item = row[0].strip(), row[1].strip()
+                if not (user and item):
+                    raise ParseError(
+                        f"{path}: line {line}: user_id and item_id must be non-empty")
+                lines.append(line)
+                users.append(user)
+                items.append(item)
+                cells += row[start:]
+                if vectors:
+                    seen = pairs.setdefault(user, {})
+                    if item in seen:
+                        raise ParseError(f"{path}: line {line}: duplicate item "
+                                         f"{item!r} for user {user!r}")
+                    seen[item] = row_number
+                if len(lines) == _CHUNK_ROWS:
+                    yield lines, users, items, parsed(lines, cells)
+                    lines, users, items, cells = [], [], [], []
+        except ParseError:  # a row's fault, a csv.Error or a decode error
+            parsed(lines, cells)  # a bad number in a row read before it wins
+            raise
+        yield lines, users, items, parsed(lines, cells)
     return path, names, pairs, chunks()
 
 
@@ -203,14 +189,18 @@ def load_dataset(path: str | Path) -> Dataset:
     return dataset
 
 
-def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+def _write_csv(path: str | Path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` as UTF-8 CSV with ``\\n`` line ends."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(_FIXED_COLUMNS) + list(dataset.criteria_names))
-        for r in dataset.records:
-            writer.writerow([r.user_id, r.item_id, format_rating(r.overall)]
-                            + [format_rating(v) for v in r.criteria])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_dataset(dataset: Dataset, path: str | Path) -> None:
+    _write_csv(path, [*_FIXED_COLUMNS, *dataset.criteria_names],
+               ([r.user_id, r.item_id, format_rating(r.overall)]
+                + [format_rating(v) for v in r.criteria] for r in dataset.records))
 
 
 def load_candidate_sets(path: str | Path) -> dict[str, CandidateSet]:
@@ -234,12 +224,8 @@ def save_predictions(path: str | Path, criteria_names, rows) -> None:
 
     ``rows`` yields (user_id, item_id, vector) triples.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "item_id"] + list(criteria_names))
-        for user, item, vector in rows:
-            writer.writerow([user, item] + [repr(float(v)) for v in vector])
+    _write_csv(path, ["user_id", "item_id", *criteria_names],
+               ([user, item] + [repr(float(v)) for v in vector] for user, item, vector in rows))
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"dataset_path"}
@@ -305,13 +291,9 @@ def emit_report(report: MetricsReport, path: str | Path) -> None:
         "cells": [{f: getattr(c, f) for f in _CELL_FIELDS} for c in report.cells],
     }
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    csv_path = path.with_suffix(".csv")
-    with csv_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CELL_FIELDS)
-        for c in report.cells:
-            writer.writerow(["" if (v := getattr(c, f)) is None else v
-                             for f in _CELL_FIELDS])
+    _write_csv(path.with_suffix(".csv"), _CELL_FIELDS,
+               (["" if (v := getattr(c, f)) is None else v for f in _CELL_FIELDS]
+                for c in report.cells))
 
 
 def load_report(path: str | Path) -> MetricsReport:

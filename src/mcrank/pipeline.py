@@ -24,8 +24,7 @@ from .core import (MAX_FLOATS, SCALE, CandidateSet, Dataset, MethodSpec, RatingR
                    check_config_fields, checked_number)
 from .errors import DomainError, SplitError
 from .metrics import RELEVANCE_THRESHOLD, GroundTruth, dcg_gain, prefix_means
-from .predictor import (PredictorModel, TrainConfig, _item_rows, _predict_rows, fit_folds,
-                        predict_many)
+from .predictor import PredictorModel, TrainConfig, fit_folds, predict_many
 from .ranking import ranked_slices
 # unused here, but bench/traced.py patches these names in this module
 from .metrics import confusion, f1, ndcg  # noqa: F401
@@ -139,36 +138,26 @@ def kfold_split(dataset: Dataset, folds: int, seed: int) -> list[tuple[Dataset, 
     return pairs
 
 
-def _candidate_pools(model: PredictorModel, test: Dataset, protocol: Protocol,
-                     train: Dataset | None):
-    """Yield (user, {rated test item: overall}, items to rank, their predicted
-    vectors) in user order.
+def _candidate_pools(test: Dataset, protocol: Protocol, train: Dataset | None):
+    """Yield (user, {rated test item: overall}, items to rank) in user order.
 
     Every user with a test record gets a pool, which may be empty: the
     user's test items (TEST_ITEMS), or every item of either fold that
-    the user did not rate in ``train`` (ALL_UNRATED), in id order. Under
-    ALL_UNRATED each item of that universe has its ``model`` row looked up
-    once, and each pool takes its rows from those.
+    the user did not rate in ``train`` (ALL_UNRATED), in id order.
     """
     tests = test.by_user()
     if protocol is Protocol.ALL_UNRATED:
         if train is None:
             raise DomainError("all_unrated protocol needs the training fold")
         universe = sorted({*train.items(), *test.items()})
-        where = {t: j for j, t in enumerate(universe)}
-        rows = _item_rows(model, universe)
         trains = train.by_user()
     for user in sorted(tests):
         overalls = {r.item_id: r.overall for r in tests[user]}
         if protocol is Protocol.TEST_ITEMS:
-            items = sorted(overalls)
-            yield user, overalls, items, predict_many(model, user, items)
+            yield user, overalls, sorted(overalls)
         else:
             rated = {r.item_id for r in trains.get(user, ())}
-            unrated = np.ones(len(universe), dtype=bool)
-            unrated[[where[t] for t in rated]] = False
-            yield (user, overalls, [t for t in universe if t not in rated],
-                   _predict_rows(model, user, rows[unrated]))
+            yield user, overalls, [t for t in universe if t not in rated]
 
 
 def build_candidates(
@@ -188,11 +177,12 @@ def build_candidates(
     candidates: dict[str, CandidateSet] = {}
     truths: dict[str, GroundTruth] = {}
     skipped: list[str] = []
-    for user, overalls, items, vectors in _candidate_pools(model, test, protocol, train):
+    for user, overalls, items in _candidate_pools(test, protocol, train):
         if not items:
             skipped.append(user)
             continue
-        candidates[user] = CandidateSet(user_id=user, item_ids=tuple(items), matrix=vectors)
+        candidates[user] = CandidateSet(user_id=user, item_ids=tuple(items),
+                                        matrix=predict_many(model, user, items))
         truths[user] = GroundTruth(user_id=user, ratings=overalls, threshold=threshold,
                                    universe=frozenset(items))
     return candidates, truths, skipped

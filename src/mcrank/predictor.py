@@ -346,18 +346,9 @@ def predict_many(model: PredictorModel, user_id: str, item_ids) -> np.ndarray:
     bias-adjusted mean, an unseen user to the item's, and a fully unseen
     pair to the per-criterion global means.
     """
-    return _predict_rows(model, user_id, _item_rows(model, item_ids))
-
-
-def _item_rows(model: PredictorModel, item_ids) -> np.ndarray:
-    """Each id's row of the padded item tables; an unseen id reads the zero row."""
-    return np.fromiter((model._item_index.get(t, -1) for t in item_ids), dtype=np.int64)
-
-
-def _predict_rows(model: PredictorModel, user_id: str, i: np.ndarray) -> np.ndarray:
-    """``predict_many`` over the items at rows ``i`` of the padded item tables."""
     bu, bi, p, q = model._padded
     u = model._user_index.get(user_id, -1)
+    i = np.fromiter((model._item_index.get(t, -1) for t in item_ids), dtype=np.int64)
     # (M, n, d) . (M, d) summed over d, transposed to (n, M)
     dots = np.einsum("mkd,md->mk", q[:, i, :], p[:, u, :])
     return np.clip((model.global_means + bu[:, u]) + bi[:, i].T + dots.T, *SCALE)

@@ -114,17 +114,17 @@ MUTANTS = [
      "rated = {r.item_id for r in trains.get(user, ())}", "rated = set()", EVALUATE_TESTS),
     ("the discount log2(j + 1)", METRICS,
      "max(1.0, math.log2(j)) for j", "max(1.0, math.log2(j + 1)) for j", EVALUATE_TESTS),
-    ("a row fault raised before the rows pending before it are parsed", IO,
-     """            values = parsed(lines, cells)
-            if fault is not None:
-                raise fault
-""", """            if fault is not None:
-                raise fault
-            values = parsed(lines, cells)
+    ("rows read before a fault not parsed before it is raised", IO,
+     """            parsed(lines, cells)  # a bad number in a row read before it wins
+            raise
+""", """            raise
 """, IO_TESTS),
     ("the last partial chunk never parsed", IO,
-     "        yield lines, users, items, cells, fault\n",
-     "        yield [], [], [], [], fault\n", IO_TESTS),
+     """            raise
+        yield lines, users, items, parsed(lines, cells)
+""", """            raise
+        yield lines, users, items, np.zeros((len(lines), width))
+""", IO_TESTS),
     ("finiteness read with any in place of all", IO,
      "np.isfinite(values).all()", "np.isfinite(values).any()", IO_TESTS),
 ]

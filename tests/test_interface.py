@@ -1,5 +1,8 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from mcrank import (
     top_n,
     validate_dataset,
 )
-from mcrank import pipeline
+from mcrank import io, pipeline
 from mcrank.cli import cli_main
 from mcrank.core import MAJOR_KINDS, MAX_FLOATS, RANKING_KINDS, SUB_KINDS
 from mcrank.io import (
@@ -138,17 +141,23 @@ class TestLoadCandidateSets:
         path.write_text("user_id,item_id,a,b\nu1,T1,1e308,1e308\n")
         assert load_candidate_sets(path)["u1"].matrix.tolist() == [[1e308, 1e308]]
 
-    # each file fits in one chunk, so every fault below meets the others
-    # before any number of the file is parsed
-    @pytest.mark.parametrize("rows, message", [
-        ("u1,t1,3,3\nu1,t2,x,3\nu1,t3,3,3\nu1,t4,3\n", "line 3: a value 'x' is not a number"),
-        ("u1,t1,3,3\nu1,t1,3, x \n", "line 3: b value 'x' is not a number"),
-        ("u1,t1,3,nan\nu1,t2,x,3\n", "line 2: b value 'nan' is not finite"),
+    # with chunks of None (the shipped size) each file fits in one chunk, so
+    # every fault meets the others before any number of the file is parsed;
+    # with chunks of 2 the bad number fills a chunk, whose parse raises
+    # before the next row is read
+    @pytest.mark.parametrize("rows, message, chunk_rows", [
+        ("u1,t1,3,3\nu1,t2,x,3\nu1,t3,3,3\nu1,t4,3\n", "line 3: a value 'x' is not a number",
+         None),
+        ("u1,t1,3,3\nu1,t1,3, x \n", "line 3: b value 'x' is not a number", None),
+        ("u1,t1,3,nan\nu1,t2,x,3\n", "line 2: b value 'nan' is not finite", None),
         ('u1,t1,3,3\nu1,t2,3,-inf\nu1,"t3,' + "9" * 140_000 + "\n",
-         "line 3: b value '-inf' is not finite"),
+         "line 3: b value '-inf' is not finite", None),
+        ("u1,t1,3,3\nu1,t2,x,3\nu1,t3,3\n", "line 3: a value 'x' is not a number", 2),
     ], ids=["number-before-width", "own-number-before-duplicate", "non-finite-before-number",
-            "row-before-csv-error"])
-    def test_first_faulty_row_wins(self, tmp_path, rows, message):
+            "row-before-csv-error", "full-chunk-number-before-width"])
+    def test_first_faulty_row_wins(self, tmp_path, monkeypatch, rows, message, chunk_rows):
+        if chunk_rows is not None:
+            monkeypatch.setattr(io, "_CHUNK_ROWS", chunk_rows)
         path = tmp_path / "vectors.csv"
         path.write_text("user_id,item_id,a,b\n" + rows)
         with pytest.raises(ParseError) as err:
@@ -232,6 +241,41 @@ class TestReportFiles:
         reloaded = load_report(path)
         for a, b in zip(report.cells, reloaded.cells):
             assert a.f1 == b.f1 and a.ndcg == b.ndcg  # bitwise equal floats
+
+
+class TestWrittenBytes:
+    """The bytes of every CSV writer, pinned: ids quoted as ``csv`` quotes
+    them, integral ratings bare, other floats in shortest round-trip form
+    and an undefined ratio as an empty field."""
+
+    def test_dataset(self, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset(synth_generate(300, 80, 4, 0.2, 7), path)
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            90_666, "30a9fd0336ea8c991d74c8cdfc2ae8fe179d975f1ee9f8deb090acd242cef854")
+        save_dataset(Dataset(criteria_names=("food",), records=(
+            RatingRecord("u,1", 't"1', 3.25, (4.0,)),)), path)
+        assert path.read_bytes() == b'user_id,item_id,overall,food\n"u,1","t""1",3.25,4\n'
+
+    def test_predictions(self, tmp_path):
+        path = tmp_path / "vectors.csv"
+        save_predictions(path, ["food", "value"], [("u1", "t,1", [1 / 3, 5.0]),
+                                                   ('u"2', "t2", np.array([1e-300, 4.25]))])
+        assert path.read_bytes() == (b'user_id,item_id,food,value\n'
+                                     b'u1,"t,1",0.3333333333333333,5.0\n'
+                                     b'"u""2",t2,1e-300,4.25\n')
+
+    def test_report_csv(self, tmp_path):
+        cells = (ReportCell(method="pr", k=0.0, sub=None, n=5, fold=0, f1=0.1, ndcg=2 / 3,
+                            improvement_f1=0.0, improvement_ndcg=0.0),
+                 ReportCell(method="kd:0.5+pg", k=0.5, sub="pg", n=10, fold="avg", f1=0.25,
+                            ndcg=0.5, improvement_f1=None, improvement_ndcg=-0.125))
+        emit_report(MetricsReport(metadata={}, cells=cells), tmp_path / "r.json")
+        assert (tmp_path / "r.csv").read_bytes() == (
+            b"method,k,sub,n,fold,f1,ndcg,improvement_f1,improvement_ndcg\n"
+            b"pr,0.0,,5,0,0.1,0.6666666666666666,0.0,0.0\n"
+            b"kd:0.5+pg,0.5,pg,10,avg,0.25,0.5,,-0.125\n")
 
 
 def run_cli(*argv):
@@ -552,6 +596,63 @@ def test_readme_config_example_loads(tmp_path):
     path.write_text(example, encoding="utf-8")
     assert config_to_dict(load_experiment_config(path)) == {
         **json.loads(example), "dataset_path": None}
+
+
+_CPU_PATH_RUN = """if True:
+    import contextlib, json
+    from mcrank.cli import cli_main
+    methods = ["pr", "kd:0.5", "ar", "mr", "gd", "pg", "kd:0.5+pg", "kd:0.5+ar"]
+    assert cli_main(["synth", "--users", "30", "--items", "15", "--criteria", "3",
+                     "--density", "0.5", "--seed", "2", "--out", "data.csv"]) == 0
+    for protocol in ("test_items", "all_unrated"):
+        with open(f"{protocol}.json", "w") as fh:
+            json.dump({"methods": methods, "folds": 3, "seed": 4, "n_values": [3, 5],
+                       "protocol": protocol, "train": {"epochs": 3}}, fh)
+        assert cli_main(["evaluate", "--input", "data.csv", "--config", f"{protocol}.json",
+                         "--out", f"{protocol}-report.json"]) == 0
+    for label, method in [("pr", ["pr"]), ("mr", ["mr"]), ("gd", ["gd"]),
+                          ("kd-pg", ["kd", "--k", "0.5", "--sub", "pg"]),
+                          ("kd-ar", ["kd", "--k", "0.5", "--sub", "ar"])]:
+        with open(f"rank-{label}.tsv", "w") as fh, contextlib.redirect_stdout(fh):
+            assert cli_main(["rank", "--input", "vectors.csv", "--predicted",
+                             "--method", *method]) == 0
+"""
+
+
+def test_report_and_rank_bytes_do_not_depend_on_the_cpu_path(tmp_path):
+    # rank reads one file of continuous vectors written here, so each run
+    # ranks the same input; evaluate fits and predicts in every run. The
+    # fitted parameters themselves are not covered: the SGD dot products
+    # go through BLAS ddot, whose last bit can move with the core type.
+    # Fold means summed by np.dot, a ddot, fail this test under Prescott.
+    rng = np.random.default_rng(3)
+    vectors = tmp_path / "vectors.csv"
+    save_predictions(vectors, ["a", "b", "c"],
+                     [(f"u{u}", f"t{t:02}", 1 + 4 * rng.random(3))
+                      for u in range(6) for t in range(40)])
+    # numpy refuses to disable a baseline feature, so the dispatch targets
+    # are read here, and only those this machine runs are turned off
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    dispatched = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+    settings = {"default": {}, "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+                "one-thread": {"OPENBLAS_NUM_THREADS": "1"},
+                "no-dispatch": {"NPY_DISABLE_CPU_FEATURES": dispatched}}
+    src = str(Path(pipeline.__file__).parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "NPY_DISABLE_CPU_FEATURES")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for name, extra in settings.items():
+        run = tmp_path / name
+        run.mkdir()
+        (run / "vectors.csv").write_bytes(vectors.read_bytes())
+        done = subprocess.run([sys.executable, "-c", _CPU_PATH_RUN], cwd=run,
+                              env={**base, **extra}, capture_output=True, text=True)
+        assert done.returncode == 0, (name, done.stderr)
+        outputs[name] = {path.name: path.read_bytes() for path in run.iterdir()}
+    assert len(outputs["default"]) == 13 and all(outputs["default"].values())
+    for name in settings:
+        assert outputs[name] == outputs["default"], name
 
 
 class TestCliPipelines:

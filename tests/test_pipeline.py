@@ -158,8 +158,7 @@ class TestBuildCandidates:
         for user, cset in cands.items():
             expected = sorted(universe - rated_in_train.get(user, set()))
             assert list(cset.item_ids) == expected
-            # the universe's model rows, read once a fold, give each pool
-            # the bits of a lookup of its own ids
+            # each pool's rows are the model's predictions of its ids, in id order
             assert cset.matrix.tobytes() == predict_many(model, user, expected).tobytes()
             # the user's test items are candidates; unrated ones count
             # as non-relevant with zero rating
@@ -455,6 +454,23 @@ class TestBenchmarkContract:
             assert isinstance(args[0], PredictorModel)
             assert args[1] == test
 
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_each_candidate_set_is_predicted_by_one_predict_many_call(
+            self, monkeypatch, protocol):
+        # bench/traced.py times pipeline.predict_many as predictor.predict_many;
+        # a pool path that bypasses it reads 0 there
+        calls = []
+        real = pipeline.predict_many
+
+        def recorder(model, user, items):
+            calls.append((user, list(items)))
+            return real(model, user, items)
+
+        monkeypatch.setattr(pipeline, "predict_many", recorder)
+        train, test = kfold_split(small_dataset(29), 3, 9)[0]
+        cands, _, _ = build_candidates(fit(train, FAST_TRAIN), test, protocol, train=train)
+        assert calls == [(user, list(c.item_ids)) for user, c in cands.items()]
 
     def test_each_fold_model_is_fit_on_its_training_part_with_seed_plus_fold(
             self, monkeypatch):
