@@ -114,7 +114,7 @@ MUTANTS = [
      "rated = {r.item_id for r in trains.get(user, ())}", "rated = set()", EVALUATE_TESTS),
     ("the discount log2(j + 1)", METRICS,
      "max(1.0, math.log2(j)) for j", "max(1.0, math.log2(j + 1)) for j", EVALUATE_TESTS),
-    ("rows read before a fault not parsed before it is raised", IO,
+    ("a row fault raised before the rows pending before it are parsed", IO,
      """            parsed(lines, cells)  # a bad number in a row read before it wins
             raise
 """, """            raise
